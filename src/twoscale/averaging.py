@@ -179,10 +179,7 @@ class _FirstCorrectorSource:
         return out
 
     def __call__(self, x, tau: float) -> np.ndarray:
-        y0, D = self._base(x)
-        return np.asarray(self.spec.g1(x, y0, tau), dtype=float) - D @ np.asarray(
-            self.spec.f1(x, y0, tau), dtype=float
-        )
+        return self.values_at(x, np.array([float(tau)]))[0]
 
 
 class _SecondCorrectorSource:
@@ -295,13 +292,10 @@ class ReducedSystem:
         return jacobian_fd(lambda w: self.spec.f1(x, w, tau), y0)
 
     def f1_tilde(self, x: np.ndarray, tau: float) -> np.ndarray:
-        y0 = np.asarray(self.spec.phi0(x), dtype=float)
-        return np.asarray(self.spec.f1(x, y0, tau), dtype=float)
+        return self.f1_values(x, np.array([float(tau)]))[0]
 
     def f2_tilde(self, x: np.ndarray, tau: float) -> np.ndarray:
-        y0 = np.asarray(self.spec.phi0(x), dtype=float)
-        base = np.asarray(self.spec.f2(x, y0, tau), dtype=float)
-        return base + self._df1_dy(x, y0, tau) @ self.phi1(x, tau)
+        return self.f2_values(x, np.array([float(tau)]))[0]
 
     def f1_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         y0 = np.asarray(self.spec.phi0(x), dtype=float)

@@ -30,12 +30,13 @@ from .errors import ConfigurationError, DivergenceError, TwoscaleError
 from .harness import probe_averaged_stability, probe_seeker_stability, sweep_convergence
 from .seeker import (
     SeekerConfig,
+    SeekerTrajectory,
     as_system_spec,
     averaged_seeker_field,
-    lyapunov_value_and_rate,
+    initial_state,
     simulate_seeker,
 )
-from .so3 import embed, exp_so3, manifold_residual
+from .so3 import embed, exp_so3
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -209,29 +210,26 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
         + ["y1", "y2", "c_center", "v_c", "frame_residual"]
     )
 
-    def rows_from(times: np.ndarray, states: np.ndarray):
-        for t, s in zip(times, states):
-            c_val = float(fld.c(s[0:3]))
-            v_c, _ = lyapunov_value_and_rate(fld, s[0:3], s[3:12])
-            res = manifold_residual(s[3:12])
-            yield [t, *s, c_val, v_c, res]
-
-    out_path = out_dir / str(cfg["output"])
+    t0 = float(cfg["t0"])
     if t_f == 0.0:
-        from .seeker import initial_state
-
-        s0 = initial_state(config, fld, p0, R0, y0=y0)
-        _write_csv(out_path, header, rows_from(np.array([float(cfg["t0"])]), s0[None, :]))
-        _say(quiet, f"simulate: wrote 1 row to {out_path}")
-        return EXIT_OK
-
-    traj = simulate_seeker(
-        config, fld, p0, R0, t_f, y0=y0, stride=stride, t0=float(cfg["t0"])
+        traj = SeekerTrajectory(
+            times=np.array([t0]),
+            states=initial_state(config, fld, p0, R0, y0=y0)[None, :],
+            omega=omega,
+            field_name=fld.name,
+        )
+    else:
+        traj = simulate_seeker(config, fld, p0, R0, t_f, y0=y0, stride=stride, t0=t0)
+    c_center = traj.center_values(fld)
+    residuals = traj.frame_residuals()
+    rows = np.column_stack(
+        [traj.times, traj.states, c_center, traj.lyapunov_values(fld), residuals]
     )
-    _write_csv(out_path, header, rows_from(traj.times, traj.states))
+    out_path = out_dir / str(cfg["output"])
+    _write_csv(out_path, header, rows)
     p_end = traj.states[-1, 0:3]
-    c_end = float(fld.c(p_end))
-    max_res = float(np.max(traj.frame_residuals()))
+    c_end = float(c_center[-1])
+    max_res = float(np.max(residuals))
     _say(
         quiet,
         f"simulate: {traj.times.shape[0]} rows to {out_path}; "

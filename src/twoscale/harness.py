@@ -509,7 +509,7 @@ def _probe_single(
     p = traj.states[:, 0:3]
     y = traj.states[:, 12:14]
     dist = np.linalg.norm(p - fld.p_star, axis=1)
-    center = np.array([float(fld.c(pk)) for pk in p])
+    center = traj.center_values(fld)
     z = np.linalg.norm(y - np.stack([center, center], axis=1), axis=1)
     tail = rel_times >= entry_deadline
     return ProbeRun(

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DivergenceError
+from .errors import ConfigurationError, DimensionError, DivergenceError, ManifoldError
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -207,7 +207,8 @@ def integrate_rk4(
     states[k] is the state at times[k]; every step is recorded.
     post_step, when given, is applied to the state after each step
     (constraint projection hooks).  Raises DivergenceError at the first
-    non-finite state.
+    non-finite step, and also when post_step raises ManifoldError on a
+    finite state that has drifted too far to project back.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.ndim != 1:
@@ -217,9 +218,13 @@ def integrate_rk4(
     out[0] = x
     for k in range(grid.n_steps):
         x = rk4_step(field, times[k], x, grid.dt)
-        if post_step is not None:
-            x = post_step(x)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(k + 1, float(times[k + 1]))
+        if post_step is not None:
+            try:
+                x = post_step(x)
+            except ManifoldError as err:
+                t = float(times[k + 1])
+                raise DivergenceError(k + 1, t, f"projection failed at t={t:.6g}: {err}") from err
         out[k + 1] = x
     return times, out

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, ManifoldError
 from .numkit import TimeGrid, integrate_rk4, jacobian_fd
-from .so3 import cross3, embed, exp_so3, extract, manifold_residual, project_so3
+from .so3 import cross3, dot3, embed, exp_so3, extract, manifold_residual, project_so3
 from .system import OscillatorySystemSpec
 
 __all__ = [
@@ -207,7 +207,9 @@ def seeker_field(
 
     State layout: p (3), frame columns q (9), filter y (2).  The roll is
     absorbed into the frame R0(tau) = exp_so3(tau e1); what remains of
-    the steering is the filtered reading times the rotated third axis.
+    the steering is the filtered reading times the rotated third axis
+    R0(tau) e3 = (0, -sin tau, cos tau), in world coordinates
+    cos(tau) q3 - sin(tau) q2.
     """
     w = config.omega
     sqw = float(np.sqrt(w))
@@ -229,8 +231,7 @@ def seeker_field(
 
         dp = (amp * np.cos(2.0 * tau - val)) * q1
 
-        axis = exp_so3(tau * _E1) @ np.array([0.0, 0.0, 1.0])
-        wv = axis[0] * q1 + axis[1] * q2 + axis[2] * q3
+        wv = ct * q3 - st * q2
         gain = sqw * (y[1] - y[0])
         dq1 = gain * cross3(wv, q1)
         dq2 = gain * cross3(wv, q2)
@@ -332,14 +333,14 @@ class SeekerTrajectory:
     field_name: str
 
     def center_values(self, fld: ScalarField) -> np.ndarray:
-        return np.array([float(fld.c(s[0:3])) for s in self.states])
+        p = self.states[:, 0:3]
+        return np.fromiter(map(fld.c, p), dtype=float, count=p.shape[0])
 
     def frame_residuals(self) -> np.ndarray:
-        return np.array([manifold_residual(s[3:12]) for s in self.states])
+        return manifold_residual(self.states[:, 3:12])
 
     def lyapunov_values(self, fld: ScalarField) -> np.ndarray:
-        c_star = float(fld.c(fld.p_star))
-        return np.array([c_star - float(fld.c(s[0:3])) for s in self.states])
+        return float(fld.c(fld.p_star)) - self.center_values(fld)
 
 
 def _project_state(s: np.ndarray) -> np.ndarray:
@@ -411,20 +412,15 @@ def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.
         q2 = x[6:9]
         q3 = x[9:12]
         g = grad(p) if s.ndim == 1 else np.array([grad(pb) for pb in s[:, 0:3]]).T
-        u1 = _dot3(q1, g)
-        u2 = _dot3(q2, g)
-        u3 = _dot3(q3, g)
+        u1 = dot3(q1, g)
+        u2 = dot3(q2, g)
+        u3 = dot3(q3, g)
         wbar = 0.25 * (u2 * q3 - u3 * q2)
         return np.concatenate(
             [u1 * q1, cross3(wbar, q1), cross3(wbar, q2), cross3(wbar, q3)]
         ).T
 
     return rhs
-
-
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of 3-vectors, or column-wise over (3, B) stacks."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def lyapunov_value_and_rate(

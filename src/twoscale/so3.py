@@ -54,6 +54,11 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ])
 
 
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of 3-vectors, or column-wise over (3, B) stacks."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def exp_so3(omega: np.ndarray) -> np.ndarray:
     """Rotation exp(hat(omega)) via the Rodrigues formula.
 
@@ -98,27 +103,26 @@ def extract(q: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return Q
 
 
-def manifold_residual(q: np.ndarray) -> float:
+def manifold_residual(q: np.ndarray) -> float | np.ndarray:
     """Worst violation of the orthonormal right-handed column constraints.
 
     Max over |qi.qj - delta_ij| and the sup-norm of qi x qj - eps_ijk qk
-    for all ordered pairs.  Zero exactly on embedded rotations.
+    for all ordered pairs (the three cyclic pairs cover the rest exactly).
+    Zero exactly on embedded rotations, NaN if any entry is NaN.  Takes
+    one (9,) frame or a (K, 9) block of frames, one per row, and returns
+    a scalar or the (K,) residuals.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (9,):
-        raise DimensionError(f"q must have shape (9,), got {q.shape}")
-    cols = [q[0:3], q[3:6], q[6:9]]
-    res = 0.0
-    for i in range(3):
-        for j in range(3):
-            res = max(res, abs(float(cols[i] @ cols[j]) - (1.0 if i == j else 0.0)))
-            k = 3 - i - j if i != j else None
-            target = np.zeros(3)
-            if k is not None:
-                sign = 1.0 if (i, j) in ((0, 1), (1, 2), (2, 0)) else -1.0
-                target = sign * cols[k]
-            res = max(res, float(np.max(np.abs(cross3(cols[i], cols[j]) - target))))
-    return res
+    if q.ndim not in (1, 2) or q.shape[-1] != 9:
+        raise DimensionError(f"q must have shape (9,) or (K, 9), got {q.shape}")
+    x = q.T
+    q1, q2, q3 = x[0:3], x[3:6], x[6:9]
+    terms = [
+        dot3(q1, q1) - 1.0, dot3(q2, q2) - 1.0, dot3(q3, q3) - 1.0,
+        dot3(q1, q2), dot3(q2, q3), dot3(q3, q1),
+        *(cross3(q1, q2) - q3), *(cross3(q2, q3) - q1), *(cross3(q3, q1) - q2),
+    ]
+    return np.max(np.abs(terms), axis=0)
 
 
 def project_so3(M: np.ndarray, tol: float = 1e-14, max_iter: int = 25) -> np.ndarray:

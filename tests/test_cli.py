@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from twoscale.cli import DEFAULTS, main
+from twoscale.seeker import builtin_fields, lyapunov_value_and_rate
+from twoscale.so3 import manifold_residual
 
 LOG_C0 = -3.1354942159291497  # value of the log field at (6, 2, -2)
 
@@ -112,6 +114,33 @@ def test_simulate_short_run_row_count_and_values(tmp_path):
     # frame residual column stays at projection accuracy
     residuals = [float(line.split(",")[-1]) for line in lines[1:]]
     assert max(residuals) < 1e-12
+
+
+def test_simulate_derived_columns_match_each_row_state(tmp_path):
+    # unprojected, so the frame residual column holds nonzero values
+    payload = {"t_f": 0.25, "steps_per_fast_period": 20, "projection": False}
+    assert run_cmd("simulate", tmp_path, payload) == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert table.shape == (21, 18)
+    fld = builtin_fields()["log"]
+    for row in table:
+        p, q = row[1:4], row[4:13]
+        assert row[15] == fld.c(p)
+        assert row[16] == lyapunov_value_and_rate(fld, p, q)[0]
+        assert row[17] == manifold_residual(q)
+    assert np.max(table[:, 17]) > 0.0
+
+
+def test_simulate_projected_blowup_exits_2(tmp_path):
+    # a huge filter start makes the first step too large to project back
+    payload = {"y0": [0.0, 1000.0], "steps_per_fast_period": 4, "t_f": 2.0}
+    assert run_cmd("simulate", tmp_path, payload) == 2
+
+
+def test_simulate_nan_frame_exits_1(tmp_path):
+    payload = {"R0": [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "t_f": 0.0}
+    assert run_cmd("simulate", tmp_path, payload) == 1
 
 
 def test_simulate_output_is_deterministic(tmp_path):

@@ -380,6 +380,18 @@ def test_seeker_probe_reports_unmet_items_as_none():
     assert report.bounded_omega[2.0] == 8.0 * np.pi
 
 
+def test_seeker_probe_records_failed_projection_as_diverged():
+    # four steps per dither period from radius 30: the frame drifts too far
+    # to project back within the first steps, which counts as a divergence
+    fld = builtin_fields()["quadratic"]
+    report = probe_seeker_stability(
+        fld, eps_x=1.0, eps_z=1.0, deltas=[30.0], omegas=[4.0 * np.pi],
+        horizon=2.0, steps_per_fast_period=4,
+    )
+    assert any(run.diverged for run in report.runs)
+    assert report.bounded_omega[30.0] is None
+
+
 def test_seeker_probe_validation():
     fld = builtin_fields()["quadratic"]
     with pytest.raises(ConfigurationError):

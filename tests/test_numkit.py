@@ -11,7 +11,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from twoscale.errors import ConfigurationError, DimensionError, DivergenceError
+from twoscale.errors import ConfigurationError, DimensionError, DivergenceError, ManifoldError
 from twoscale.numkit import (
     TimeGrid,
     cumulative_simpson,
@@ -313,6 +313,25 @@ def test_rk4_post_step_hook_applied():
     _, states = integrate_rk4(field, np.array([1.0, 0.0]), grid, post_step=renorm)
     radii = np.linalg.norm(states[1:], axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-15
+
+
+def test_rk4_post_step_manifold_error_is_divergence():
+    # a hook that cannot project a finite state reports a divergence
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=10)
+
+    def reject_large(s):
+        if s[0] > 1.5:
+            raise ManifoldError("cannot project")
+        return s
+
+    with pytest.raises(DivergenceError) as exc_info:
+        integrate_rk4(lambda t, x: x, np.array([1.0]), grid, post_step=reject_large)
+    err = exc_info.value
+    # x = e^t, and e^{0.4} < 1.5 < e^{0.5}: step 5 is the first one rejected
+    assert err.step == 5
+    assert abs(err.time - 0.5) < 1e-12
+    assert isinstance(err.__cause__, ManifoldError)
+    assert "projection failed" in str(err)
 
 
 def test_rk4_rejects_matrix_state():

@@ -162,6 +162,56 @@ def test_manifold_residual_detects_reflection():
     assert manifold_residual(embed(Q)) > 1.0
 
 
+def test_manifold_residual_block_matches_rows():
+    # perturbed rotations, a reflection and a zero frame, as one (K, 9) block
+    rng = np.random.default_rng(31)
+    rows = [embed(random_rotation(rng)) + 10.0 ** rng.uniform(-16, -1) * rng.standard_normal(9)
+            for _ in range(40)]
+    rows += [embed(np.diag([1.0, 1.0, -1.0])), np.zeros(9)]
+    block = np.array(rows)
+    res = manifold_residual(block)
+    assert res.shape == (block.shape[0],)
+    assert np.array_equal(res, [manifold_residual(q) for q in rows])
+
+
+def pairwise_residual(q):
+    """Reference: every ordered column pair, through np.dot and np.cross."""
+    cols = [q[0:3], q[3:6], q[6:9]]
+    res = 0.0
+    for i in range(3):
+        for j in range(3):
+            res = max(res, abs(float(np.dot(cols[i], cols[j])) - (1.0 if i == j else 0.0)))
+            target = np.zeros(3)
+            if i != j:
+                target = (1.0 if (j - i) % 3 == 1 else -1.0) * cols[3 - i - j]
+            res = max(res, float(np.max(np.abs(np.cross(cols[i], cols[j]) - target))))
+    return res
+
+
+def test_manifold_residual_matches_pairwise_reference():
+    # the three cyclic pairs stand in for all nine; only the summation order
+    # of the dot products differs, so the results agree to a few ulps of 1
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        q = embed(random_rotation(rng)) + 10.0 ** rng.uniform(-16, -1) * rng.standard_normal(9)
+        assert abs(manifold_residual(q) - pairwise_residual(q)) <= 4 * np.finfo(float).eps
+
+
+def test_manifold_residual_nan_frame_is_nan():
+    assert np.isnan(manifold_residual(np.full(9, np.nan)))
+    q = embed(np.eye(3))
+    q[0] = np.nan
+    assert np.isnan(manifold_residual(q))
+    assert np.isnan(manifold_residual(np.array([embed(np.eye(3)), q]))[1])
+
+
+def test_manifold_residual_rejects_bad_shape():
+    with pytest.raises(DimensionError):
+        manifold_residual(np.zeros(8))
+    with pytest.raises(DimensionError):
+        manifold_residual(np.zeros((2, 2, 9)))
+
+
 # -------------------------------------------------------------- project_so3
 
 
