@@ -5,11 +5,13 @@ Pipeline: restrict the oscillatory fields to the quasi-steady manifold
 correctors (build_b / solve_periodic_bvp), then average the reduced
 system including the Lie-bracket term (average).
 
-Everything lives on one uniform phase grid with an even panel count, so
-a corrector evaluated at grid-shifted phases reuses its quadrature
-samples through circular indexing.  That keeps the finite-difference
-x-Jacobians needed by the second corrector source at O(n) grid sweeps
-instead of O(n * panels) point solves.
+Everything lives on one uniform phase grid with an even panel count.
+The spec's phase fields are called once per grid (the phase-field
+contract in OscillatorySystemSpec), and a corrector evaluated at every
+grid-shifted phase is one circular correlation of its quadrature
+samples, done by FFT.  That keeps the finite-difference x-Jacobians
+needed by the second corrector source at O(n) grid sweeps instead of
+O(n * panels) point solves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .numkit import DEFAULT_FD_STEP, cumulative_simpson, jacobian_fd, mat_exp, simpson_rule
-from .system import OscillatorySystemSpec
+from .system import OscillatorySystemSpec, phase_values
 
 __all__ = [
     "CorrectorSolution",
@@ -40,6 +42,20 @@ __all__ = [
 # 1 - e^{T A} must be safely invertible; beyond this the layer matrix is
 # effectively resonant and the corrector problem ill-posed
 _MAX_CONDITION = 1e12
+
+
+def _contract(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Phase-wise matrix-vector products: out[k] = M[k] @ v[k]."""
+    return np.einsum("kij,kj->ki", M, v)
+
+
+def _dy_jacobian(jac, field, x, y0: np.ndarray, taus: np.ndarray, rows: int) -> np.ndarray:
+    """Fast-state Jacobian of a phase field over the grid, (K, rows, m):
+    the spec's analytic jac when supplied, else central differences of
+    field through one array-valued jacobian_fd."""
+    if jac is not None:
+        return phase_values(jac, x, y0, taus, (rows, y0.shape[0]))
+    return jacobian_fd(lambda w: phase_values(field, x, w, taus, (rows,)), y0)
 
 
 def values_at(fun, x, taus: np.ndarray) -> np.ndarray:
@@ -99,9 +115,8 @@ class CorrectorSolution:
         C = weights[:, None, None] * E
         C[0] += C[N]
         self._PC = P @ C[:N]
-        self._shift_index = (
-            (np.arange(N, dtype=np.int64)[:, None] + np.arange(N, dtype=np.int64)[None, :]) % N
-        )
+        # spectrum of the weights for the grid sweep's circular correlation
+        self._PC_hat_conj = np.conj(np.fft.rfft(self._PC, axis=0))
 
     def _sample_b(self, x, offset: float) -> np.ndarray:
         # the representation is T-periodic by construction, so phase-reducing
@@ -124,13 +139,11 @@ class CorrectorSolution:
 
         The last row repeats the first by periodicity of the formula.
         """
-        N, m = self.n_panels, self.m
         beta = self._sample_b(x, float(offset))
-        # vals[k] = sum_l PC[l] beta[(l + k) mod N]; the shift index is
-        # symmetric, so row k of beta[shift_index] holds beta[(k + l) mod N]
-        # over l and the whole sum is one matrix product
-        shifted = beta[self._shift_index].reshape(N, N * m)
-        vals = shifted @ self._PC.transpose(0, 2, 1).reshape(N * m, m)
+        # vals[k] = sum_l PC[l] beta[(l + k) mod N] is a circular
+        # correlation: frequency by frequency, conj(PC^) times beta^
+        beta_hat = np.fft.rfft(beta, axis=0)
+        vals = np.fft.irfft(_contract(self._PC_hat_conj, beta_hat), n=self.n_panels, axis=0)
         return np.vstack([vals, vals[:1]])
 
     def values_at(self, x, taus: np.ndarray) -> np.ndarray:
@@ -172,11 +185,10 @@ class _FirstCorrectorSource:
 
     def values_at(self, x, taus: np.ndarray) -> np.ndarray:
         y0, D = self._base(x)
-        g1, f1 = self.spec.g1, self.spec.f1
-        out = np.empty((taus.shape[0], self.spec.m))
-        for k, tau in enumerate(taus):
-            out[k] = g1(x, y0, tau) - D @ np.asarray(f1(x, y0, tau), dtype=float)
-        return out
+        spec = self.spec
+        taus = np.asarray(taus, dtype=float)
+        g1 = phase_values(spec.g1, x, y0, taus, (spec.m,))
+        return g1 - phase_values(spec.f1, x, y0, taus, (spec.n,)) @ D.T
 
     def __call__(self, x, tau: float) -> np.ndarray:
         return self.values_at(x, np.array([float(tau)]))[0]
@@ -231,18 +243,11 @@ class _SecondCorrectorSource:
                 self.phi1.values_at(xp, taus) - self.phi1.values_at(xm, taus)
             ) / (2.0 * hj)
 
-        out = np.empty((K, m))
-        for k in range(K):
-            tau = float(taus[k])
-            f1v = np.asarray(spec.f1(x, y0, tau), dtype=float)
-            f2v = np.asarray(spec.f2(x, y0, tau), dtype=float)
-            g2v = np.asarray(spec.g2(x, y0, tau), dtype=float)
-            if spec.dg1_dy is not None:
-                dg1 = np.asarray(spec.dg1_dy(x, y0, tau), dtype=float)
-            else:
-                dg1 = jacobian_fd(lambda w: spec.g1(x, w, tau), y0)
-            out[k] = g2v - D0 @ f2v - dphi1[k] @ f1v + dg1 @ phi1_vals[k]
-        return out
+        f1v = phase_values(spec.f1, x, y0, taus, (n,))
+        f2v = phase_values(spec.f2, x, y0, taus, (n,))
+        g2v = phase_values(spec.g2, x, y0, taus, (m,))
+        dg1 = _dy_jacobian(spec.dg1_dy, spec.g1, x, y0, taus, m)
+        return g2v - f2v @ D0.T - _contract(dphi1, f1v) + _contract(dg1, phi1_vals)
 
     def __call__(self, x, tau: float) -> np.ndarray:
         return self.values_at(x, np.array([float(tau)]))[0]
@@ -286,11 +291,6 @@ class ReducedSystem:
     def n(self) -> int:
         return self.spec.n
 
-    def _df1_dy(self, x: np.ndarray, y0: np.ndarray, tau: float) -> np.ndarray:
-        if self.spec.df1_dy is not None:
-            return np.asarray(self.spec.df1_dy(x, y0, tau), dtype=float)
-        return jacobian_fd(lambda w: self.spec.f1(x, w, tau), y0)
-
     def f1_tilde(self, x: np.ndarray, tau: float) -> np.ndarray:
         return self.f1_values(x, np.array([float(tau)]))[0]
 
@@ -298,20 +298,17 @@ class ReducedSystem:
         return self.f2_values(x, np.array([float(tau)]))[0]
 
     def f1_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        y0 = np.asarray(self.spec.phi0(x), dtype=float)
-        return np.stack(
-            [np.asarray(self.spec.f1(x, y0, float(t)), dtype=float) for t in taus]
-        )
+        spec = self.spec
+        y0 = np.asarray(spec.phi0(x), dtype=float)
+        return phase_values(spec.f1, x, y0, np.asarray(taus, dtype=float), (spec.n,))
 
     def f2_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        y0 = np.asarray(self.spec.phi0(x), dtype=float)
+        spec = self.spec
+        taus = np.asarray(taus, dtype=float)
+        y0 = np.asarray(spec.phi0(x), dtype=float)
         phi1_vals = self.phi1.values_at(x, taus)
-        out = np.empty((len(taus), self.spec.n))
-        for k, t in enumerate(taus):
-            tau = float(t)
-            base = np.asarray(self.spec.f2(x, y0, tau), dtype=float)
-            out[k] = base + self._df1_dy(x, y0, tau) @ phi1_vals[k]
-        return out
+        df1 = _dy_jacobian(spec.df1_dy, spec.f1, x, y0, taus, spec.n)
+        return phase_values(spec.f2, x, y0, taus, (spec.n,)) + _contract(df1, phi1_vals)
 
 
 def build_reduced(spec: OscillatorySystemSpec, phi1: CorrectorSolution) -> ReducedSystem:
@@ -363,7 +360,7 @@ class AveragedSystem:
             dG[:, :, j] = (Gp - Gm) / (2.0 * hj)
             dF[:, :, j] = (cumulative_simpson(Gp, h) - cumulative_simpson(Gm, h)) / (2.0 * hj)
 
-        bracket = np.einsum("kij,kj->ki", dG, F) - np.einsum("kij,kj->ki", dF, G)
+        bracket = _contract(dG, F) - _contract(dF, G)
         integrand = H + 0.5 * bracket
         return (self._weights @ integrand) / red.T
 

@@ -71,11 +71,15 @@ def linear_benchmark() -> LinearBenchmark:
     def dphi0(x: np.ndarray) -> np.ndarray:
         return 0.5 * np.eye(2)
 
-    def zero2(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        return np.zeros(2)
+    def zero2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        return np.zeros(np.shape(tau) + (2,))
 
-    def f2(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        return M0 @ x + np.cos(tau) * (M1 @ x) + N @ y
+    def f2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        a = (M0 @ x).tolist()
+        b = (M1 @ x).tolist()
+        e = (N @ y).tolist()
+        ct = np.cos(tau)
+        return np.array([a[0] + ct * b[0] + e[0], a[1] + ct * b[1] + e[1]]).T
 
     spec = OscillatorySystemSpec(
         n=2,
@@ -115,14 +119,14 @@ def bracket_benchmark() -> BracketBenchmark:
     def ds(v: float) -> float:
         return 2.0 * v
 
-    def f1(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        return np.array([root2 * np.sin(tau) * s(x[1]), root2 * np.cos(tau)])
+    def f1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        return np.array([root2 * np.sin(tau) * s(float(x[1])), root2 * np.cos(tau)]).T
 
-    def zero2(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        return np.zeros(2)
+    def zero2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        return np.zeros(np.shape(tau) + (2,))
 
-    def zero1(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        return np.zeros(1)
+    def zero1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        return np.zeros(np.shape(tau) + (1,))
 
     def phi0(x: np.ndarray) -> np.ndarray:
         return np.zeros(1)
@@ -152,7 +156,11 @@ def bracket_benchmark() -> BracketBenchmark:
 
 @dataclass(frozen=True)
 class BvpCase:
-    """One corrector problem with a verifiable periodic solution."""
+    """One corrector problem with a verifiable periodic solution.
+
+    The source b(x, tau) follows the spec's phase-field contract: (m,)
+    at a scalar tau, (K, m) at K phases.
+    """
 
     name: str
     A: np.ndarray
@@ -162,8 +170,8 @@ class BvpCase:
 
 
 def bvp_cosine_case() -> BvpCase:
-    def b(x, tau: float) -> np.ndarray:
-        return np.array([np.cos(tau)])
+    def b(x, tau) -> np.ndarray:
+        return np.array([np.cos(tau)]).T
 
     def exact(tau: float) -> np.ndarray:
         return np.array([0.5 * (np.cos(tau) + np.sin(tau))])
@@ -172,8 +180,8 @@ def bvp_cosine_case() -> BvpCase:
 
 
 def bvp_jordan_case() -> BvpCase:
-    def b(x, tau: float) -> np.ndarray:
-        return np.array([np.sin(tau), np.cos(tau)])
+    def b(x, tau) -> np.ndarray:
+        return np.array([np.sin(tau), np.cos(tau)]).T
 
     def exact(tau: float) -> np.ndarray:
         return np.array([

@@ -223,7 +223,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
     c_center = traj.center_values(fld)
     residuals = traj.frame_residuals()
     rows = np.column_stack(
-        [traj.times, traj.states, c_center, traj.lyapunov_values(fld), residuals]
+        [traj.times, traj.states, c_center, traj.lyapunov_values(fld, c_center), residuals]
     )
     out_path = out_dir / str(cfg["output"])
     _write_csv(out_path, header, rows)

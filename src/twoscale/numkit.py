@@ -139,20 +139,19 @@ def cumulative_simpson(samples: np.ndarray, dt: float) -> np.ndarray:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     K = samples.shape[0]
     out = np.zeros_like(samples)
-    for k in range(1, K):
-        if k % 2 == 0:
-            out[k] = out[k - 2] + (dt / 3.0) * (
-                samples[k - 2] + 4.0 * samples[k - 1] + samples[k]
-            )
-        elif k + 1 < K:
-            out[k] = out[k - 1] + (dt / 12.0) * (
-                5.0 * samples[k - 1] + 8.0 * samples[k] - samples[k + 1]
-            )
-        else:
-            # final odd node: parabola through the last three samples
-            out[k] = out[k - 1] + (dt / 12.0) * (
-                -samples[k - 2] + 8.0 * samples[k - 1] + 5.0 * samples[k]
-            )
+    # each Simpson pair adds to the running sum in node order, so the
+    # cumsum reproduces node-by-node accumulation bit for bit
+    out[2::2] = np.cumsum(
+        (dt / 3.0) * (samples[0:-2:2] + 4.0 * samples[1:-1:2] + samples[2::2]), axis=0
+    )
+    out[1 : K - 1 : 2] = out[0 : K - 2 : 2] + (dt / 12.0) * (
+        5.0 * samples[0 : K - 2 : 2] + 8.0 * samples[1 : K - 1 : 2] - samples[2:K:2]
+    )
+    if K % 2 == 0:
+        # final odd node: parabola through the last three samples
+        out[K - 1] = out[K - 2] + (dt / 12.0) * (
+            -samples[K - 3] + 8.0 * samples[K - 2] + 5.0 * samples[K - 1]
+        )
     return out
 
 
@@ -161,15 +160,16 @@ def jacobian_fd(
     x: np.ndarray,
     h: float | None = None,
 ) -> np.ndarray:
-    """Central-difference Jacobian of f at x, shape (len(f(x)), len(x)).
+    """Central-difference Jacobian of f at x, shape f(x).shape + (len(x),).
 
-    The per-coordinate step defaults to cbrt(eps) * (1 + |x_i|).
+    f may be array-valued (a field over a phase grid, say); a scalar
+    value counts as shape (1,).  The per-coordinate step defaults to
+    cbrt(eps) * (1 + |x_i|).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise DimensionError(f"x must be a vector, got shape {x.shape}")
-    f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
-    J = np.empty((f0.shape[0], x.shape[0]))
+    columns = []
     for i in range(x.shape[0]):
         hi = h if h is not None else DEFAULT_FD_STEP * (1.0 + abs(x[i]))
         xp = x.copy()
@@ -178,8 +178,8 @@ def jacobian_fd(
         xm[i] -= hi
         fp = np.atleast_1d(np.asarray(f(xp), dtype=float))
         fm = np.atleast_1d(np.asarray(f(xm), dtype=float))
-        J[:, i] = (fp - fm) / (2.0 * hi)
-    return J
+        columns.append((fp - fm) / (2.0 * hi))
+    return np.stack(columns, axis=-1)
 
 
 def rk4_step(

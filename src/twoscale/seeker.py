@@ -339,8 +339,12 @@ class SeekerTrajectory:
     def frame_residuals(self) -> np.ndarray:
         return manifold_residual(self.states[:, 3:12])
 
-    def lyapunov_values(self, fld: ScalarField) -> np.ndarray:
-        return float(fld.c(fld.p_star)) - self.center_values(fld)
+    def lyapunov_values(self, fld: ScalarField, center: np.ndarray | None = None) -> np.ndarray:
+        """V_c = c(p_star) - c(p) per row; center, when given, is this
+        run's center_values(fld), which then is not evaluated again."""
+        if center is None:
+            center = self.center_values(fld)
+        return float(fld.c(fld.p_star)) - center
 
 
 def _project_state(s: np.ndarray) -> np.ndarray:
@@ -439,6 +443,28 @@ def lyapunov_value_and_rate(
     return value, -u1 * u1
 
 
+def _dither_axis(q: list, ct, st) -> list:
+    """Components of cos(tau) q2 + sin(tau) q3, the sensor's offset axis."""
+    return [ct * q[3] + st * q[6], ct * q[4] + st * q[7], ct * q[5] + st * q[8]]
+
+
+def _frame_turn(q: list, ct, st) -> list:
+    """The 9 components of w x q1, w x q2, w x q3 for the steering axis
+    w = cos(tau) q3 - sin(tau) q2, from the 9 frame entries q."""
+    w0 = ct * q[6] - st * q[3]
+    w1 = ct * q[7] - st * q[4]
+    w2 = ct * q[8] - st * q[5]
+    out = []
+    for a0, a1, a2 in (q[0:3], q[3:6], q[6:9]):
+        out += [w1 * a2 - w2 * a1, w2 * a0 - w0 * a2, w0 * a1 - w1 * a0]
+    return out
+
+
+def _filter_drive(u) -> np.ndarray:
+    """FILTER_B * u, one row per phase when u holds one value per phase."""
+    return np.array([FILTER_B[0] * u, FILTER_B[1] * u]).T
+
+
 def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     """The seeker as a two-time-scale system on x = (p, q), y = filter.
 
@@ -462,65 +488,47 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         out[1, 0:3] = g
         return out
 
-    def f1(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        p = x[0:3]
-        q1 = x[3:6]
-        q2 = x[6:9]
-        q3 = x[9:12]
+    # the phase fields read the state as floats (q: the frame columns q1,
+    # q2, q3 as 9 floats) and build each output component as one
+    # expression in tau, so a scalar tau gives (dim,) and K phases give
+    # (K, dim) through the same arithmetic
+
+    def f1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        q = x[3:12].tolist()
+        ya, yb = y.tolist()
+        gain = yb - ya
+        s = 2.0 * np.cos(2.0 * tau - float(c(x[0:3])))
+        turn = _frame_turn(q, np.cos(tau), np.sin(tau))
+        return np.array([s * q[0], s * q[1], s * q[2]] + [gain * r for r in turn]).T
+
+    def df1_dy(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
         ct = np.cos(tau)
-        st = np.sin(tau)
-        out = np.empty(12)
-        out[0:3] = (2.0 * np.cos(2.0 * tau - float(c(p)))) * q1
-        wv = ct * q3 - st * q2
-        gain = y[1] - y[0]
-        out[3:6] = gain * cross3(wv, q1)
-        out[6:9] = gain * cross3(wv, q2)
-        out[9:12] = gain * cross3(wv, q3)
-        return out
+        zero = np.zeros_like(ct)
+        cr = np.array([zero, zero, zero] + _frame_turn(x[3:12].tolist(), ct, np.sin(tau))).T
+        return np.stack([-cr, cr], axis=-1)
 
-    def df1_dy(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        q1 = x[3:6]
-        q2 = x[6:9]
-        q3 = x[9:12]
-        ct = np.cos(tau)
-        st = np.sin(tau)
-        wv = ct * q3 - st * q2
-        out = np.zeros((12, 2))
-        for i, qi in enumerate((q1, q2, q3)):
-            cr = cross3(wv, qi)
-            out[3 + 3 * i : 6 + 3 * i, 0] = -cr
-            out[3 + 3 * i : 6 + 3 * i, 1] = cr
-        return out
-
-    def f2(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+    def f2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
         p = x[0:3]
-        q1 = x[3:6]
-        q2 = x[6:9]
-        q3 = x[9:12]
-        g = np.asarray(grad(p), dtype=float)
-        d = np.cos(tau) * q2 + np.sin(tau) * q3
-        out = np.zeros(12)
-        out[0:3] = (2.0 * float(g @ d) * np.sin(2.0 * tau - float(c(p)))) * q1
-        return out
+        q = x[3:12].tolist()
+        g = np.asarray(grad(p), dtype=float).tolist()
+        d = _dither_axis(q, np.cos(tau), np.sin(tau))
+        s = 2.0 * (g[0] * d[0] + g[1] * d[1] + g[2] * d[2]) * np.sin(2.0 * tau - float(c(p)))
+        zero = np.zeros_like(s)
+        return np.array([s * q[0], s * q[1], s * q[2]] + [zero] * 9).T
 
-    def g1(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        p = x[0:3]
-        q2 = x[6:9]
-        q3 = x[9:12]
-        g = np.asarray(grad(p), dtype=float)
-        d = np.cos(tau) * q2 + np.sin(tau) * q3
-        return FILTER_B * float(g @ d)
+    def g1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        g = np.asarray(grad(x[0:3]), dtype=float).tolist()
+        d = _dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
+        return _filter_drive(g[0] * d[0] + g[1] * d[1] + g[2] * d[2])
 
-    def g2(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        p = x[0:3]
-        q2 = x[6:9]
-        q3 = x[9:12]
-        H = fld.hessian(p)
-        d = np.cos(tau) * q2 + np.sin(tau) * q3
-        return FILTER_B * (0.5 * float(d @ (H @ d)))
+    def g2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        H = fld.hessian(x[0:3]).tolist()
+        d = _dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
+        Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
+        return _filter_drive(0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2]))
 
-    def dg1_dy(x: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-        return np.zeros((2, 2))
+    def dg1_dy(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+        return np.zeros(np.shape(tau) + (2, 2))
 
     return OscillatorySystemSpec(
         n=12,

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .numkit import jacobian_fd, quad_periodic
+from .numkit import jacobian_fd, simpson_rule
 
 __all__ = [
     "OscillatorySystemSpec",
@@ -29,11 +29,12 @@ __all__ = [
     "assemble_full_field",
     "frozen_layer_field",
     "check_assumption_A",
+    "phase_values",
     "to_shifted",
     "from_shifted",
 ]
 
-PhaseField = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+PhaseField = Callable[[np.ndarray, np.ndarray, float | np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -44,6 +45,15 @@ class OscillatorySystemSpec:
     are optional remainder terms taking (x, y, tau, omega).  dphi0,
     df1_dy and dg1_dy are optional analytic Jacobians; central
     differences are used when they are absent.
+
+    Phase-field contract: f1, f2, g1, g2, df1_dy and dg1_dy accept either
+    a scalar tau or a vector of K phases.  A scalar tau gives one value,
+    shape (dim,) for a field ((n,) or (m,)) and (rows, cols) for a
+    Jacobian; K phases give the K values stacked along a new first axis,
+    (K, dim) or (K, rows, cols), each equal to the scalar call at that
+    phase.  The averaging layer calls each field once per phase grid.
+    A field that ignores tau still returns the stacked shape, e.g.
+    np.zeros(np.shape(tau) + (dim,)).
     """
 
     n: int
@@ -94,6 +104,21 @@ class OscillatorySystemSpec:
         if self.dphi0 is not None:
             return np.asarray(self.dphi0(x), dtype=float)
         return jacobian_fd(self.phi0, x)
+
+
+def phase_values(field: PhaseField, x, y, taus: np.ndarray, shape: tuple) -> np.ndarray:
+    """One call of a phase field over a vector of phases, shape-checked.
+
+    shape is the field's value shape at one phase; the result has the
+    phase count prepended, as the phase-field contract promises.
+    """
+    vals = np.asarray(field(x, y, taus), dtype=float)
+    if vals.shape != (taus.shape[0],) + shape:
+        raise DimensionError(
+            f"phase field returned shape {vals.shape} for {taus.shape[0]} phases, "
+            f"expected {(taus.shape[0],) + shape}"
+        )
+    return vals
 
 
 def assemble_full_field(
@@ -179,13 +204,14 @@ def check_assumption_A(
     hurwitz = abscissa < 0.0
 
     rng = np.random.default_rng(seed)
+    nodes, weights = simpson_rule(spec.T, n_panels)
     max_mean = 0.0
     max_period = 0.0
     for _ in range(n_samples):
         x = rng.uniform(-box, box, spec.n)
         y = rng.uniform(-box, box, spec.m)
-        for fun in (spec.f1, spec.g1):
-            mean = quad_periodic(lambda s: fun(x, y, s), spec.T, n_panels) / spec.T
+        for fun, dim in ((spec.f1, spec.n), (spec.g1, spec.m)):
+            mean = weights @ phase_values(fun, x, y, nodes, (dim,)) / spec.T
             max_mean = max(max_mean, float(np.max(np.abs(mean))))
         tau = float(rng.uniform(0.0, spec.T))
         for fun in (spec.f1, spec.f2, spec.g1, spec.g2):

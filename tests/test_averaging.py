@@ -7,6 +7,8 @@ first corrector of the seeker loop, and benchmark systems whose averages
 are exact.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,10 +45,10 @@ def scalar_spec(**overrides):
         T=TWO_PI,
         A=np.array([[-1.0]]),
         phi0=lambda x: np.array([x[0]]),
-        f1=lambda x, y, tau: np.array([np.sin(tau)]),
-        f2=lambda x, y, tau: np.array([0.0]),
-        g1=lambda x, y, tau: np.array([np.cos(tau)]),
-        g2=lambda x, y, tau: np.array([0.0]),
+        f1=lambda x, y, tau: np.array([np.sin(tau)]).T,
+        f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
+        g1=lambda x, y, tau: np.array([np.cos(tau)]).T,
+        g2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         name="scalar-avg-test",
     )
     kwargs.update(overrides)
@@ -160,6 +162,30 @@ def test_corrector_values_at_grid_fast_path_matches_point_calls():
     vals = phi.values_at(None, ragged)
     ref = np.stack([phi(None, float(t)) for t in ragged])
     assert np.array_equal(vals, ref)
+
+
+@pytest.mark.parametrize("N", [8, 512])
+@pytest.mark.parametrize("m", [1, 2])
+def test_grid_sweep_matches_explicit_circular_sum(N, m):
+    # vals[k] = sum_l PC[l] beta[(l + k) mod N], summed term by term
+    rng = np.random.default_rng(N + m)
+    A = -np.eye(m) + 0.4 * rng.uniform(-1.0, 1.0, (m, m))
+    coef = rng.normal(size=(4, m))
+
+    def b(x, tau):
+        tau = np.asarray(tau)[..., None]
+        return coef[0] + coef[1] * np.cos(tau) + coef[2] * np.sin(2.0 * tau) + coef[3] * np.cos(3.0 * tau)
+
+    phi = CorrectorSolution(A, b, TWO_PI, n_panels=N)
+    offset = 0.37
+    beta = b(None, offset + phi.h * np.arange(N))
+    ref = np.array([
+        sum(phi._PC[l] @ beta[(l + k) % N] for l in range(N)) for k in range(N)
+    ])
+    vals = phi.values_on_grid(None, offset)
+    assert vals.shape == (N + 1, m)
+    assert np.max(np.abs(vals[:N] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(vals[N], vals[0])
 
 
 def test_corrector_periodicity_and_large_phase():
@@ -290,7 +316,7 @@ def test_reduced_sqrt_field_has_zero_phase_mean():
 def test_reduced_order_one_field_unchanged_when_f1_ignores_fast_state():
     # df1/dy = 0 makes the corrector coupling vanish, so f2_tilde is just
     # f2 on the manifold
-    spec = scalar_spec(f2=lambda x, y, tau: np.array([x[0] + np.cos(tau)]))
+    spec = scalar_spec(f2=lambda x, y, tau: np.array([x[0] + np.cos(tau)]).T)
     phi1 = solve_periodic_bvp(spec.A, build_b(spec, 1), spec.T, 128)
     reduced = build_reduced(spec, phi1)
     x = np.array([0.7])
@@ -309,6 +335,26 @@ def test_reduced_grid_values_match_point_evaluations():
     for k in (0, 10, 33):
         assert np.max(np.abs(F1[k] - bundle.reduced.f1_tilde(x, float(taus[k])))) < 1e-12
         assert np.max(np.abs(F2[k] - bundle.reduced.f2_tilde(x, float(taus[k])))) < 1e-9
+
+
+def test_fd_jacobian_fallbacks_match_analytic_jacobians():
+    # the seeker spec without df1_dy/dg1_dy takes central differences of
+    # f1 and g1 over the whole phase grid; f1 and g1 are linear in y, so
+    # the differences agree with the analytic Jacobians to rounding
+    spec = as_system_spec(builtin_fields()["log"])
+    bare = dataclasses.replace(spec, df1_dy=None, dg1_dy=None)
+    x = np.concatenate([np.array([1.5, -0.5, 2.0]), embed(exp_so3(np.array([0.3, 0.8, -0.2])))])
+    taus = (spec.T / 64) * np.arange(64)
+    results = []
+    for s in (spec, bare):
+        bundle = build_bundle(s, n_panels=64)
+        results.append((
+            bundle.reduced.f2_values(x, taus),
+            bundle.phi2.b.values_at(x, taus),
+            bundle.averaged.fbar(x),
+        ))
+    for analytic, fd in zip(*results):
+        assert np.max(np.abs(fd - analytic)) < 1e-8 * (1.0 + np.max(np.abs(analytic)))
 
 
 # ---------------------------------------------------------------- averaging
@@ -333,8 +379,8 @@ def test_linear_benchmark_average_is_matrix_action():
 def test_average_without_sqrt_field_is_plain_phase_mean():
     # no f1 means no bracket: fbar is the phase mean of f2 on the manifold
     spec = scalar_spec(
-        f1=lambda x, y, tau: np.array([0.0]),
-        f2=lambda x, y, tau: np.array([x[0] + np.cos(tau) ** 2]),
+        f1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
+        f2=lambda x, y, tau: np.array([x[0] + np.cos(tau) ** 2]).T,
     )
     bundle = build_bundle(spec, n_panels=128)
     x = np.array([0.25])

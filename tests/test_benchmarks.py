@@ -18,6 +18,8 @@ from twoscale.benchmarks import (
     seeker_builder,
 )
 from twoscale.numkit import mat_exp, quad_periodic
+from twoscale.seeker import as_system_spec, builtin_fields
+from twoscale.so3 import embed, exp_so3
 from twoscale.system import check_assumption_A
 
 
@@ -148,3 +150,46 @@ def test_field_by_name_lookup():
     assert field_by_name("quadratic").name == "quadratic"
     with pytest.raises(KeyError, match="choices"):
         field_by_name("gaussian")
+
+
+# ------------------------------------------------------ phase-field contract
+
+_PHASES = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 17), [-3.1, 9.7, 40.2]])
+_FIELDS = ("f1", "f2", "g1", "g2", "df1_dy", "dg1_dy")
+
+
+def _builtin_specs():
+    specs = [linear_benchmark().spec, bracket_benchmark().spec]
+    specs += [as_system_spec(fld) for fld in builtin_fields().values()]
+    return specs
+
+
+@pytest.mark.parametrize("spec", _builtin_specs(), ids=lambda spec: spec.name)
+def test_spec_fields_on_phase_arrays_match_scalar_calls(spec):
+    rng = np.random.default_rng(3)
+    if spec.n == 12:
+        x = np.concatenate([rng.normal(size=3), embed(exp_so3(rng.normal(size=3)))])
+    else:
+        x = rng.normal(size=spec.n)
+    y = rng.normal(size=spec.m)
+    shapes = {"f1": (spec.n,), "f2": (spec.n,), "g1": (spec.m,), "g2": (spec.m,),
+              "df1_dy": (spec.n, spec.m), "dg1_dy": (spec.m, spec.m)}
+    for name in _FIELDS:
+        field = getattr(spec, name)
+        if field is None:
+            continue
+        scalar = [np.asarray(field(x, y, float(t))) for t in _PHASES]
+        assert all(v.shape == shapes[name] for v in scalar), name
+        block = np.asarray(field(x, y, _PHASES))
+        assert block.shape == (_PHASES.shape[0],) + shapes[name], name
+        np.testing.assert_array_max_ulp(block, np.stack(scalar), maxulp=4)
+
+
+@pytest.mark.parametrize("case", [bvp_cosine_case(), bvp_jordan_case()], ids=lambda c: c.name)
+def test_bvp_sources_on_phase_arrays_match_scalar_calls(case):
+    m = case.A.shape[0]
+    scalar = [np.asarray(case.b(None, float(t))) for t in _PHASES]
+    assert all(v.shape == (m,) for v in scalar)
+    block = np.asarray(case.b(None, _PHASES))
+    assert block.shape == (_PHASES.shape[0], m)
+    np.testing.assert_array_max_ulp(block, np.stack(scalar), maxulp=4)

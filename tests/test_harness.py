@@ -36,10 +36,10 @@ def zero_spec():
         T=2.0 * np.pi,
         A=np.array([[-1.0]]),
         phi0=lambda x: np.zeros(1),
-        f1=lambda x, y, tau: np.zeros(1),
-        f2=lambda x, y, tau: np.zeros(1),
-        g1=lambda x, y, tau: np.zeros(1),
-        g2=lambda x, y, tau: np.zeros(1),
+        f1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
+        f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
+        g1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
+        g2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         name="zero",
     )
 
@@ -54,10 +54,10 @@ def layer_spec(A=None):
         T=2.0 * np.pi,
         A=A,
         phi0=lambda x: np.zeros(m),
-        f1=lambda x, y, tau: np.zeros(1),
-        f2=lambda x, y, tau: np.zeros(1),
-        g1=lambda x, y, tau: np.zeros(m),
-        g2=lambda x, y, tau: np.zeros(m),
+        f1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
+        f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
+        g1=lambda x, y, tau: np.zeros(np.shape(tau) + (m,)),
+        g2=lambda x, y, tau: np.zeros(np.shape(tau) + (m,)),
         name="layer",
     )
 
@@ -110,7 +110,7 @@ def test_deviation_shrinks_with_frequency():
 
 def test_diverging_run_recorded_not_raised():
     spec = zero_spec()
-    spec.f2 = lambda x, y, tau: np.array([x[0] ** 2])
+    spec.f2 = lambda x, y, tau: np.full(np.shape(tau) + (1,), x[0] ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
         record = run_compare(
             spec, zero_avg, np.array([2.0]), np.zeros(1), omega=8.0, t_f=2.0,
@@ -171,7 +171,7 @@ def test_layer_fit_needs_an_offset():
 
 def test_layer_fit_rejects_failed_and_short_runs():
     spec = zero_spec()
-    spec.f2 = lambda x, y, tau: np.array([x[0] ** 2])
+    spec.f2 = lambda x, y, tau: np.full(np.shape(tau) + (1,), x[0] ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
         failed = run_compare(
             spec, zero_avg, np.array([2.0]), np.zeros(1), omega=8.0, t_f=2.0,

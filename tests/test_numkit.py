@@ -178,6 +178,34 @@ def test_cumulative_simpson_vector_samples():
     assert np.max(np.abs(out[:, 1] - t**3 / 3.0)) < 1e-12
 
 
+def _cumulative_simpson_loop(samples, dt):
+    # the node-by-node form cumulative_simpson replaced, kept as reference
+    K = samples.shape[0]
+    out = np.zeros_like(samples)
+    for k in range(1, K):
+        if k % 2 == 0:
+            out[k] = out[k - 2] + (dt / 3.0) * (
+                samples[k - 2] + 4.0 * samples[k - 1] + samples[k]
+            )
+        elif k + 1 < K:
+            out[k] = out[k - 1] + (dt / 12.0) * (
+                5.0 * samples[k - 1] + 8.0 * samples[k] - samples[k + 1]
+            )
+        else:
+            out[k] = out[k - 1] + (dt / 12.0) * (
+                -samples[k - 2] + 8.0 * samples[k - 1] + 5.0 * samples[k]
+            )
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (257,), (256,), (257, 12), (64, 3, 2)])
+def test_cumulative_simpson_bit_identical_to_node_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    samples = rng.normal(size=shape)
+    dt = 2.0 * np.pi / 256
+    assert np.array_equal(cumulative_simpson(samples, dt), _cumulative_simpson_loop(samples, dt))
+
+
 def test_cumulative_simpson_needs_three_samples():
     with pytest.raises(ConfigurationError):
         cumulative_simpson(np.array([1.0, 2.0]), 0.1)
@@ -209,6 +237,24 @@ def test_jacobian_fd_gradient_at_critical_point():
 def test_jacobian_fd_explicit_step():
     J = jacobian_fd(lambda x: np.array([np.sin(x[0])]), np.array([0.7]), h=1e-5)
     assert abs(J[0, 0] - np.cos(0.7)) < 1e-9
+
+
+def test_jacobian_fd_array_valued_map():
+    # a field over K phases: f(x)[k] = (x0 cos t_k + x1^2, x0 x1 sin t_k)
+    taus = np.linspace(0.0, 6.0, 7)
+
+    def f(x):
+        return np.array([x[0] * np.cos(taus) + x[1] ** 2, x[0] * x[1] * np.sin(taus)]).T
+
+    x = np.array([0.4, -1.3])
+    J = jacobian_fd(f, x)
+    assert J.shape == (7, 2, 2)
+    exact = np.empty((7, 2, 2))
+    exact[:, 0, 0] = np.cos(taus)
+    exact[:, 0, 1] = 2.0 * x[1]
+    exact[:, 1, 0] = x[1] * np.sin(taus)
+    exact[:, 1, 1] = x[0] * np.sin(taus)
+    assert np.max(np.abs(J - exact)) < 1e-9
 
 
 def test_jacobian_fd_rejects_matrix_input():

@@ -29,10 +29,10 @@ def scalar_spec(**overrides):
         T=2.0 * np.pi,
         A=np.array([[-1.0]]),
         phi0=lambda x: np.array([0.5 * x[0]]),
-        f1=lambda x, y, tau: np.array([np.sin(tau) * (1.0 + x[0] ** 2)]),
-        f2=lambda x, y, tau: np.array([-x[0] + y[0]]),
-        g1=lambda x, y, tau: np.array([np.cos(tau)]),
-        g2=lambda x, y, tau: np.array([x[0] ** 2]),
+        f1=lambda x, y, tau: np.array([np.sin(tau) * (1.0 + x[0] ** 2)]).T,
+        f2=lambda x, y, tau: np.full(np.shape(tau) + (1,), -x[0] + y[0]),
+        g1=lambda x, y, tau: np.array([np.cos(tau)]).T,
+        g2=lambda x, y, tau: np.full(np.shape(tau) + (1,), x[0] ** 2),
         name="scalar-test",
     )
     kwargs.update(overrides)
@@ -96,8 +96,8 @@ def test_assembled_field_sqrt_scale_doubles_with_4x_frequency():
     # at t = 0 the phase is 0 for every omega, so the sqrt(omega)-scale
     # contribution is isolated by subtracting the order-one part
     spec = scalar_spec(
-        f1=lambda x, y, tau: np.array([1.0]),  # frozen phase dependence
-        g1=lambda x, y, tau: np.array([0.0]),
+        f1=lambda x, y, tau: np.ones(np.shape(tau) + (1,)),  # frozen phase dependence
+        g1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
     )
     x, y = 0.4, 0.2
     v = np.array([x, y])
@@ -137,8 +137,8 @@ def test_frozen_layer_decays_at_closed_form_rate():
         m=2,
         A=np.diag([-1.0, -2.0]),
         phi0=lambda x: np.array([x[0], -x[0]]),
-        g1=lambda x, y, tau: np.zeros(2),
-        g2=lambda x, y, tau: np.zeros(2),
+        g1=lambda x, y, tau: np.zeros(np.shape(tau) + (2,)),
+        g2=lambda x, y, tau: np.zeros(np.shape(tau) + (2,)),
     )
     omega = 10.0
     x = np.array([0.3])
@@ -179,8 +179,8 @@ def test_assumptions_flag_non_hurwitz_matrix():
         m=2,
         A=np.array([[0.0, 1.0], [-1.0, 0.0]]),  # purely imaginary spectrum
         phi0=lambda x: np.zeros(2),
-        g1=lambda x, y, tau: np.zeros(2),
-        g2=lambda x, y, tau: np.zeros(2),
+        g1=lambda x, y, tau: np.zeros(np.shape(tau) + (2,)),
+        g2=lambda x, y, tau: np.zeros(np.shape(tau) + (2,)),
     )
     report = check_assumption_A(spec)
     assert not report.hurwitz
@@ -189,7 +189,7 @@ def test_assumptions_flag_non_hurwitz_matrix():
 
 
 def test_assumptions_flag_biased_oscillation():
-    spec = scalar_spec(f1=lambda x, y, tau: np.array([1.0 + np.sin(tau)]))
+    spec = scalar_spec(f1=lambda x, y, tau: np.array([1.0 + np.sin(tau)]).T)
     report = check_assumption_A(spec)
     assert not report.zero_mean
     assert abs(report.max_mean_defect - 1.0) < 1e-10
@@ -197,7 +197,7 @@ def test_assumptions_flag_biased_oscillation():
 
 
 def test_assumptions_flag_aperiodic_field():
-    spec = scalar_spec(f2=lambda x, y, tau: np.array([tau]))
+    spec = scalar_spec(f2=lambda x, y, tau: np.array([tau]).T)
     report = check_assumption_A(spec)
     assert not report.periodic
     assert abs(report.max_period_defect - 2.0 * np.pi) < 1e-12
