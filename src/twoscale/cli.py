@@ -130,14 +130,10 @@ def _load_config(path: str | None, command: str) -> dict:
     return merged
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    table = np.asarray(rows, dtype=float)
+    fmt = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -218,7 +218,7 @@ def integrate_rk4(
     out[0] = x
     for k in range(grid.n_steps):
         x = rk4_step(field, times[k], x, grid.dt)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergenceError(k + 1, float(times[k + 1]))
         if post_step is not None:
             try:

@@ -15,6 +15,7 @@ integrated exactly; a cross-check pins their equivalence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -164,9 +165,8 @@ def sensor_position(p: np.ndarray, q: np.ndarray, tau: float, radius: float) -> 
     q = np.asarray(q, dtype=float)
     if q.shape != (9,):
         raise DimensionError(f"q must have shape (9,), got {q.shape}")
-    return np.asarray(p, dtype=float) + radius * (
-        np.cos(tau) * q[3:6] + np.sin(tau) * q[6:9]
-    )
+    d = _dither_axis(q.tolist(), math.cos(tau), math.sin(tau))
+    return np.asarray(p, dtype=float) + radius * np.array(d)
 
 
 def initial_state(
@@ -218,28 +218,22 @@ def seeker_field(
     c = fld.c
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
-        p = s[0:3]
-        q1 = s[3:6]
-        q2 = s[6:9]
-        q3 = s[9:12]
-        y = s[12:14]
+        x = s.tolist()
+        q = x[3:12]
+        ya, yb = x[12:14]
         tau = w * t
-        ct = np.cos(tau)
-        st = np.sin(tau)
-        ps = p + radius * (ct * q2 + st * q3)
-        val = float(c(ps))
-
-        dp = (amp * np.cos(2.0 * tau - val)) * q1
-
-        wv = ct * q3 - st * q2
-        gain = sqw * (y[1] - y[0])
-        dq1 = gain * cross3(wv, q1)
-        dq2 = gain * cross3(wv, q2)
-        dq3 = gain * cross3(wv, q3)
-
-        dy0 = w * (y[1] - y[0])
-        dy1 = w * (val - y[1])
-        return np.concatenate([dp, dq1, dq2, dq3, [dy0, dy1]])
+        ct = math.cos(tau)
+        st = math.sin(tau)
+        d = _dither_axis(q, ct, st)
+        sensor = np.array([x[0] + radius * d[0], x[1] + radius * d[1], x[2] + radius * d[2]])
+        val = float(c(sensor))
+        surge = amp * math.cos(2.0 * tau - val)
+        gain = sqw * (yb - ya)
+        return np.array(
+            [surge * q[0], surge * q[1], surge * q[2]]
+            + [gain * r for r in _frame_turn(q, ct, st)]
+            + [w * (yb - ya), w * (val - yb)]
+        )
 
     return rhs
 
@@ -253,6 +247,9 @@ def raw_kinematics_field(
     speed, rolls about it at rate omega, and steers about the third body
     axis with the filtered reading.  The sensor rides the second body
     axis.
+
+    This is cross_check's oracle for seeker_field, so it keeps its own
+    formula and shares no helper with the rotating-frame right-hand side.
     """
     w = config.omega
     sqw = float(np.sqrt(w))
@@ -349,8 +346,7 @@ class SeekerTrajectory:
 
 def _project_state(s: np.ndarray) -> np.ndarray:
     out = s.copy()
-    Q = out[3:12].reshape(3, 3).T
-    out[3:12] = embed(project_so3(Q))
+    out[3:12] = project_so3(s[3:12].reshape(3, 3).T).T.ravel()
     return out
 
 

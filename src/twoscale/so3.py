@@ -8,6 +8,8 @@ constraint set is: columns orthonormal and right-handed
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, ManifoldError
@@ -22,6 +24,7 @@ __all__ = [
 ]
 
 _SMALL_ANGLE = 1e-6
+_EYE3 = np.eye(3)
 
 
 def _vec3(v: np.ndarray, name: str) -> np.ndarray:
@@ -136,17 +139,22 @@ def project_so3(M: np.ndarray, tol: float = 1e-14, max_iter: int = 25) -> np.nda
     M = np.asarray(M, dtype=float)
     if M.shape != (3, 3):
         raise DimensionError(f"M must have shape (3, 3), got {M.shape}")
-    gram_defect = np.linalg.norm(M.T @ M - np.eye(3))
+    G = M.T @ M
+    D = G - _EYE3
+    gram_defect = math.sqrt(np.vdot(D, D))  # np.linalg.norm(D), bit for bit
     if not gram_defect < 0.5:
         raise ManifoldError(
             f"input too far from a rotation: ||M^T M - I|| = {gram_defect:.3g} >= 0.5"
         )
-    if np.linalg.det(M) <= 0.0:
+    # det M = m1 . (m2 x m3); the Gram bound keeps |det M| above 0.35
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = M.T.tolist()
+    if a1 * (b2 * c3 - b3 * c2) + a2 * (b3 * c1 - b1 * c3) + a3 * (b1 * c2 - b2 * c1) <= 0.0:
         raise ManifoldError("input has non-positive determinant, no nearby rotation")
     Q = M
     for _ in range(max_iter):
-        G = Q.T @ Q
-        if np.linalg.norm(G - np.eye(3)) <= tol:
+        D = G - _EYE3
+        if math.sqrt(np.vdot(D, D)) <= tol:
             return Q
-        Q = Q @ (1.5 * np.eye(3) - 0.5 * G)
+        Q = Q @ (1.5 * _EYE3 - 0.5 * G)
+        G = Q.T @ Q
     raise ManifoldError("projection did not converge; input too distorted")

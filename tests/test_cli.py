@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from twoscale.cli import DEFAULTS, main
+from twoscale.cli import DEFAULTS, _write_csv, main
 from twoscale.seeker import builtin_fields, lyapunov_value_and_rate
 from twoscale.so3 import manifold_residual
 
@@ -151,6 +151,24 @@ def test_simulate_output_is_deterministic(tmp_path):
     b = (tmp_path / "b" / "trajectory.csv").read_bytes()
     assert a == b
     assert len(a) > 0
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    # one format string per row prints the same bytes as formatting each
+    # cell alone, special values included; a list of rows writes the same
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 3.0, 0.1]
+    rng = np.random.default_rng(59)
+    scaled = rng.standard_normal((5, 8)) * 10.0 ** rng.integers(-300, 300, (5, 8))
+    tables = [np.array([special]), np.vstack([special, scaled])]
+    for k, table in enumerate(tables):
+        header = [f"c{i}" for i in range(table.shape[1])]
+        expected = "\n".join(
+            [",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in table]
+        ) + "\n"
+        for rows in (table, list(table)):
+            path = tmp_path / f"t{k}.csv"
+            _write_csv(path, header, rows)
+            assert path.read_bytes() == expected.encode()
 
 
 # ----------------------------------------------------------- average-check

@@ -29,7 +29,7 @@ from twoscale.seeker import (
     sensor_position,
     simulate_seeker,
 )
-from twoscale.so3 import embed, exp_so3, manifold_residual
+from twoscale.so3 import cross3, embed, exp_so3, manifold_residual
 from twoscale.system import assemble_full_field, check_assumption_A
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -226,6 +226,48 @@ def test_seeker_field_filter_tracks_sensor_reading():
     ps = sensor_position(P_REF, embed(Q), w * t, cfg.sensor_radius)
     expected_dy = w * (FILTER_A @ y + FILTER_B * fld.c(ps))
     assert np.max(np.abs(ds[12:14] - expected_dy)) < 1e-12
+
+
+def reference_seeker_field(config, fld):
+    """The rotating-frame right-hand side as numpy 3-vectors: cross3 of the
+    steering axis into each frame column, joined by concatenate."""
+    w = config.omega
+    sqw = float(np.sqrt(w))
+    radius = config.sensor_radius
+    amp = 2.0 * sqw
+
+    def rhs(t, s):
+        p, q1, q2, q3, y = s[0:3], s[3:6], s[6:9], s[9:12], s[12:14]
+        tau = w * t
+        ct, st = np.cos(tau), np.sin(tau)
+        val = float(fld.c(p + radius * (ct * q2 + st * q3)))
+        dp = (amp * np.cos(2.0 * tau - val)) * q1
+        wv = ct * q3 - st * q2
+        gain = sqw * (y[1] - y[0])
+        dq = [gain * cross3(wv, qi) for qi in (q1, q2, q3)]
+        return np.concatenate([dp, *dq, [w * (y[1] - y[0]), w * (val - y[1])]])
+
+    return rhs
+
+
+@pytest.mark.parametrize("name", ["log", "quadratic"])
+def test_seeker_field_matches_cross_product_reference(name):
+    # random states and phases with |tau| up to 1e4; each block (dp, the
+    # frame, the filter) agrees with the reference to 4 eps of its size
+    fld = builtin_fields()[name]
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        cfg = SeekerConfig(omega=float(rng.uniform(1.0, 100.0)))
+        t = float(rng.uniform(-1e4, 1e4)) / cfg.omega
+        q = embed(exp_so3(rng.uniform(-np.pi, np.pi, size=3))) + 1e-3 * rng.standard_normal(9)
+        s = np.concatenate([rng.uniform(-8.0, 8.0, size=3), q, rng.standard_normal(2)])
+        got = seeker_field(cfg, fld)(t, s)
+        ref = reference_seeker_field(cfg, fld)(t, s)
+        assert got.shape == (14,)
+        for block in (slice(0, 3), slice(3, 12), slice(12, 14)):
+            scale = np.max(np.abs(ref[block]))
+            assert np.max(np.abs(got[block] - ref[block])) <= 4 * eps * scale
 
 
 def test_raw_and_rotating_representations_agree():

@@ -251,6 +251,51 @@ def test_project_so3_rejects_reflections():
         project_so3(M)
 
 
+def reference_project_so3(M, tol=1e-14, max_iter=25):
+    """Newton-Schulz with LAPACK det and a fresh Gram matrix each iteration."""
+    if not np.linalg.norm(M.T @ M - np.eye(3)) < 0.5 or np.linalg.det(M) <= 0.0:
+        raise ManifoldError("no nearby rotation")
+    Q = M
+    for _ in range(max_iter):
+        G = Q.T @ Q
+        if np.linalg.norm(G - np.eye(3)) <= tol:
+            return Q
+        Q = Q @ (1.5 * np.eye(3) - 0.5 * G)
+    raise ManifoldError("did not converge")
+
+
+def test_project_so3_matches_reference_over_drifts():
+    # the same arithmetic in the same order, so the results are equal
+    rng = np.random.default_rng(43)
+    for drift in 10.0 ** np.arange(-12.0, -1.0):
+        for _ in range(10):
+            M = random_rotation(rng) + drift * rng.standard_normal((3, 3))
+            assert np.array_equal(project_so3(M), reference_project_so3(M))
+
+
+def test_project_so3_rejects_nan_entry():
+    M = np.eye(3)
+    M[1, 2] = np.nan
+    with pytest.raises(ManifoldError, match="too far"):
+        project_so3(M)
+
+
+def test_project_so3_rejects_reflection_with_small_gram_defect():
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        M = random_rotation(rng) @ np.diag([1.0, -1.0, 1.0]) + 1e-9 * rng.standard_normal((3, 3))
+        assert np.linalg.norm(M.T @ M - np.eye(3)) < 1e-7
+        with pytest.raises(ManifoldError, match="determinant"):
+            project_so3(M)
+
+
+def test_project_so3_iteration_cap():
+    M = random_rotation(np.random.default_rng(53)) + 1e-3 * np.ones((3, 3))
+    with pytest.raises(ManifoldError, match="did not converge"):
+        project_so3(M, max_iter=1)
+    assert manifold_residual(embed(project_so3(M))) < 1e-14
+
+
 def test_project_so3_rejects_bad_shape():
     with pytest.raises(DimensionError):
         project_so3(np.eye(2))
