@@ -6,9 +6,9 @@ correctors (build_b / solve_periodic_bvp), then average the reduced
 system including the Lie-bracket term (average).
 
 Everything lives on one uniform phase grid with an even panel count.
-The spec's phase fields are called once per grid (the phase-field
-contract in OscillatorySystemSpec), and a corrector evaluated at every
-grid-shifted phase is one circular correlation of its quadrature
+The spec's phase fields are evaluated by one phase_terms call per grid
+(the contract in OscillatorySystemSpec), and a corrector evaluated at
+every grid-shifted phase is one circular correlation of its quadrature
 samples, done by FFT.  That keeps the finite-difference x-Jacobians
 needed by the second corrector source at O(n) grid sweeps instead of
 O(n * panels) point solves.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .numkit import DEFAULT_FD_STEP, cumulative_simpson, jacobian_fd, mat_exp, simpson_rule
-from .system import OscillatorySystemSpec, phase_values
+from .system import OscillatorySystemSpec, grid_terms, phase_values
 
 __all__ = [
     "CorrectorSolution",
@@ -49,13 +49,13 @@ def _contract(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", M, v)
 
 
-def _dy_jacobian(jac, field, x, y0: np.ndarray, taus: np.ndarray, rows: int) -> np.ndarray:
-    """Fast-state Jacobian of a phase field over the grid, (K, rows, m):
-    the spec's analytic jac when supplied, else central differences of
-    field through one array-valued jacobian_fd."""
+def _dy_jacobian(spec, jac, cols: slice, x, y0: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Fast-state Jacobian over the grid of the F1 columns cols (f1 or g1),
+    (K, rows, m): the spec's analytic jac when supplied, else central
+    differences of those columns through one array-valued jacobian_fd."""
     if jac is not None:
-        return phase_values(jac, x, y0, taus, (rows, y0.shape[0]))
-    return jacobian_fd(lambda w: phase_values(field, x, w, taus, (rows,)), y0)
+        return phase_values(jac, x, y0, taus, (cols.stop - cols.start, spec.m))
+    return jacobian_fd(lambda w: grid_terms(spec, x, w, taus, False)[0][:, cols], y0)
 
 
 def values_at(fun, x, taus: np.ndarray) -> np.ndarray:
@@ -173,22 +173,20 @@ class _FirstCorrectorSource:
         self._cache_key = None
         self._cache_val = None
 
-    def _base(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key != self._cache_key:
-            y0 = np.asarray(self.spec.phi0(x), dtype=float)
-            D = self.spec.phi0_jacobian(x)
-            self._cache_key = key
-            self._cache_val = (y0, D)
-        return self._cache_val
-
     def values_at(self, x, taus: np.ndarray) -> np.ndarray:
-        y0, D = self._base(x)
-        spec = self.spec
+        # a corrector and its residual check sample this source on the same
+        # grid several times in a row, so one slot of memoization removes
+        # the repeats
+        x = np.asarray(x, dtype=float)
         taus = np.asarray(taus, dtype=float)
-        g1 = phase_values(spec.g1, x, y0, taus, (spec.m,))
-        return g1 - phase_values(spec.f1, x, y0, taus, (spec.n,)) @ D.T
+        key = (x.tobytes(), taus.tobytes())
+        if key != self._cache_key:
+            spec = self.spec
+            n = spec.n
+            F1, _ = grid_terms(spec, x, np.asarray(spec.phi0(x), dtype=float), taus, False)
+            self._cache_key = key
+            self._cache_val = F1[:, n:] - F1[:, :n] @ spec.phi0_jacobian(x).T
+        return self._cache_val
 
     def __call__(self, x, tau: float) -> np.ndarray:
         return self.values_at(x, np.array([float(tau)]))[0]
@@ -243,11 +241,12 @@ class _SecondCorrectorSource:
                 self.phi1.values_at(xp, taus) - self.phi1.values_at(xm, taus)
             ) / (2.0 * hj)
 
-        f1v = phase_values(spec.f1, x, y0, taus, (n,))
-        f2v = phase_values(spec.f2, x, y0, taus, (n,))
-        g2v = phase_values(spec.g2, x, y0, taus, (m,))
-        dg1 = _dy_jacobian(spec.dg1_dy, spec.g1, x, y0, taus, m)
-        return g2v - f2v @ D0.T - _contract(dphi1, f1v) + _contract(dg1, phi1_vals)
+        F1, F2 = grid_terms(spec, x, y0, taus)
+        dg1 = _dy_jacobian(spec, spec.dg1_dy, slice(n, n + m), x, y0, taus)
+        return (
+            F2[:, n:] - F2[:, :n] @ D0.T - _contract(dphi1, F1[:, :n])
+            + _contract(dg1, phi1_vals)
+        )
 
     def __call__(self, x, tau: float) -> np.ndarray:
         return self.values_at(x, np.array([float(tau)]))[0]
@@ -300,15 +299,18 @@ class ReducedSystem:
     def f1_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         spec = self.spec
         y0 = np.asarray(spec.phi0(x), dtype=float)
-        return phase_values(spec.f1, x, y0, np.asarray(taus, dtype=float), (spec.n,))
+        F1, _ = grid_terms(spec, x, y0, np.asarray(taus, dtype=float), False)
+        return F1[:, : spec.n]
 
     def f2_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         spec = self.spec
+        n = spec.n
         taus = np.asarray(taus, dtype=float)
         y0 = np.asarray(spec.phi0(x), dtype=float)
         phi1_vals = self.phi1.values_at(x, taus)
-        df1 = _dy_jacobian(spec.df1_dy, spec.f1, x, y0, taus, spec.n)
-        return phase_values(spec.f2, x, y0, taus, (spec.n,)) + _contract(df1, phi1_vals)
+        df1 = _dy_jacobian(spec, spec.df1_dy, slice(0, n), x, y0, taus)
+        _, F2 = grid_terms(spec, x, y0, taus)
+        return F2[:, :n] + _contract(df1, phi1_vals)
 
 
 def build_reduced(spec: OscillatorySystemSpec, phi1: CorrectorSolution) -> ReducedSystem:

@@ -281,6 +281,8 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
     omegas = [float(w) for w in cfg["omegas"]]
     t_f = _positive(cfg, "t_f")
     slope_max = float(cfg["slope_max"])
+    if not np.isfinite(slope_max):
+        raise ConfigurationError(f"slope_max must be finite, got {cfg['slope_max']}")
 
     y0_mode = str(cfg["y0"])
     if y0_mode not in ("quasi-steady", "zero"):
@@ -288,6 +290,8 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
     if system == "seeker":
         fld = field_by_name(str(cfg["field"]))
         p0 = np.asarray(cfg["p0"], dtype=float)
+        if p0.shape != (3,) or not np.all(np.isfinite(p0)):
+            raise ConfigurationError(f"p0 must be a finite 3-vector, got {cfg['p0']}")
         builder = seeker_builder(fld, p0=p0, y0_mode=y0_mode)
     elif system == "linear":
         bench = linear_benchmark()

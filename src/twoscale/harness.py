@@ -93,10 +93,14 @@ def run_compare(
     interpolated onto the fast times.  A diverging full run is recorded
     as failed with its blow-up time rather than raised.
     """
+    if not (np.isfinite(omega) and omega > 0.0):
+        raise ConfigurationError(f"omega must be positive and finite, got {omega}")
     if not (np.isfinite(t_f) and t_f > 0.0):
         raise ConfigurationError(f"t_f must be positive, got {t_f}")
     if steps_per_period < 8:
         raise ConfigurationError(f"steps_per_period must be >= 8, got {steps_per_period}")
+    if avg_steps < 1:
+        raise ConfigurationError(f"avg_steps must be >= 1, got {avg_steps}")
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
     avg_field = averaged.field if hasattr(averaged, "field") else averaged
@@ -131,10 +135,8 @@ def run_compare(
     x_full = states[:, : spec.n]
     y_full = states[:, spec.n :]
     x_dev = np.max(np.abs(x_full - x_avg_full), axis=1)
-    z_norm = np.array(
-        [float(np.linalg.norm(y_full[k] - np.asarray(spec.phi0(x_full[k]), dtype=float)))
-         for k in range(x_full.shape[0])]
-    )
+    dz = y_full - np.fromiter(map(spec.phi0, x_full), dtype=(float, spec.m), count=len(x_full))
+    z_norm = np.sqrt(np.vecdot(dz, dz))
 
     keep = np.arange(0, n_steps + 1, stride)
     if keep[-1] != n_steps:
@@ -241,6 +243,10 @@ def sweep_convergence(
     rate; a diverging run reports an infinite deviation.
     """
     omegas = [float(w) for w in omegas]
+    # checked before the first run, so a bad top rung costs no lower runs
+    for w in omegas:
+        if not (np.isfinite(w) and w > 0.0):
+            raise ConfigurationError(f"frequencies must be positive and finite, got {w}")
     if len(omegas) < 4:
         raise ConfigurationError(f"need at least 4 frequencies, got {len(omegas)}")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):

@@ -51,6 +51,7 @@ FILTER_B = np.array([0.0, 1.0])
 FILTER_C = np.array([-1.0, 1.0])
 
 _E1 = np.array([1.0, 0.0, 0.0])
+_NEG_EYE3 = -np.eye(3)  # the quadratic field's Hessian; handed out only as copies
 
 STATE_DIM = 14  # p (3) + frame columns (9) + filter (2)
 
@@ -97,7 +98,7 @@ def builtin_fields() -> dict[str, ScalarField]:
         return -p
 
     def quad_hess(p: np.ndarray) -> np.ndarray:
-        return -np.eye(3)
+        return _NEG_EYE3.copy()
 
     return {
         "log": ScalarField(
@@ -456,9 +457,18 @@ def _frame_turn(q: list, ct, st) -> list:
     return out
 
 
-def _filter_drive(u) -> np.ndarray:
-    """FILTER_B * u, one row per phase when u holds one value per phase."""
-    return np.array([FILTER_B[0] * u, FILTER_B[1] * u]).T
+def _phase_ops(tau):
+    """(cos, sin, zero) for a phase: math and 0.0 for a float, numpy and
+    a zero array of tau's shape otherwise."""
+    if isinstance(tau, float):
+        return math.cos, math.sin, 0.0
+    return np.cos, np.sin, np.zeros(np.shape(tau))
+
+
+def _terms_view(terms, part: int, cols: slice):
+    """One phase field of a spec as its columns of terms' F1 (part 0,
+    computed alone) or F2 (part 1)."""
+    return lambda x, y, tau: terms(x, y, tau, part == 1)[part][..., cols]
 
 
 def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
@@ -484,44 +494,46 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         out[1, 0:3] = g
         return out
 
-    # the phase fields read the state as floats (q: the frame columns q1,
-    # q2, q3 as 9 floats) and build each output component as one
-    # expression in tau, so a scalar tau gives (dim,) and K phases give
-    # (K, dim) through the same arithmetic
+    b0, b1 = FILTER_B.tolist()
 
-    def f1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
+    # terms reads the state as floats (q: the frame columns q1, q2, q3 as 9
+    # floats) and builds each output component as one expression in tau,
+    # so a float tau gives (14,) through float arithmetic and K phases give
+    # (K, 14) through the same expressions on arrays.  The center value,
+    # gradient, trig values and dither axis are shared by all four fields.
+
+    def terms(x: np.ndarray, y: np.ndarray, tau, order_one: bool = True):
+        p = x[0:3]
         q = x[3:12].tolist()
         ya, yb = y.tolist()
+        g = np.asarray(grad(p), dtype=float).tolist()
+        cos, sin, zero = _phase_ops(tau)
+        ct = cos(tau)
+        st = sin(tau)
+        arg = 2.0 * tau - float(c(p))
+        d = _dither_axis(q, ct, st)
+        u = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]
         gain = yb - ya
-        s = 2.0 * np.cos(2.0 * tau - float(c(x[0:3])))
-        turn = _frame_turn(q, np.cos(tau), np.sin(tau))
-        return np.array([s * q[0], s * q[1], s * q[2]] + [gain * r for r in turn]).T
+        s1 = 2.0 * cos(arg)
+        F1 = np.array(
+            [s1 * q[0], s1 * q[1], s1 * q[2]]
+            + [gain * r for r in _frame_turn(q, ct, st)]
+            + [b0 * u, b1 * u]
+        ).T
+        if not order_one:
+            return F1, None
+        H = fld.hessian(p).tolist()
+        Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
+        v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
+        s2 = 2.0 * u * sin(arg)
+        F2 = np.array([s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [b0 * v, b1 * v]).T
+        return F1, F2
 
     def df1_dy(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
         ct = np.cos(tau)
         zero = np.zeros_like(ct)
         cr = np.array([zero, zero, zero] + _frame_turn(x[3:12].tolist(), ct, np.sin(tau))).T
         return np.stack([-cr, cr], axis=-1)
-
-    def f2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        p = x[0:3]
-        q = x[3:12].tolist()
-        g = np.asarray(grad(p), dtype=float).tolist()
-        d = _dither_axis(q, np.cos(tau), np.sin(tau))
-        s = 2.0 * (g[0] * d[0] + g[1] * d[1] + g[2] * d[2]) * np.sin(2.0 * tau - float(c(p)))
-        zero = np.zeros_like(s)
-        return np.array([s * q[0], s * q[1], s * q[2]] + [zero] * 9).T
-
-    def g1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        g = np.asarray(grad(x[0:3]), dtype=float).tolist()
-        d = _dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
-        return _filter_drive(g[0] * d[0] + g[1] * d[1] + g[2] * d[2])
-
-    def g2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        H = fld.hessian(x[0:3]).tolist()
-        d = _dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
-        Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
-        return _filter_drive(0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2]))
 
     def dg1_dy(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
         return np.zeros(np.shape(tau) + (2, 2))
@@ -532,12 +544,13 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         T=2.0 * np.pi,
         A=FILTER_A.copy(),
         phi0=phi0,
-        f1=f1,
-        f2=f2,
-        g1=g1,
-        g2=g2,
+        f1=_terms_view(terms, 0, slice(0, 12)),
+        f2=_terms_view(terms, 1, slice(0, 12)),
+        g1=_terms_view(terms, 0, slice(12, 14)),
+        g2=_terms_view(terms, 1, slice(12, 14)),
         dphi0=dphi0,
         df1_dy=df1_dy,
         dg1_dy=dg1_dy,
+        terms=terms,
         name=f"seeker-{fld.name}",
     )

@@ -30,11 +30,15 @@ __all__ = [
     "frozen_layer_field",
     "check_assumption_A",
     "phase_values",
+    "grid_terms",
     "to_shifted",
     "from_shifted",
 ]
 
 PhaseField = Callable[[np.ndarray, np.ndarray, float | np.ndarray], np.ndarray]
+PhaseTerms = Callable[
+    [np.ndarray, np.ndarray, float | np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]
+]
 
 
 @dataclass
@@ -51,9 +55,21 @@ class OscillatorySystemSpec:
     shape (dim,) for a field ((n,) or (m,)) and (rows, cols) for a
     Jacobian; K phases give the K values stacked along a new first axis,
     (K, dim) or (K, rows, cols), each equal to the scalar call at that
-    phase.  The averaging layer calls each field once per phase grid.
-    A field that ignores tau still returns the stacked shape, e.g.
+    phase.  A field that ignores tau still returns the stacked shape, e.g.
     np.zeros(np.shape(tau) + (dim,)).
+
+    terms is optional: one callable (x, y, tau, order_one) -> (F1, F2)
+    that returns all four phase fields at once, F1 = (f1, g1) the
+    sqrt(w)-scale part and F2 = (f2, g2) the order-one part, each stacked
+    along the last axis: shape (n+m,) at a scalar tau and (K, n+m) at K
+    phases.  Its values must equal the four fields'.  order_one=False
+    means the caller uses F1 alone (the first corrector and the reduced
+    f1 need nothing else), and terms may then return None for F2.  A
+    spec supplies terms when its fields share work (a trig value, a
+    sensor reading, a gradient), so that the full right-hand side and
+    every averaging grid make one spec call instead of up to four.
+    Without it, phase_terms calls and stacks the fields, read from the
+    spec at each call, so a field reassigned after construction is used.
     """
 
     n: int
@@ -70,6 +86,7 @@ class OscillatorySystemSpec:
     dphi0: Callable[[np.ndarray], np.ndarray] | None = None
     df1_dy: PhaseField | None = None
     dg1_dy: PhaseField | None = None
+    terms: PhaseTerms | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -99,6 +116,17 @@ class OscillatorySystemSpec:
             raise DimensionError(f"state must have shape ({self.n + self.m},), got {v.shape}")
         return v[: self.n], v[self.n :]
 
+    def phase_terms(self, x, y, tau, order_one: bool = True):
+        """The pair (F1, F2) = ((f1, g1), (f2, g2)) at (x, y, tau), from
+        one terms call when the spec supplies one; F2 may be None when
+        order_one is False."""
+        if self.terms is not None:
+            return self.terms(x, y, tau, order_one)
+        F1 = np.concatenate([self.f1(x, y, tau), self.g1(x, y, tau)], axis=-1)
+        if not order_one:
+            return F1, None
+        return F1, np.concatenate([self.f2(x, y, tau), self.g2(x, y, tau)], axis=-1)
+
     def phi0_jacobian(self, x: np.ndarray) -> np.ndarray:
         """d phi0 / dx, analytic when supplied, else central differences."""
         if self.dphi0 is not None:
@@ -121,6 +149,21 @@ def phase_values(field: PhaseField, x, y, taus: np.ndarray, shape: tuple) -> np.
     return vals
 
 
+def grid_terms(spec: OscillatorySystemSpec, x, y, taus: np.ndarray, order_one: bool = True):
+    """spec.phase_terms over a vector of K phases, shape-checked: F1 and,
+    when order_one, F2 of shape (K, n+m); otherwise F2 is None."""
+    shape = (taus.shape[0], spec.n + spec.m)
+    F1, F2 = spec.phase_terms(x, y, taus, order_one)
+    checked = [np.asarray(F, dtype=float) for F in ((F1, F2) if order_one else (F1,))]
+    for F in checked:
+        if F.shape != shape:
+            raise DimensionError(
+                f"phase terms returned shape {F.shape} for {taus.shape[0]} phases, "
+                f"expected {shape}"
+            )
+    return checked[0], (checked[1] if order_one else None)
+
+
 def assemble_full_field(
     spec: OscillatorySystemSpec, omega: float
 ) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -134,7 +177,7 @@ def assemble_full_field(
     n = spec.n
     sqrt_w = float(np.sqrt(omega))
     A = spec.A
-    f1, f2, g1, g2 = spec.f1, spec.f2, spec.g1, spec.g2
+    terms = spec.phase_terms
     f3, g3 = spec.f3, spec.g3
     phi0 = spec.phi0
 
@@ -142,13 +185,17 @@ def assemble_full_field(
         x = v[:n]
         y = v[n:]
         tau = omega * t
-        dx = sqrt_w * f1(x, y, tau) + f2(x, y, tau)
-        dy = omega * (A @ (y - phi0(x))) + sqrt_w * g1(x, y, tau) + g2(x, y, tau)
+        F1, F2 = terms(x, y, tau)
+        # the same sums in the same order as sqrt(w) f1 + f2 and
+        # (w A (y - phi0) + sqrt(w) g1) + g2, so every entry rounds alike
+        out = sqrt_w * F1
+        out[n:] += omega * (A @ (y - phi0(x)))
+        out += F2
         if f3 is not None:
-            dx = dx + f3(x, y, tau, omega) / sqrt_w
+            out[:n] += f3(x, y, tau, omega) / sqrt_w
         if g3 is not None:
-            dy = dy + g3(x, y, tau, omega) / sqrt_w
-        return np.concatenate([dx, dy])
+            out[n:] += g3(x, y, tau, omega) / sqrt_w
+        return out
 
     return field
 
@@ -210,14 +257,14 @@ def check_assumption_A(
     for _ in range(n_samples):
         x = rng.uniform(-box, box, spec.n)
         y = rng.uniform(-box, box, spec.m)
-        for fun, dim in ((spec.f1, spec.n), (spec.g1, spec.m)):
-            mean = weights @ phase_values(fun, x, y, nodes, (dim,)) / spec.T
-            max_mean = max(max_mean, float(np.max(np.abs(mean))))
+        F1, _ = grid_terms(spec, x, y, nodes, order_one=False)
+        mean = weights @ F1 / spec.T
+        max_mean = max(max_mean, float(np.max(np.abs(mean))))
         tau = float(rng.uniform(0.0, spec.T))
-        for fun in (spec.f1, spec.f2, spec.g1, spec.g2):
-            gap = np.abs(
-                np.asarray(fun(x, y, tau + spec.T)) - np.asarray(fun(x, y, tau))
-            )
+        for late, early in zip(
+            spec.phase_terms(x, y, tau + spec.T), spec.phase_terms(x, y, tau)
+        ):
+            gap = np.abs(np.asarray(late) - np.asarray(early))
             max_period = max(max_period, float(np.max(gap)))
     return AssumptionReport(
         hurwitz=hurwitz,

@@ -69,6 +69,20 @@ def test_sweep_rejects_bad_ladders_and_modes(tmp_path):
     assert run_cmd("sweep", tmp_path, {"system": "planar"}) == 1
 
 
+@pytest.mark.parametrize("bad", [
+    {"omegas": [8.0, 16.0, 32.0, float("inf")]},
+    {"avg_steps": 0},
+    {"avg_steps": -3},
+    {"p0": [6.0, float("nan"), -2.0]},
+    {"slope_max": float("nan")},
+])
+def test_sweep_rejects_bad_values_with_one_error_line(tmp_path, capsys, bad):
+    quick = {"t_f": 0.5, "steps_per_period": 16, "avg_steps": 50}
+    assert run_cmd("sweep", tmp_path, {**quick, **bad}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_bvp_check_rejects_bad_cases(tmp_path):
     assert run_cmd("bvp-check", tmp_path, {"cases": []}) == 1
     assert run_cmd("bvp-check", tmp_path, {"cases": ["heat-1d"]}) == 1

@@ -131,6 +131,13 @@ def test_run_compare_validation():
                     steps_per_period=4)
     with pytest.raises(ConfigurationError):
         run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), 8.0, t_f=1.0, stride=0)
+    for omega in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="omega"):
+            run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), omega, t_f=1.0)
+    for avg_steps in (0, -3):
+        with pytest.raises(ConfigurationError, match="avg_steps"):
+            run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), 8.0, t_f=1.0,
+                        avg_steps=avg_steps)
 
 
 # ---------------------------------------------------------- boundary layer fit
@@ -197,6 +204,16 @@ def test_sweep_requires_a_real_ladder():
         sweep_convergence(builder, [4.0, 8.0, 16.0], t_f=1.0)
     with pytest.raises(ConfigurationError):
         sweep_convergence(builder, [4.0, 8.0, 8.0, 16.0], t_f=1.0)
+
+
+def test_sweep_rejects_bad_frequencies_before_any_run():
+    def builder(w):
+        raise AssertionError("a run started before the ladder was checked")
+
+    for ladder in ([8.0, 16.0, 32.0, float("inf")], [8.0, 16.0, 32.0, float("nan")],
+                   [-8.0, 16.0, 32.0, 64.0]):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            sweep_convergence(builder, ladder, t_f=1.0)
 
 
 def test_sweep_linear_benchmark_first_order_trend():

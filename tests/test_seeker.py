@@ -516,3 +516,163 @@ def test_seeker_spec_analytic_jacobians_match_differences():
     assert np.max(np.abs(spec.df1_dy(x, y, tau) - df1_fd)) < 1e-8
     dg1_fd = jacobian_fd(lambda w: spec.g1(x, w, tau), y)
     assert np.max(np.abs(spec.dg1_dy(x, y, tau) - dg1_fd)) < 1e-12
+
+
+# ------------------------------------------------ fused phase terms vs fields
+
+
+def _ref_dither_axis(q, ct, st):
+    return [ct * q[3] + st * q[6], ct * q[4] + st * q[7], ct * q[5] + st * q[8]]
+
+
+def _ref_frame_turn(q, ct, st):
+    w0 = ct * q[6] - st * q[3]
+    w1 = ct * q[7] - st * q[4]
+    w2 = ct * q[8] - st * q[5]
+    out = []
+    for a0, a1, a2 in (q[0:3], q[3:6], q[6:9]):
+        out += [w1 * a2 - w2 * a1, w2 * a0 - w0 * a2, w0 * a1 - w1 * a0]
+    return out
+
+
+def _ref_filter_drive(u):
+    return np.array([FILTER_B[0] * u, FILTER_B[1] * u]).T
+
+
+def reference_phase_fields(fld):
+    """The seeker decomposition as four separate phase fields, each one
+    recomputing the center value, gradient, Hessian and trig values with
+    numpy (np.cos/np.sin also at a scalar phase): the oracle for terms."""
+    c, grad = fld.c, fld.grad
+
+    def f1(x, y, tau):
+        q = x[3:12].tolist()
+        ya, yb = y.tolist()
+        gain = yb - ya
+        s = 2.0 * np.cos(2.0 * tau - float(c(x[0:3])))
+        turn = _ref_frame_turn(q, np.cos(tau), np.sin(tau))
+        return np.array([s * q[0], s * q[1], s * q[2]] + [gain * r for r in turn]).T
+
+    def f2(x, y, tau):
+        p = x[0:3]
+        q = x[3:12].tolist()
+        g = np.asarray(grad(p), dtype=float).tolist()
+        d = _ref_dither_axis(q, np.cos(tau), np.sin(tau))
+        s = 2.0 * (g[0] * d[0] + g[1] * d[1] + g[2] * d[2]) * np.sin(2.0 * tau - float(c(p)))
+        zero = np.zeros_like(s)
+        return np.array([s * q[0], s * q[1], s * q[2]] + [zero] * 9).T
+
+    def g1(x, y, tau):
+        g = np.asarray(grad(x[0:3]), dtype=float).tolist()
+        d = _ref_dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
+        return _ref_filter_drive(g[0] * d[0] + g[1] * d[1] + g[2] * d[2])
+
+    def g2(x, y, tau):
+        H = fld.hessian(x[0:3]).tolist()
+        d = _ref_dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
+        Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
+        return _ref_filter_drive(0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2]))
+
+    return f1, f2, g1, g2
+
+
+def reference_full_field(spec, fields, omega):
+    """The full right-hand side assembled from four separate field calls:
+    sqrt(w) f1 + f2 and w A (y - phi0(x)) + sqrt(w) g1 + g2, joined."""
+    n = spec.n
+    sqrt_w = float(np.sqrt(omega))
+    f1, f2, g1, g2 = fields
+
+    def field(t, v):
+        x = v[:n]
+        y = v[n:]
+        tau = omega * t
+        dx = sqrt_w * f1(x, y, tau) + f2(x, y, tau)
+        dy = omega * (spec.A @ (y - spec.phi0(x))) + sqrt_w * g1(x, y, tau) + g2(x, y, tau)
+        return np.concatenate([dx, dy])
+
+    return field
+
+
+def anisotropic_field():
+    """c = -1/2 p^T K p with K = diag(1, 2, 4): its Hessian is not -I, so
+    the d.H.d term of g2 depends on the dither direction."""
+    k = np.array([1.0, 2.0, 4.0])
+    return ScalarField(
+        name="anisotropic",
+        c=lambda p: -0.5 * float(p @ (k * p)),
+        grad=lambda p: -k * p,
+        hess=lambda p: -np.diag(k),
+        p_star=np.zeros(3),
+    )
+
+
+TERM_FIELDS = ["log", "quadratic", "anisotropic"]
+
+
+def term_field(name):
+    return anisotropic_field() if name == "anisotropic" else builtin_fields()[name]
+
+
+def random_spec_state(rng):
+    """A slow state (p, perturbed frame) and a fast filter state."""
+    q = embed(exp_so3(rng.uniform(-np.pi, np.pi, size=3))) + 1e-3 * rng.standard_normal(9)
+    x = np.concatenate([rng.uniform(-6.0, 6.0, size=3), q])
+    return x, rng.standard_normal(2)
+
+
+def same_bits(a, b):
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+@pytest.mark.parametrize("name", TERM_FIELDS)
+def test_terms_match_reference_fields_bit_for_bit(name):
+    # a float phase (math trig) and a 257-phase grid (numpy trig) both give
+    # the separate fields' bits; so do the spec's own f1..g2 views
+    fld = term_field(name)
+    spec = as_system_spec(fld)
+    ref = reference_phase_fields(fld)
+    rng = np.random.default_rng(57)
+    for _ in range(20):
+        x, y = random_spec_state(rng)
+        tau = float(rng.uniform(-1e3, 1e3))
+        taus = tau + (2.0 * np.pi / 256) * np.arange(257)
+        for phase in (tau, taus):
+            f1, f2, g1, g2 = (r(x, y, phase) for r in ref)
+            F1, F2 = spec.terms(x, y, phase)
+            assert same_bits(F1, np.concatenate([f1, g1], axis=-1))
+            assert same_bits(F2, np.concatenate([f2, g2], axis=-1))
+            for view, want in zip((spec.f1, spec.f2, spec.g1, spec.g2), (f1, f2, g1, g2)):
+                assert same_bits(view(x, y, phase), want)
+        assert F1.shape == (257, 14)
+
+
+@pytest.mark.parametrize("name", TERM_FIELDS)
+def test_full_field_matches_reference_assembly(name):
+    # 2000 random states, frequencies and times: the one-call right-hand
+    # side equals the four-call assembly of the reference fields bit for bit
+    fld = term_field(name)
+    spec = as_system_spec(fld)
+    ref = reference_phase_fields(fld)
+    rng = np.random.default_rng(61)
+    omegas = [8.0 * np.pi, 64.0 * np.pi, float(rng.uniform(1.0, 300.0))]
+    fields = [(assemble_full_field(spec, w), reference_full_field(spec, ref, w)) for w in omegas]
+    for k in range(2000):
+        got, want = fields[k % len(fields)]
+        x, y = random_spec_state(rng)
+        v = np.concatenate([x, y])
+        t = float(rng.uniform(0.0, 5.0))
+        assert same_bits(got(t, v), want(t, v))
+
+
+def test_anisotropic_g2_follows_the_dither_direction():
+    # d.H.d/2 with H = -diag(1, 2, 4) and the dither axis d = cos q2 + sin q3
+    spec = as_system_spec(anisotropic_field())
+    x = np.concatenate([P_REF, embed(np.eye(3))])
+    for tau, dHd in ((0.0, -2.0), (0.5 * np.pi, -4.0)):
+        _, F2 = spec.terms(x, np.zeros(2), tau)
+        assert abs(F2[13] - 0.5 * dHd) < 1e-15

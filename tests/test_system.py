@@ -8,6 +8,8 @@ hand arithmetic.
 import numpy as np
 import pytest
 
+from twoscale.averaging import build_b
+from twoscale.benchmarks import linear_benchmark
 from twoscale.errors import ConfigurationError, DimensionError
 from twoscale.numkit import TimeGrid, integrate_rk4
 from twoscale.system import (
@@ -17,6 +19,7 @@ from twoscale.system import (
     check_assumption_A,
     from_shifted,
     frozen_layer_field,
+    grid_terms,
     to_shifted,
 )
 
@@ -127,6 +130,85 @@ def test_assembled_field_rejects_bad_omega():
         assemble_full_field(spec, 0.0)
     with pytest.raises(ConfigurationError):
         assemble_full_field(spec, -2.0)
+
+
+# ---------------------------------------------------------------- phase terms
+
+
+def test_phase_terms_fall_back_to_the_fields_read_at_call_time():
+    # a spec without terms stacks its four fields, and a field reassigned
+    # after the right-hand side was built is the one the next call uses
+    spec = linear_benchmark().spec
+    assert spec.terms is None
+    x, y = np.array([0.8, -0.3]), np.array([0.1, 0.4])
+    taus = np.linspace(0.0, 2.0 * np.pi, 9)
+    for phase in (0.7, taus):
+        F1, F2 = spec.phase_terms(x, y, phase)
+        assert np.array_equal(F1, np.concatenate([spec.f1(x, y, phase), spec.g1(x, y, phase)], -1))
+        assert np.array_equal(F2, np.concatenate([spec.f2(x, y, phase), spec.g2(x, y, phase)], -1))
+    omega, t = 16.0, 0.3
+    v = np.concatenate([x, y])
+    field = assemble_full_field(spec, omega)
+
+    def four_calls():
+        tau = omega * t
+        dx = 4.0 * spec.f1(x, y, tau) + spec.f2(x, y, tau)
+        dy = omega * (spec.A @ (y - spec.phi0(x))) + 4.0 * spec.g1(x, y, tau) + spec.g2(x, y, tau)
+        return np.concatenate([dx, dy])
+
+    assert np.array_equal(field(t, v), four_calls())
+    spec.f2 = lambda x, y, tau: np.full(np.shape(tau) + (2,), 3.0)
+    assert np.array_equal(field(t, v), four_calls())
+    assert np.array_equal(grid_terms(spec, x, y, taus)[1][:, :2], np.full((9, 2), 3.0))
+    # a caller of F1 alone gets no F2, and f2 and g2 are not called
+    spec.f2 = spec.g2 = None
+    F1, F2 = grid_terms(spec, x, y, taus, order_one=False)
+    assert F2 is None and F1.shape == (9, 4)
+
+
+def test_full_field_makes_one_terms_call_per_evaluation():
+    base = scalar_spec(
+        f3=lambda x, y, tau, w: np.array([1.0]),
+        g3=lambda x, y, tau, w: np.array([tau]),
+    )
+    calls = []
+
+    def terms(x, y, tau, order_one=True):
+        calls.append(tau)
+        return base.phase_terms(x, y, tau, order_one)
+
+    def unused(x, y, tau):
+        raise AssertionError("a phase field was called beside terms")
+
+    spec = scalar_spec(terms=terms, f1=unused, f2=unused, g1=unused, g2=unused,
+                       f3=base.f3, g3=base.g3)
+    v = np.array([0.7, -0.2])
+    got = assemble_full_field(spec, 9.0)(0.2, v)
+    assert len(calls) == 1
+    assert np.array_equal(got, assemble_full_field(base, 9.0)(0.2, v))
+
+
+def test_phase_terms_with_wrong_shape_raise_dimension_error():
+    def short(x, y, tau, order_one=True):  # F1 one column short of n + m
+        return np.zeros(np.shape(tau) + (1,)), np.zeros(np.shape(tau) + (2,))
+
+    def unstacked(x, y, tau, order_one=True):  # one value for the whole phase vector
+        return np.zeros(2), np.zeros(2)
+
+    def f2_short(x, y, tau, order_one=True):
+        return np.zeros(np.shape(tau) + (2,)), np.zeros(np.shape(tau) + (1,))
+
+    x, y, taus = np.zeros(1), np.zeros(1), np.linspace(0.0, 1.0, 5)
+    with pytest.raises(DimensionError):
+        grid_terms(scalar_spec(terms=f2_short), x, y, taus)
+    for terms in (short, unstacked):
+        spec = scalar_spec(terms=terms)
+        with pytest.raises(DimensionError):
+            grid_terms(spec, x, y, taus)
+        with pytest.raises(DimensionError):
+            check_assumption_A(spec)
+        with pytest.raises(DimensionError):
+            build_b(spec, 1).values_at(x, taus)
 
 
 # --------------------------------------------------------- frozen_layer_field
