@@ -17,12 +17,11 @@ O(n * panels) point solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .numkit import DEFAULT_FD_STEP, cumulative_simpson, jacobian_fd, mat_exp, simpson_rule
+from .numkit import cumulative_simpson, jacobian_fd, mat_exp, simpson_rule
 from .system import OscillatorySystemSpec, grid_terms, phase_values
 
 __all__ = [
@@ -197,14 +196,13 @@ class _SecondCorrectorSource:
 
     Includes the transport of the first corrector by the fast slow-state
     drift (the Dx phi1 term) and the linearized coupling of g1 along
-    phi1.  Dx phi1 comes from central differences of the corrector, one
-    grid sweep per slow coordinate.
+    phi1.  Dx phi1 comes from central differences of the corrector
+    (jacobian_fd), two grid sweeps per slow coordinate.
     """
 
-    def __init__(self, spec: OscillatorySystemSpec, phi1: CorrectorSolution, fd_step: float | None = None):
+    def __init__(self, spec: OscillatorySystemSpec, phi1: CorrectorSolution):
         self.spec = spec
         self.phi1 = phi1
-        self.fd_step = DEFAULT_FD_STEP if fd_step is None else float(fd_step)
         self._cache_key = None
         self._cache_val = None
 
@@ -224,25 +222,14 @@ class _SecondCorrectorSource:
 
     def _values_at(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         spec = self.spec
-        K = taus.shape[0]
-        n, m = spec.n, spec.m
+        n = spec.n
         y0 = np.asarray(spec.phi0(x), dtype=float)
         D0 = spec.phi0_jacobian(x)
         phi1_vals = self.phi1.values_at(x, taus)
-
-        dphi1 = np.empty((K, m, n))
-        for j in range(n):
-            hj = self.fd_step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += hj
-            xm[j] -= hj
-            dphi1[:, :, j] = (
-                self.phi1.values_at(xp, taus) - self.phi1.values_at(xm, taus)
-            ) / (2.0 * hj)
+        dphi1 = jacobian_fd(lambda w: self.phi1.values_at(w, taus), x)
 
         F1, F2 = grid_terms(spec, x, y0, taus)
-        dg1 = _dy_jacobian(spec, spec.dg1_dy, slice(n, n + m), x, y0, taus)
+        dg1 = _dy_jacobian(spec, spec.dg1_dy, slice(n, n + spec.m), x, y0, taus)
         return (
             F2[:, n:] - F2[:, :n] @ D0.T - _contract(dphi1, F1[:, :n])
             + _contract(dg1, phi1_vals)
@@ -256,7 +243,6 @@ def build_b(
     spec: OscillatorySystemSpec,
     index: int,
     phi1: CorrectorSolution | None = None,
-    fd_step: float | None = None,
 ):
     """Source term of the corrector problem at the given order (1 or 2).
 
@@ -267,7 +253,7 @@ def build_b(
     if index == 2:
         if phi1 is None:
             raise ConfigurationError("the order-2 source needs the first corrector phi1")
-        return _SecondCorrectorSource(spec, phi1, fd_step)
+        return _SecondCorrectorSource(spec, phi1)
     raise ConfigurationError(f"corrector order must be 1 or 2, got {index}")
 
 
@@ -323,14 +309,13 @@ class AveragedSystem:
 
     fbar(x) = (1/T) * integral over one period of
         f2_tilde + (1/2) [F, f1_tilde],   F(x, tau) = integral_0^tau f1_tilde,
-    with the bracket [u, v] = (Dv) u - (Du) v.  Slow-state Jacobians come
-    from central differences of manifold-restricted grid sweeps.
+    with the bracket [u, v] = (Dv) u - (Du) v.  Slow-state Jacobians are
+    central differences (jacobian_fd) of manifold-restricted grid sweeps.
     """
 
-    def __init__(self, reduced: ReducedSystem, n_panels: int = 256, fd_step: float | None = None):
+    def __init__(self, reduced: ReducedSystem, n_panels: int = 256):
         self.reduced = reduced
         self.n_panels = int(n_panels)
-        self.fd_step = DEFAULT_FD_STEP if fd_step is None else float(fd_step)
         nodes, weights = simpson_rule(reduced.T, n_panels)
         self._nodes = nodes
         self._weights = weights
@@ -342,26 +327,17 @@ class AveragedSystem:
         red = self.reduced
         taus = self._nodes
         h = taus[1] - taus[0]
-        K = taus.shape[0]
-        n = red.n
 
-        G = red.f1_values(x, taus)
-        F = cumulative_simpson(G, h)
+        def f1_and_integral(w: np.ndarray) -> np.ndarray:
+            G = red.f1_values(w, taus)
+            return np.stack([G, cumulative_simpson(G, h)])
+
+        # np.stack keeps f1's column-major layout, on which _contract's
+        # rounding depends; dF is the difference of two perturbed running
+        # integrals, which rounds differently from the running integral of dG
+        G, F = f1_and_integral(x)
+        dG, dF = jacobian_fd(f1_and_integral, x)
         H = red.f2_values(x, taus)
-
-        dG = np.empty((K, n, n))
-        dF = np.empty((K, n, n))
-        for j in range(n):
-            hj = self.fd_step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += hj
-            xm[j] -= hj
-            Gp = red.f1_values(xp, taus)
-            Gm = red.f1_values(xm, taus)
-            dG[:, :, j] = (Gp - Gm) / (2.0 * hj)
-            dF[:, :, j] = (cumulative_simpson(Gp, h) - cumulative_simpson(Gm, h)) / (2.0 * hj)
-
         bracket = _contract(dG, F) - _contract(dF, G)
         integrand = H + 0.5 * bracket
         return (self._weights @ integrand) / red.T
@@ -374,9 +350,9 @@ class AveragedSystem:
         return self.fbar(x)
 
 
-def average(reduced: ReducedSystem, n_panels: int = 256, fd_step: float | None = None) -> AveragedSystem:
+def average(reduced: ReducedSystem, n_panels: int = 256) -> AveragedSystem:
     """Average the reduced system over one phase period."""
-    return AveragedSystem(reduced, n_panels=n_panels, fd_step=fd_step)
+    return AveragedSystem(reduced, n_panels=n_panels)
 
 
 @dataclass

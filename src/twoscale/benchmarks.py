@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .numkit import mat_exp
 from .seeker import ScalarField, as_system_spec, averaged_seeker_field, builtin_fields
 from .so3 import embed
@@ -217,7 +218,7 @@ def seeker_builder(
         c0 = float(fld.c(p0))
         y0 = np.array([c0, c0])
     else:
-        raise ValueError(f"y0_mode must be 'quasi-steady' or 'zero', got {y0_mode!r}")
+        raise ConfigurationError(f"y0_mode must be 'quasi-steady' or 'zero', got {y0_mode!r}")
 
     def build(omega: float):
         return spec, avg, x0.copy(), y0.copy()

@@ -371,11 +371,14 @@ def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
 def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
     panels = int(cfg["panels"])
     tol = _tolerance(cfg)
-    case_names = list(cfg["cases"])
-    if not case_names:
-        raise ConfigurationError("bvp case list must be non-empty")
-    known = {"cosine-1d", "jordan-2d", "seeker-log"}
-    bad = sorted(set(case_names) - known)
+    n_states = int(cfg["n_states"])
+    if n_states < 1:
+        raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
+    case_names = cfg["cases"]
+    if not isinstance(case_names, list) or not case_names:
+        raise ConfigurationError(f"cases must be a non-empty list of names, got {case_names!r}")
+    known = ("cosine-1d", "jordan-2d", "seeker-log")
+    bad = sorted({str(name) for name in case_names if name not in known})
     if bad:
         raise ConfigurationError(f"unknown bvp cases: {', '.join(bad)}")
 
@@ -396,7 +399,7 @@ def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
             b2 = bundle.phi2.b
             rng = np.random.default_rng(int(cfg["seed"]))
             residuals = []
-            for _ in range(int(cfg["n_states"])):
+            for _ in range(n_states):
                 direction = rng.normal(size=3)
                 direction /= np.linalg.norm(direction)
                 p = float(rng.uniform(1.5, 5.0)) * direction
@@ -457,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (TwoscaleError, KeyError, ValueError, OSError) as err:
+    except (TwoscaleError, KeyError, TypeError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -595,12 +595,10 @@ def probe_averaged_stability(
     states = flat.reshape(n_steps + 1, *s0.shape)
     positions = states[:, :, 0:3]
     dist = np.linalg.norm(positions - fld.p_star, axis=2)
-    # the height deficit V_c = c(p_star) - c(p), with c taken point by point
-    c_star = float(fld.c(fld.p_star))
-    points = positions.reshape(-1, 3)
-    c_vals = np.fromiter(map(fld.c, points), dtype=float, count=points.shape[0])
-    vc = c_star - c_vals.reshape(dist.shape)
+    # the height deficit V_c = c(p_star) - c(p), with c taken on the block
+    vc = float(fld.c(fld.p_star)) - fld.c(positions.reshape(-1, 3)).reshape(dist.shape)
     max_inc = np.max(np.diff(vc, axis=0), axis=0)
+    final_grads = fld.grad(positions[-1])
 
     runs: list[dict] = []
     all_entered = True
@@ -613,7 +611,7 @@ def probe_averaged_stability(
             "direction_index": direction_index,
             "entry_time": entry,
             "final_dist": float(dist[-1, b]),
-            "final_grad_norm": float(np.linalg.norm(fld.grad(positions[-1, b]))),
+            "final_grad_norm": float(np.linalg.norm(final_grads[b])),
             "max_vc_step_increase": float(max_inc[b]),
         })
     return AveragedProbeReport(

@@ -164,22 +164,23 @@ def jacobian_fd(
 
     f may be array-valued (a field over a phase grid, say); a scalar
     value counts as shape (1,).  The per-coordinate step defaults to
-    cbrt(eps) * (1 + |x_i|).
+    cbrt(eps) * (1 + |x_i|).  Columns fill one C-ordered array.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise DimensionError(f"x must be a vector, got shape {x.shape}")
-    columns = []
+    if x.ndim != 1 or x.shape[0] == 0:
+        raise DimensionError(f"x must be a non-empty vector, got shape {x.shape}")
+    out = None
     for i in range(x.shape[0]):
         hi = h if h is not None else DEFAULT_FD_STEP * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += hi
         xm[i] -= hi
-        fp = np.atleast_1d(np.asarray(f(xp), dtype=float))
-        fm = np.atleast_1d(np.asarray(f(xm), dtype=float))
-        columns.append((fp - fm) / (2.0 * hi))
-    return np.stack(columns, axis=-1)
+        col = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * hi)
+        if out is None:
+            out = np.empty((col.shape or (1,)) + x.shape)
+        out[..., i] = col
+    return out
 
 
 def rk4_step(

@@ -60,6 +60,10 @@ STATE_DIM = 14  # p (3) + frame columns (9) + filter (2)
 class ScalarField:
     """Sensed scalar field with its critical point and derivatives.
 
+    c and grad take a point (3,) or a block (B, 3) of points, one per row;
+    the built-in fields do both through one np.vecdot(p, p) formula, equal
+    bit for bit per row.  hess takes one point.
+
     kappa, when set, is a global quadratic-growth constant:
     c(p_star) - c(p) <= kappa * ||grad c(p)||^2 everywhere.  None means
     no such bound holds (fields with saturating tails).
@@ -81,18 +85,18 @@ class ScalarField:
 def builtin_fields() -> dict[str, ScalarField]:
     """The two reference fields used across the test problems."""
 
-    def log_c(p: np.ndarray) -> float:
-        return -float(np.log1p(0.5 * float(p @ p)))
+    def log_c(p: np.ndarray):
+        return -np.log1p(0.5 * np.vecdot(p, p))
 
     def log_grad(p: np.ndarray) -> np.ndarray:
-        return -p / (1.0 + 0.5 * float(p @ p))
+        return -p / (1.0 + 0.5 * np.vecdot(p, p))[..., None]
 
     def log_hess(p: np.ndarray) -> np.ndarray:
         s = 1.0 + 0.5 * float(p @ p)
         return -np.eye(3) / s + np.outer(p, p) / (s * s)
 
-    def quad_c(p: np.ndarray) -> float:
-        return -0.5 * float(p @ p)
+    def quad_c(p: np.ndarray):
+        return -0.5 * np.vecdot(p, p)
 
     def quad_grad(p: np.ndarray) -> np.ndarray:
         return -p
@@ -331,8 +335,7 @@ class SeekerTrajectory:
     field_name: str
 
     def center_values(self, fld: ScalarField) -> np.ndarray:
-        p = self.states[:, 0:3]
-        return np.fromiter(map(fld.c, p), dtype=float, count=p.shape[0])
+        return fld.c(self.states[:, 0:3])
 
     def frame_residuals(self) -> np.ndarray:
         return manifold_residual(self.states[:, 3:12])
@@ -397,7 +400,7 @@ def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.
 
     The state is one (12,) vector (p, frame columns) or a (B, 12) block
     of B such states, one per row; the result has the same shape.  Rows
-    do not interact, and grad c is evaluated one point at a time.
+    do not interact, and grad c is evaluated once for the whole block.
     """
     grad = fld.grad
 
@@ -405,14 +408,13 @@ def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.
         s = np.asarray(s, dtype=float)
         if s.ndim not in (1, 2) or s.shape[-1] != 12:
             raise DimensionError(f"state must have shape (12,) or (B, 12), got {s.shape}")
-        # a block is handled as (3, B) component stacks, which the scalar
-        # formulas below broadcast over unchanged
+        # grad takes the block's (B, 3) positions; the frame is handled as
+        # (3, B) component stacks, which the scalar formulas broadcast over
         x = s.T
-        p = x[0:3]
         q1 = x[3:6]
         q2 = x[6:9]
         q3 = x[9:12]
-        g = grad(p) if s.ndim == 1 else np.array([grad(pb) for pb in s[:, 0:3]]).T
+        g = grad(s[..., 0:3]).T
         u1 = dot3(q1, g)
         u2 = dot3(q2, g)
         u3 = dot3(q3, g)

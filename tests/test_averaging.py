@@ -15,6 +15,8 @@ import pytest
 from twoscale.averaging import (
     AveragedSystem,
     CorrectorSolution,
+    _contract,
+    _dy_jacobian,
     average,
     build_b,
     build_bundle,
@@ -30,10 +32,10 @@ from twoscale.benchmarks import (
     linear_benchmark,
 )
 from twoscale.errors import ConfigurationError
-from twoscale.numkit import TimeGrid, integrate_rk4, quad_periodic
+from twoscale.numkit import TimeGrid, cumulative_simpson, integrate_rk4, quad_periodic
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
-from twoscale.system import OscillatorySystemSpec
+from twoscale.system import OscillatorySystemSpec, grid_terms
 
 TWO_PI = 2.0 * np.pi
 
@@ -355,6 +357,95 @@ def test_fd_jacobian_fallbacks_match_analytic_jacobians():
         ))
     for analytic, fd in zip(*results):
         assert np.max(np.abs(fd - analytic)) < 1e-8 * (1.0 + np.max(np.abs(analytic)))
+
+
+# Oracles for the two slow-state central differences, written out as
+# explicit loops over the slow coordinates: step cbrt(eps) * (1 + |x_j|),
+# columns written into preallocated C-ordered arrays, and fbar's dF taken
+# as the difference of the two perturbed running integrals.
+
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+
+def _loop_fbar(averaged, x):
+    red = averaged.reduced
+    taus = averaged._nodes
+    h = taus[1] - taus[0]
+    K, n = taus.shape[0], red.n
+    G = red.f1_values(x, taus)
+    F = cumulative_simpson(G, h)
+    H = red.f2_values(x, taus)
+    dG = np.empty((K, n, n))
+    dF = np.empty((K, n, n))
+    for j in range(n):
+        hj = _FD_STEP * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += hj
+        xm[j] -= hj
+        Gp = red.f1_values(xp, taus)
+        Gm = red.f1_values(xm, taus)
+        dG[:, :, j] = (Gp - Gm) / (2.0 * hj)
+        dF[:, :, j] = (cumulative_simpson(Gp, h) - cumulative_simpson(Gm, h)) / (2.0 * hj)
+    bracket = _contract(dG, F) - _contract(dF, G)
+    return (averaged._weights @ (H + 0.5 * bracket)) / red.T
+
+
+def _loop_b2(source, x, taus):
+    spec, phi1 = source.spec, source.phi1
+    K, n, m = taus.shape[0], spec.n, spec.m
+    y0 = np.asarray(spec.phi0(x), dtype=float)
+    D0 = spec.phi0_jacobian(x)
+    phi1_vals = phi1.values_at(x, taus)
+    dphi1 = np.empty((K, m, n))
+    for j in range(n):
+        hj = _FD_STEP * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += hj
+        xm[j] -= hj
+        dphi1[:, :, j] = (phi1.values_at(xp, taus) - phi1.values_at(xm, taus)) / (2.0 * hj)
+    F1, F2 = grid_terms(spec, x, y0, taus)
+    dg1 = _dy_jacobian(spec, spec.dg1_dy, slice(n, n + m), x, y0, taus)
+    return (
+        F2[:, n:] - F2[:, :n] @ D0.T - _contract(dphi1, F1[:, :n])
+        + _contract(dg1, phi1_vals)
+    )
+
+
+def _seeker_states(count, seed):
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        p = float(rng.uniform(1.5, 5.0)) * direction
+        states.append(np.concatenate([p, embed(exp_so3(rng.uniform(-np.pi, np.pi, size=3)))]))
+    return states
+
+
+def _fd_oracle_case(name):
+    log = as_system_spec(builtin_fields()["log"])
+    if name == "log":
+        return log, _seeker_states(5, 21)
+    if name == "bracket":
+        return bracket_benchmark().spec, [np.array([0.3, 1.2]), np.array([-1.0, 0.5])]
+    # no analytic df1_dy/dg1_dy: the fast-state Jacobians are differences too
+    return dataclasses.replace(log, df1_dy=None, dg1_dy=None), _seeker_states(2, 22)
+
+
+@pytest.mark.parametrize("name", ["log", "bracket", "log-without-dy-jacobians"])
+def test_fd_jacobians_match_coordinate_loops_bit_for_bit(name):
+    spec, states = _fd_oracle_case(name)
+    bundle = build_bundle(spec, n_panels=256)
+    source = bundle.phi2.b
+    grid = (spec.T / 256) * np.arange(256)
+    for x in states:
+        assert np.array_equal(bundle.averaged.fbar(x), _loop_fbar(bundle.averaged, x)), name
+        assert np.array_equal(source.values_at(x, grid), _loop_b2(source, x, grid)), name
+        # an off-grid phase set takes the point-by-point corrector path
+        odd = np.array([0.1, 1.7, 4.4])
+        assert np.array_equal(source.values_at(x, odd), _loop_b2(source, x, odd)), name
 
 
 # ---------------------------------------------------------------- averaging

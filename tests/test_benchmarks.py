@@ -17,6 +17,7 @@ from twoscale.benchmarks import (
     linear_benchmark,
     seeker_builder,
 )
+from twoscale.errors import ConfigurationError
 from twoscale.numkit import mat_exp, quad_periodic
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
@@ -133,6 +134,11 @@ def test_seeker_builder_zero_filter_mode():
     _, _, _, y0 = build(4.0 * np.pi)
     assert np.array_equal(y0, np.zeros(2))
     with pytest.raises(ValueError):
+        seeker_builder(field_by_name("log"), y0_mode="warm")
+
+
+def test_seeker_builder_rejects_bad_mode_as_configuration_error():
+    with pytest.raises(ConfigurationError, match="y0_mode"):
         seeker_builder(field_by_name("log"), y0_mode="warm")
 
 

@@ -88,6 +88,24 @@ def test_bvp_check_rejects_bad_cases(tmp_path):
     assert run_cmd("bvp-check", tmp_path, {"cases": ["heat-1d"]}) == 1
 
 
+@pytest.mark.parametrize("command,bad,message", [
+    ("stability-probe", {"deltas": 6.0}, "not iterable"),
+    ("sweep", {"omegas": 5}, "not iterable"),
+    ("simulate", {"t_f": None}, "NoneType"),
+    ("bvp-check", {"cases": 5}, "cases must be a non-empty list of names"),
+    ("bvp-check", {"cases": "cosine-1d"}, "cases must be a non-empty list of names"),
+    ("bvp-check", {"cases": ["cosine-1d", "heat-1d", 5]}, "unknown bvp cases: 5, heat-1d"),
+    ("bvp-check", {"n_states": 0}, "n_states must be >= 1, got 0"),
+    ("bvp-check", {"n_states": -2}, "n_states must be >= 1, got -2"),
+])
+def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
+    assert run_cmd(command, tmp_path, bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not (tmp_path / "out" / DEFAULTS[command]["output"]).exists()
+
+
 def test_probe_rejects_unknown_system(tmp_path):
     assert run_cmd("stability-probe", tmp_path, {"system": "hybrid"}) == 1
 

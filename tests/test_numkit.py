@@ -255,6 +255,15 @@ def test_jacobian_fd_array_valued_map():
     exact[:, 1, 0] = x[1] * np.sin(taus)
     exact[:, 1, 1] = x[0] * np.sin(taus)
     assert np.max(np.abs(J - exact)) < 1e-9
+    # C-ordered, and each column is exactly its own central difference
+    assert J.flags.c_contiguous
+    for i in range(2):
+        step = float(np.finfo(float).eps) ** (1.0 / 3.0) * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        assert np.array_equal(J[..., i], (f(xp) - f(xm)) / (2.0 * step))
 
 
 def test_jacobian_fd_rejects_matrix_input():

@@ -96,6 +96,36 @@ def test_field_hessian_falls_back_to_differences():
     assert np.max(np.abs(bare.hessian(np.array([0.5, 1.0, -2.0])) + np.eye(3))) < 1e-6
 
 
+# point formulas with |p|^2 as a Python float, the oracle for the fields'
+# point values (which the simulate CSV and the reports are made of)
+POINT_FORMULAS = {
+    "log": (lambda p: -float(np.log1p(0.5 * float(p @ p))),
+            lambda p: -p / (1.0 + 0.5 * float(p @ p))),
+    "quadratic": (lambda p: -0.5 * float(p @ p), lambda p: -p),
+}
+
+
+@pytest.mark.parametrize("name", ["log", "quadratic"])
+def test_field_blocks_match_point_calls_bit_for_bit(name):
+    fld = builtin_fields()[name]
+    rng = np.random.default_rng(41)
+    dirs = rng.normal(size=(2000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    P = dirs * 10.0 ** rng.uniform(-3.0, 3.0, size=(2000, 1))
+    P[0] = fld.p_star
+    c_block = fld.c(P)
+    g_block = fld.grad(P)
+    assert c_block.shape == (2000,) and g_block.shape == (2000, 3)
+    point_c, point_grad = POINT_FORMULAS[name]
+    for b, p in enumerate(P):
+        c = fld.c(p)
+        assert isinstance(c, float)
+        assert c == c_block[b] == point_c(p)
+        g = fld.grad(p)
+        assert g.shape == (3,)
+        assert np.array_equal(g, g_block[b]) and np.array_equal(g, point_grad(p))
+
+
 # ------------------------------------------------------------ configuration
 
 
