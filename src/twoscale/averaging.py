@@ -346,9 +346,6 @@ class AveragedSystem:
         """Autonomous right-hand side adapter for the integrators."""
         return self.fbar(x)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fbar(x)
-
 
 def average(reduced: ReducedSystem, n_panels: int = 256) -> AveragedSystem:
     """Average the reduced system over one phase period."""

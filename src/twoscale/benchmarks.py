@@ -13,10 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .numkit import mat_exp
-from .seeker import ScalarField, as_system_spec, averaged_seeker_field, builtin_fields
-from .so3 import embed
+from .seeker import ScalarField, builtin_fields
 from .system import OscillatorySystemSpec
 
 __all__ = [
@@ -27,13 +25,8 @@ __all__ = [
     "BvpCase",
     "bvp_cosine_case",
     "bvp_jordan_case",
-    "seeker_builder",
     "field_by_name",
-    "SEEKER_P0",
 ]
-
-# reference start used across the seeker examples
-SEEKER_P0 = np.array([6.0, 2.0, -2.0])
 
 _LAYER_A = np.array([[-1.0, 1.0], [0.0, -1.0]])
 
@@ -191,39 +184,6 @@ def bvp_jordan_case() -> BvpCase:
         ])
 
     return BvpCase(name="jordan-2d", A=_LAYER_A.copy(), T=2.0 * np.pi, b=b, exact=exact)
-
-
-def seeker_builder(
-    fld: ScalarField,
-    p0: np.ndarray | None = None,
-    R0: np.ndarray | None = None,
-    y0_mode: str = "quasi-steady",
-):
-    """Sweep builder for the seeker: omega -> (spec, averaged, x0, y0).
-
-    The decomposition and the averaged field are frequency-free, so they
-    are built once and shared across the ladder.
-    """
-    if p0 is None:
-        p0 = SEEKER_P0.copy()
-    p0 = np.asarray(p0, dtype=float)
-    if R0 is None:
-        R0 = np.eye(3)
-    spec = as_system_spec(fld)
-    avg = averaged_seeker_field(fld)
-    x0 = np.concatenate([p0, embed(np.asarray(R0, dtype=float))])
-    if y0_mode == "zero":
-        y0 = np.zeros(2)
-    elif y0_mode == "quasi-steady":
-        c0 = float(fld.c(p0))
-        y0 = np.array([c0, c0])
-    else:
-        raise ConfigurationError(f"y0_mode must be 'quasi-steady' or 'zero', got {y0_mode!r}")
-
-    def build(omega: float):
-        return spec, avg, x0.copy(), y0.copy()
-
-    return build
 
 
 def field_by_name(name: str) -> ScalarField:

@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import build_bundle, residual_bvp, solve_periodic_bvp
-from .benchmarks import (
-    bvp_cosine_case,
-    bvp_jordan_case,
-    field_by_name,
-    linear_benchmark,
-    seeker_builder,
-)
+from .benchmarks import bvp_cosine_case, bvp_jordan_case, field_by_name, linear_benchmark
 from .errors import ConfigurationError, DivergenceError, TwoscaleError
 from .harness import probe_averaged_stability, probe_seeker_stability, sweep_convergence
 from .seeker import (
@@ -156,13 +150,16 @@ def _parse_rotation(value) -> np.ndarray:
     return R
 
 
-def _parse_y0(value):
-    if value in ("quasi-steady", "zero"):
-        return value, None
+def _parse_y0(value) -> np.ndarray | None:
+    """The filter start: None for quasi-steady, else the pair to use."""
+    if value == "quasi-steady":
+        return None
+    if value == "zero":
+        return np.zeros(2)
     y = np.asarray(value, dtype=float)
     if y.shape != (2,):
         raise ConfigurationError("y0 must be 'quasi-steady', 'zero', or a pair")
-    return "quasi-steady", y
+    return y
 
 
 def _positive(cfg: dict, key: str) -> float:
@@ -181,6 +178,16 @@ def _tolerance(cfg: dict) -> float:
     return v
 
 
+def _random_seeker_state(rng: np.random.Generator) -> np.ndarray:
+    """A seeded seeker slow state (p, q): a random direction, a radius
+    uniform in [1.5, 5] and a random frame, drawn in that order."""
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    p = float(rng.uniform(1.5, 5.0)) * direction
+    Q = exp_so3(rng.uniform(-np.pi, np.pi, size=3))
+    return np.concatenate([p, embed(Q)])
+
+
 def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
     fld = field_by_name(str(cfg["field"]))
     omega = _positive(cfg, "omega")
@@ -188,16 +195,18 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
     if p0.shape != (3,):
         raise ConfigurationError("p0 must be a 3-vector")
     R0 = _parse_rotation(cfg["R0"])
-    y0_mode, y0 = _parse_y0(cfg["y0"])
+    y0 = _parse_y0(cfg["y0"])
     t_f = float(cfg["t_f"])
     if not (np.isfinite(t_f) and t_f >= 0.0):
         raise ConfigurationError(f"t_f must be >= 0, got {cfg['t_f']}")
+    # checked here because the t_f = 0 row never reaches simulate_seeker
     stride = int(cfg["stride"])
+    if stride < 1:
+        raise ConfigurationError(f"stride must be >= 1, got {stride}")
     config = SeekerConfig(
         omega=omega,
         steps_per_fast_period=int(cfg["steps_per_fast_period"]),
         projection=bool(cfg["projection"]),
-        y0_mode=y0_mode,
     )
 
     header = (
@@ -210,7 +219,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
     if t_f == 0.0:
         traj = SeekerTrajectory(
             times=np.array([t0]),
-            states=initial_state(config, fld, p0, R0, y0=y0)[None, :],
+            states=initial_state(fld, p0, R0, y0=y0)[None, :],
             omega=omega,
             field_name=fld.name,
         )
@@ -250,11 +259,7 @@ def cmd_average_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
     rng = np.random.default_rng(int(cfg["seed"]))
     errors = []
     for _ in range(n_states):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        p = float(rng.uniform(1.5, 5.0)) * direction
-        Q = exp_so3(rng.uniform(-np.pi, np.pi, size=3))
-        x = np.concatenate([p, embed(Q)])
+        x = _random_seeker_state(rng)
         numeric = bundle.averaged.fbar(x)
         reference = closed(0.0, x)
         err = float(np.linalg.norm(numeric - reference) / np.linalg.norm(reference))
@@ -292,18 +297,17 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
         p0 = np.asarray(cfg["p0"], dtype=float)
         if p0.shape != (3,) or not np.all(np.isfinite(p0)):
             raise ConfigurationError(f"p0 must be a finite 3-vector, got {cfg['p0']}")
-        builder = seeker_builder(fld, p0=p0, y0_mode=y0_mode)
+        spec, averaged = as_system_spec(fld), averaged_seeker_field(fld)
+        x0 = np.concatenate([p0, embed(np.eye(3))])
     elif system == "linear":
         bench = linear_benchmark()
-        y0_lin = np.zeros(2) if y0_mode == "zero" else bench.y0
-
-        def builder(w: float):
-            return bench.spec, bench.averaged_field, bench.x0.copy(), y0_lin.copy()
+        spec, averaged, x0 = bench.spec, bench.averaged_field, bench.x0
     else:
         raise ConfigurationError(f"unknown sweep system {system!r} (seeker or linear)")
+    y0 = spec.phi0(x0) if y0_mode == "quasi-steady" else np.zeros(spec.m)
 
     report = sweep_convergence(
-        builder, omegas, t_f,
+        spec, averaged, x0, y0, omegas, t_f,
         steps_per_period=int(cfg["steps_per_period"]),
         avg_steps=int(cfg["avg_steps"]),
     )
@@ -400,11 +404,7 @@ def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
             rng = np.random.default_rng(int(cfg["seed"]))
             residuals = []
             for _ in range(n_states):
-                direction = rng.normal(size=3)
-                direction /= np.linalg.norm(direction)
-                p = float(rng.uniform(1.5, 5.0)) * direction
-                Q = exp_so3(rng.uniform(-np.pi, np.pi, size=3))
-                x = np.concatenate([p, embed(Q)])
+                x = _random_seeker_state(rng)
                 r1 = residual_bvp(bundle.phi1, spec.A, b1, spec.T, x=x)
                 r2 = residual_bvp(bundle.phi2, spec.A, b2, spec.T, x=x)
                 residuals.extend([r1, r2])

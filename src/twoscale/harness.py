@@ -45,8 +45,7 @@ __all__ = [
 class RunRecord:
     """One full-versus-averaged comparison at a fixed frequency.
 
-    The deviation and layer series are kept at full step resolution (they
-    are scalars); the state samples are thinned by the stride.
+    The deviation and layer series are kept at full step resolution.
     """
 
     omega: float
@@ -54,10 +53,6 @@ class RunRecord:
     times: np.ndarray
     x_dev: np.ndarray
     z_norm: np.ndarray
-    sample_times: np.ndarray
-    x_samples: np.ndarray
-    y_samples: np.ndarray
-    x_avg_samples: np.ndarray
     failed: bool = False
     blowup_time: float | None = None
 
@@ -84,14 +79,14 @@ def run_compare(
     t_f: float,
     steps_per_period: int = 400,
     avg_steps: int = 4000,
-    stride: int = 20,
 ) -> RunRecord:
     """Integrate the full system and its average from matched starts.
 
-    The full run resolves the fast phase with steps_per_period RK4 steps
-    per t-period T/omega; the averaged run uses a coarse grid and is
-    interpolated onto the fast times.  A diverging full run is recorded
-    as failed with its blow-up time rather than raised.
+    averaged(t, x) is the averaged right-hand side.  The full run
+    resolves the fast phase with steps_per_period RK4 steps per t-period
+    T/omega; the averaged run uses a coarse grid and is interpolated onto
+    the fast times.  A diverging full run is recorded as failed with its
+    blow-up time rather than raised.
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ConfigurationError(f"omega must be positive and finite, got {omega}")
@@ -101,35 +96,23 @@ def run_compare(
         raise ConfigurationError(f"steps_per_period must be >= 8, got {steps_per_period}")
     if avg_steps < 1:
         raise ConfigurationError(f"avg_steps must be >= 1, got {avg_steps}")
-    if stride < 1:
-        raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    avg_field = averaged.field if hasattr(averaged, "field") else averaged
 
     dt = (spec.T / omega) / steps_per_period
     n_steps = max(1, int(round(t_f / dt)))
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
     v0 = spec.pack(np.asarray(x0, dtype=float), np.asarray(y0, dtype=float))
 
-    empty = np.empty((0,))
     try:
         times, states = integrate_rk4(assemble_full_field(spec, omega), v0, grid)
     except DivergenceError as err:
+        empty = np.empty((0,))
         return RunRecord(
-            omega=omega,
-            t_f=t_f,
-            times=empty,
-            x_dev=empty,
-            z_norm=empty,
-            sample_times=empty,
-            x_samples=np.empty((0, spec.n)),
-            y_samples=np.empty((0, spec.m)),
-            x_avg_samples=np.empty((0, spec.n)),
-            failed=True,
-            blowup_time=err.time,
+            omega=omega, t_f=t_f, times=empty, x_dev=empty, z_norm=empty,
+            failed=True, blowup_time=err.time,
         )
 
     avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
-    avg_times, avg_states = integrate_rk4(avg_field, np.asarray(x0, dtype=float), avg_grid)
+    avg_times, avg_states = integrate_rk4(averaged, np.asarray(x0, dtype=float), avg_grid)
     x_avg_full = _interp_rows(times, avg_times, avg_states)
 
     x_full = states[:, : spec.n]
@@ -137,21 +120,7 @@ def run_compare(
     x_dev = np.max(np.abs(x_full - x_avg_full), axis=1)
     dz = y_full - np.fromiter(map(spec.phi0, x_full), dtype=(float, spec.m), count=len(x_full))
     z_norm = np.sqrt(np.vecdot(dz, dz))
-
-    keep = np.arange(0, n_steps + 1, stride)
-    if keep[-1] != n_steps:
-        keep = np.append(keep, n_steps)
-    return RunRecord(
-        omega=omega,
-        t_f=t_f,
-        times=times,
-        x_dev=x_dev,
-        z_norm=z_norm,
-        sample_times=times[keep],
-        x_samples=x_full[keep],
-        y_samples=y_full[keep],
-        x_avg_samples=x_avg_full[keep],
-    )
+    return RunRecord(omega=omega, t_f=t_f, times=times, x_dev=x_dev, z_norm=z_norm)
 
 
 @dataclass
@@ -228,7 +197,10 @@ class SweepReport:
 
 
 def sweep_convergence(
-    builder: Callable[[float], tuple],
+    spec: OscillatorySystemSpec,
+    averaged: Callable[[float, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    y0: np.ndarray,
     omegas: Sequence[float],
     t_f: float,
     steps_per_period: int = 400,
@@ -237,10 +209,11 @@ def sweep_convergence(
 ) -> SweepReport:
     """Run the full-versus-averaged comparison across a frequency ladder.
 
-    builder(omega) returns (spec, averaged, x0, y0).  Requires at least
-    four strictly increasing frequencies so the slope fit means
-    something.  A run whose layer fit is degenerate reports None for its
-    rate; a diverging run reports an infinite deviation.
+    Every rung starts the system and its average from (x0, y0); the
+    decomposition is frequency-free, so one spec serves the whole ladder.
+    Requires at least four strictly increasing frequencies so the slope
+    fit means something.  A run whose layer fit is degenerate reports None
+    for its rate; a diverging run reports an infinite deviation.
     """
     omegas = [float(w) for w in omegas]
     # checked before the first run, so a bad top rung costs no lower runs
@@ -256,7 +229,6 @@ def sweep_convergence(
     layer_rates: list[float | None] = []
     layer_gammas: list[float | None] = []
     for w in omegas:
-        spec, averaged, x0, y0 = builder(w)
         record = run_compare(
             spec, averaged, x0, y0, w, t_f,
             steps_per_period=steps_per_period, avg_steps=avg_steps,
@@ -393,6 +365,17 @@ class StabilityProbeReport:
         }
 
 
+def _shell_radii(deltas: Sequence[float]) -> list[float]:
+    """The probe's start radii as floats, checked before any run."""
+    deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ConfigurationError("deltas must be non-empty")
+    for d in deltas:
+        if not np.isfinite(d):
+            raise ConfigurationError(f"deltas must be finite, got {d}")
+    return deltas
+
+
 def _entry_time(times: np.ndarray, dist: np.ndarray, eps: float) -> float | None:
     """First sample time after which the distance never exceeds eps."""
     above = np.nonzero(dist > eps)[0]
@@ -423,10 +406,10 @@ def probe_seeker_stability(
     Containment checks the whole run, entry checks the tail after the
     deadline, and boundedness asks only that nothing diverged.
     """
-    deltas = [float(d) for d in deltas]
+    deltas = _shell_radii(deltas)
     omegas = [float(w) for w in omegas]
-    if not deltas or not omegas:
-        raise ConfigurationError("deltas and omegas must be non-empty")
+    if not omegas:
+        raise ConfigurationError("omegas must be non-empty")
     if entry_deadline is None:
         entry_deadline = horizon / 2.0
     if not 0.0 < entry_deadline <= horizon:
@@ -435,43 +418,33 @@ def probe_seeker_stability(
     p_star = fld.p_star
 
     runs: list[ProbeRun] = []
-    ok1: dict[tuple[float, float], bool] = {}
-    ok2: dict[tuple[float, float], bool] = {}
-    ok3: dict[tuple[float, float], bool] = {}
     for delta in deltas:
         for w in omegas:
             config = SeekerConfig(omega=w, steps_per_fast_period=steps_per_fast_period)
             frame_period = 2.0 * np.pi / w
-            all1 = all2 = all3 = True
             for phase_index, frac in enumerate(phase_fractions):
                 t0 = frac * frame_period
                 for direction_index in range(dirs.shape[0]):
                     p0 = p_star + delta * dirs[direction_index]
-                    run = _probe_single(
+                    runs.append(_probe_single(
                         config, fld, p0, t0, horizon, entry_deadline, eps_x, eps_z,
                         delta, phase_index, direction_index,
-                    )
-                    runs.append(run)
-                    contained = (not run.diverged) and run.sup_dist <= eps_x and run.sup_z <= eps_z
-                    entered = (
-                        (not run.diverged)
-                        and run.entry_time is not None
-                        and run.entry_time <= entry_deadline
-                        and run.tail_z <= eps_z
-                    )
-                    all1 = all1 and contained
-                    all2 = all2 and entered
-                    all3 = all3 and not run.diverged
-            ok1[(delta, w)] = all1
-            ok2[(delta, w)] = all2
-            ok3[(delta, w)] = all3
+                    ))
 
-    def smallest(ok: dict[tuple[float, float], bool]) -> dict[float, float | None]:
-        out: dict[float, float | None] = {}
-        for delta in deltas:
-            passing = [w for w in omegas if ok[(delta, w)]]
-            out[delta] = min(passing) if passing else None
-        return out
+    def contained(r: ProbeRun) -> bool:
+        return not r.diverged and r.sup_dist <= eps_x and r.sup_z <= eps_z
+
+    def entered(r: ProbeRun) -> bool:
+        return (not r.diverged and r.entry_time is not None
+                and r.entry_time <= entry_deadline and r.tail_z <= eps_z)
+
+    def smallest(passes: Callable[[ProbeRun], bool]) -> dict[float, float | None]:
+        """Per radius, the smallest frequency at which every run passes."""
+        return {
+            delta: min((w for w in omegas if all(
+                passes(r) for r in runs if r.delta == delta and r.omega == w)), default=None)
+            for delta in deltas
+        }
 
     return StabilityProbeReport(
         eps_x=float(eps_x),
@@ -481,9 +454,9 @@ def probe_seeker_stability(
         horizon=float(horizon),
         entry_deadline=float(entry_deadline),
         runs=runs,
-        containment_omega=smallest(ok1),
-        entry_omega=smallest(ok2),
-        bounded_omega=smallest(ok3),
+        containment_omega=smallest(contained),
+        entry_omega=smallest(entered),
+        bounded_omega=smallest(lambda r: not r.diverged),
     )
 
 
@@ -576,9 +549,7 @@ def probe_averaged_stability(
     time grid; the runs do not interact.  A non-finite state in any run
     raises DivergenceError for the whole probe.
     """
-    deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise ConfigurationError("deltas must be non-empty")
+    deltas = _shell_radii(deltas)
     field = averaged_seeker_field(fld)
     dirs = shell_directions()
     n_steps = max(1, int(round(horizon / dt)))

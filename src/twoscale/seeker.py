@@ -130,15 +130,15 @@ class SeekerConfig:
 
     The sensor offset and dither amplitude are tied to omega
     (radius 1/sqrt(omega), speed amplitude sqrt(4 omega)); only the
-    frequency, step resolution, projection switch, and filter start are
-    free.  steps_per_fast_period counts RK4 steps per dither period
-    pi/omega, the fastest scale in the loop.
+    frequency, step resolution and projection switch are free.  The
+    filter start is an argument of initial_state and simulate_seeker.
+    steps_per_fast_period counts RK4 steps per dither period pi/omega,
+    the fastest scale in the loop.
     """
 
     omega: float
     steps_per_fast_period: int = 200
     projection: bool = True
-    y0_mode: str = "quasi-steady"
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.omega) and self.omega > 0.0):
@@ -146,10 +146,6 @@ class SeekerConfig:
         if self.steps_per_fast_period < 2:
             raise ConfigurationError(
                 f"steps_per_fast_period must be >= 2, got {self.steps_per_fast_period}"
-            )
-        if self.y0_mode not in ("quasi-steady", "zero"):
-            raise ConfigurationError(
-                f"y0_mode must be 'quasi-steady' or 'zero', got {self.y0_mode!r}"
             )
 
     @property
@@ -175,20 +171,21 @@ def sensor_position(p: np.ndarray, q: np.ndarray, tau: float, radius: float) -> 
 
 
 def initial_state(
-    config: SeekerConfig,
     fld: ScalarField,
     p0: np.ndarray,
     R0: np.ndarray,
     y0: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Packed initial state; the filter starts quasi-steady unless told not to.
+    """Packed initial state; the filter starts quasi-steady unless y0 is given.
 
     Quasi-steady means y = -A^{-1} B c(p0) = (c(p0), c(p0)), which removes
-    the initial fast transient.  y0, when given, overrides the mode.
+    the initial fast transient.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (3,):
         raise DimensionError(f"p0 must have shape (3,), got {p0.shape}")
+    if not np.all(np.isfinite(p0)):
+        raise ConfigurationError(f"p0 must be finite, got {p0.tolist()}")
     R0 = np.asarray(R0, dtype=float)
     res = manifold_residual(embed(R0))
     if not res < 1e-6:
@@ -197,8 +194,6 @@ def initial_state(
         y = np.asarray(y0, dtype=float)
         if y.shape != (2,):
             raise DimensionError(f"y0 must have shape (2,), got {y.shape}")
-    elif config.y0_mode == "zero":
-        y = np.zeros(2)
     else:
         c0 = float(fld.c(p0))
         y = np.array([c0, c0])
@@ -305,7 +300,7 @@ def cross_check(
     if n_frame_periods < 1:
         raise ConfigurationError(f"n_frame_periods must be >= 1, got {n_frame_periods}")
     w = config.omega
-    s0 = initial_state(config, fld, p0, R0)
+    s0 = initial_state(fld, p0, R0)
     dt = (np.pi / w) / steps_per_fast_period
     n_steps = 2 * steps_per_fast_period * n_frame_periods
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
@@ -375,7 +370,7 @@ def simulate_seeker(
         raise ConfigurationError(f"t_f must be positive, got {t_f}")
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    s0 = initial_state(config, fld, p0, R0, y0=y0)
+    s0 = initial_state(fld, p0, R0, y0=y0)
     dt = config.dt
     n_steps = max(1, int(round(t_f / dt)))
     grid = TimeGrid(t0=float(t0), dt=dt, n_steps=n_steps)

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from twoscale import cli
-from twoscale.benchmarks import field_by_name, seeker_builder
+from twoscale.benchmarks import field_by_name
 from twoscale.harness import fit_boundary_layer, run_compare
-from twoscale.seeker import SeekerConfig, cross_check
+from twoscale.seeker import SeekerConfig, as_system_spec, averaged_seeker_field, cross_check
+from twoscale.so3 import embed
 
 OMEGA = 4.0 * math.pi
 
@@ -103,9 +104,10 @@ def probe_runs(art_root):
 @pytest.fixture(scope="module")
 def layer_fit_pipeline():
     def build_and_fit():
-        build = seeker_builder(field_by_name("log"), y0_mode="zero")
-        spec, averaged, x0, y0 = build(OMEGA)
-        record = run_compare(spec, averaged, x0, y0, omega=OMEGA, t_f=2.0)
+        fld = field_by_name("log")
+        x0 = np.concatenate([[6.0, 2.0, -2.0], embed(np.eye(3))])
+        record = run_compare(as_system_spec(fld), averaged_seeker_field(fld), x0,
+                             np.zeros(2), omega=OMEGA, t_f=2.0)
         return record, fit_boundary_layer(record)
 
     start = time.perf_counter()

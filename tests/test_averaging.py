@@ -495,7 +495,6 @@ def test_averaged_field_interface_ignores_time():
     a = bundle.averaged.field(0.0, x)
     b = bundle.averaged.field(17.3, x)
     assert np.array_equal(a, b)
-    assert np.array_equal(bundle.averaged(x), a)
 
 
 def test_bundle_wires_the_pipeline_together():

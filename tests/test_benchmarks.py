@@ -9,15 +9,13 @@ import numpy as np
 import pytest
 
 from twoscale.benchmarks import (
-    SEEKER_P0,
     bracket_benchmark,
     bvp_cosine_case,
     bvp_jordan_case,
     field_by_name,
     linear_benchmark,
-    seeker_builder,
 )
-from twoscale.errors import ConfigurationError
+from twoscale.cli import DEFAULTS
 from twoscale.numkit import mat_exp, quad_periodic
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
@@ -102,51 +100,28 @@ def test_bracket_benchmark_exact_average_form():
         assert np.array_equal(bench.fbar_exact(x), np.array([2.0 * x[1], 0.0]))
 
 
-# -------------------------------------------------------------- seeker builder
+def _seeker_sweep_start(fld, p0):
+    # the start cmd_sweep builds: x0 = (p0, I), quasi-steady y0 = phi0(x0)
+    spec = as_system_spec(fld)
+    x0 = np.concatenate([np.asarray(p0, dtype=float), embed(np.eye(3))])
+    return spec, x0, spec.phi0(x0)
 
 
 def test_seeker_builder_default_start():
-    assert np.array_equal(SEEKER_P0, np.array([6.0, 2.0, -2.0]))
+    p0 = np.asarray(DEFAULTS["sweep"]["p0"], dtype=float)
+    assert np.array_equal(p0, np.array([6.0, 2.0, -2.0]))
     fld = field_by_name("log")
-    build = seeker_builder(fld)
-    spec, avg, x0, y0 = build(4.0 * np.pi)
-    assert np.array_equal(x0[0:3], SEEKER_P0)
+    spec, x0, y0 = _seeker_sweep_start(fld, p0)
+    assert np.array_equal(x0[0:3], p0)
     assert np.array_equal(x0[3:12], np.eye(3).T.reshape(9))
-    c0 = fld.c(SEEKER_P0)
+    c0 = fld.c(p0)
     assert np.array_equal(y0, np.array([c0, c0]))
     assert spec.n == 12 and spec.m == 2
 
 
-def test_seeker_builder_shares_decomposition_across_frequencies():
-    build = seeker_builder(field_by_name("quadratic"))
-    spec_a, avg_a, x_a, y_a = build(4.0 * np.pi)
-    spec_b, avg_b, x_b, y_b = build(8.0 * np.pi)
-    assert spec_a is spec_b
-    assert avg_a is avg_b
-    # returned states are fresh copies, safe to mutate
-    x_a[0] = 99.0
-    _, _, x_c, _ = build(4.0 * np.pi)
-    assert x_c[0] == 6.0
-
-
-def test_seeker_builder_zero_filter_mode():
-    build = seeker_builder(field_by_name("log"), y0_mode="zero")
-    _, _, _, y0 = build(4.0 * np.pi)
-    assert np.array_equal(y0, np.zeros(2))
-    with pytest.raises(ValueError):
-        seeker_builder(field_by_name("log"), y0_mode="warm")
-
-
-def test_seeker_builder_rejects_bad_mode_as_configuration_error():
-    with pytest.raises(ConfigurationError, match="y0_mode"):
-        seeker_builder(field_by_name("log"), y0_mode="warm")
-
-
 def test_seeker_builder_custom_start():
     p0 = np.array([1.0, 1.0, 1.0])
-    R0 = np.eye(3)
-    build = seeker_builder(field_by_name("quadratic"), p0=p0, R0=R0)
-    _, _, x0, y0 = build(16.0 * np.pi)
+    _, x0, y0 = _seeker_sweep_start(field_by_name("quadratic"), p0)
     assert np.array_equal(x0[0:3], p0)
     assert np.array_equal(y0, np.array([-1.5, -1.5]))
 

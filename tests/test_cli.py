@@ -12,9 +12,12 @@ import sys
 import numpy as np
 import pytest
 
+from twoscale import cli
+from twoscale.benchmarks import linear_benchmark
 from twoscale.cli import DEFAULTS, _write_csv, main
-from twoscale.seeker import builtin_fields, lyapunov_value_and_rate
-from twoscale.so3 import manifold_residual
+from twoscale.harness import SweepReport
+from twoscale.seeker import averaged_seeker_field, builtin_fields, lyapunov_value_and_rate
+from twoscale.so3 import embed, manifold_residual
 
 LOG_C0 = -3.1354942159291497  # value of the log field at (6, 2, -2)
 
@@ -97,6 +100,12 @@ def test_bvp_check_rejects_bad_cases(tmp_path):
     ("bvp-check", {"cases": ["cosine-1d", "heat-1d", 5]}, "unknown bvp cases: 5, heat-1d"),
     ("bvp-check", {"n_states": 0}, "n_states must be >= 1, got 0"),
     ("bvp-check", {"n_states": -2}, "n_states must be >= 1, got -2"),
+    ("simulate", {"p0": [float("nan"), 0.0, 0.0], "t_f": 0.5}, "p0 must be finite, got [nan"),
+    ("simulate", {"t_f": 0.0, "stride": 0}, "stride must be >= 1, got 0"),
+    ("stability-probe", {"deltas": [float("nan")]}, "deltas must be finite, got nan"),
+    ("stability-probe", {"deltas": [float("inf")]}, "deltas must be finite, got inf"),
+    ("stability-probe", {"system": "full", "deltas": [float("nan")]},
+     "deltas must be finite, got nan"),
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1
@@ -261,6 +270,41 @@ def test_sweep_linear_system_passes(tmp_path):
     assert report["system"] == "linear"
     # quasi-steady start leaves nothing for the layer fit
     assert report["layer_rates"] == [None] * 4
+
+
+@pytest.mark.parametrize("mode", ["quasi-steady", "zero"])
+@pytest.mark.parametrize("system", ["seeker", "linear"])
+def test_sweep_passes_its_system_directly(tmp_path, monkeypatch, system, mode):
+    # one filter-start rule for both systems: phi0(x0) or zeros
+    seen = {}
+
+    def capture(spec, averaged, x0, y0, omegas, t_f, **kwargs):
+        seen.update(spec=spec, averaged=averaged, x0=x0, y0=y0, omegas=omegas, t_f=t_f)
+        none = [None] * len(omegas)
+        return SweepReport(omegas=omegas, max_devs=[1.0 / w for w in omegas], slope=-1.0,
+                           intercept=0.0, strictly_decreasing=True, layer_rates=none,
+                           layer_gammas=none, t_f=t_f)
+
+    monkeypatch.setattr(cli, "sweep_convergence", capture)
+    payload = {"system": system, "y0": mode, "p0": [1.0, 1.0, 1.0]}
+    assert run_cmd("sweep", tmp_path, payload) == 0
+    assert seen["omegas"] == DEFAULTS["sweep"]["omegas"]
+    assert seen["t_f"] == DEFAULTS["sweep"]["t_f"]
+    x0 = seen["x0"]
+    if system == "seeker":
+        fld = builtin_fields()["quadratic"]
+        assert (seen["spec"].n, seen["spec"].m) == (12, 2)
+        assert np.array_equal(x0, np.concatenate([[1.0, 1.0, 1.0], embed(np.eye(3))]))
+        assert np.array_equal(seen["averaged"](0.0, x0), averaged_seeker_field(fld)(0.0, x0))
+        quasi_steady = np.array([-1.5, -1.5])
+    else:
+        bench = linear_benchmark()
+        assert seen["spec"].name == "linear-benchmark"
+        assert np.array_equal(x0, bench.x0)
+        assert np.array_equal(seen["averaged"](0.0, x0), bench.Mbar @ x0)
+        quasi_steady = bench.y0
+    expected = quasi_steady if mode == "quasi-steady" else np.zeros(2)
+    assert np.array_equal(seen["y0"], expected)
 
 
 def test_sweep_unreachable_slope_is_criterion_failure(tmp_path):

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from twoscale import harness
 from twoscale.benchmarks import linear_benchmark
 from twoscale.errors import ConfigurationError
 from twoscale.harness import (
@@ -77,9 +78,6 @@ def test_zero_system_has_zero_deviation():
     assert not record.failed
     assert record.max_dev == 0.0
     assert np.max(record.z_norm) == 0.0
-    assert record.x_samples.shape[1] == 1
-    assert record.sample_times[0] == 0.0
-    assert abs(record.sample_times[-1] - record.times[-1]) < 1e-12
 
 
 def test_linear_benchmark_tracks_closed_form_average():
@@ -88,11 +86,20 @@ def test_linear_benchmark_tracks_closed_form_average():
         bench.spec, bench.averaged_field, bench.x0, bench.y0,
         omega=16.0 * np.pi, t_f=2.0,
     )
-    # the recorded averaged trajectory is the closed-form flow
-    final = bench.exact_average(record.sample_times[-1])
-    assert np.max(np.abs(record.x_avg_samples[-1] - final)) < 1e-6
-    # and the full system stays within the first-order band
+    # the full system stays within the first-order band of the average
     assert record.max_dev < 0.05
+
+
+def test_averaged_run_follows_closed_form_flow():
+    # the zero system stays at x0 while the average decays as x0 exp(-t),
+    # so the deviation is the closed form x0 (1 - exp(-t)) at every step
+    x0 = np.array([0.7])
+    record = run_compare(
+        zero_spec(), lambda t, x: -x, x0, np.zeros(1), omega=8.0, t_f=2.0,
+        steps_per_period=32, avg_steps=2000,
+    )
+    exact = x0[0] * (1.0 - np.exp(-record.times))
+    assert np.max(np.abs(record.x_dev - exact)) < 1e-6
 
 
 def test_deviation_shrinks_with_frequency():
@@ -129,8 +136,6 @@ def test_run_compare_validation():
     with pytest.raises(ConfigurationError):
         run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), 8.0, t_f=1.0,
                     steps_per_period=4)
-    with pytest.raises(ConfigurationError):
-        run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), 8.0, t_f=1.0, stride=0)
     for omega in (0.0, float("inf"), float("nan")):
         with pytest.raises(ConfigurationError, match="omega"):
             run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), omega, t_f=1.0)
@@ -194,36 +199,32 @@ def test_layer_fit_rejects_failed_and_short_runs():
 # ------------------------------------------------------------------ sweep
 
 
-def test_sweep_requires_a_real_ladder():
+def linear_system(y0=None):
     bench = linear_benchmark()
+    return bench.spec, bench.averaged_field, bench.x0, bench.y0 if y0 is None else y0
 
-    def builder(w):
-        return bench.spec, bench.averaged_field, bench.x0.copy(), bench.y0.copy()
 
+def test_sweep_requires_a_real_ladder():
     with pytest.raises(ConfigurationError):
-        sweep_convergence(builder, [4.0, 8.0, 16.0], t_f=1.0)
+        sweep_convergence(*linear_system(), [4.0, 8.0, 16.0], t_f=1.0)
     with pytest.raises(ConfigurationError):
-        sweep_convergence(builder, [4.0, 8.0, 8.0, 16.0], t_f=1.0)
+        sweep_convergence(*linear_system(), [4.0, 8.0, 8.0, 16.0], t_f=1.0)
 
 
-def test_sweep_rejects_bad_frequencies_before_any_run():
-    def builder(w):
+def test_sweep_rejects_bad_frequencies_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
         raise AssertionError("a run started before the ladder was checked")
 
+    monkeypatch.setattr(harness, "run_compare", no_run)
     for ladder in ([8.0, 16.0, 32.0, float("inf")], [8.0, 16.0, 32.0, float("nan")],
                    [-8.0, 16.0, 32.0, 64.0]):
         with pytest.raises(ConfigurationError, match="positive and finite"):
-            sweep_convergence(builder, ladder, t_f=1.0)
+            sweep_convergence(*linear_system(), ladder, t_f=1.0)
 
 
 def test_sweep_linear_benchmark_first_order_trend():
-    bench = linear_benchmark()
-
-    def builder(w):
-        return bench.spec, bench.averaged_field, bench.x0.copy(), bench.y0.copy()
-
     omegas = [4.0 * np.pi * 2.0**k for k in range(4)]
-    report = sweep_convergence(builder, omegas, t_f=2.0,
+    report = sweep_convergence(*linear_system(), omegas, t_f=2.0,
                                steps_per_period=200, avg_steps=1000)
     assert report.strictly_decreasing
     assert report.slope <= -0.9
@@ -237,14 +238,9 @@ def test_sweep_fits_layers_for_offset_starts():
     # the offset must dominate the O(1/omega) quasi-steady lag so the fit
     # window closes while the transient is still exponential; component 1
     # of the layer matrix decays cleanly at the unit normalized rate
-    bench = linear_benchmark()
-    y_off = bench.y0 + np.array([5.0, 0.0])
-
-    def builder(w):
-        return bench.spec, bench.averaged_field, bench.x0.copy(), y_off.copy()
-
+    y_off = linear_benchmark().y0 + np.array([5.0, 0.0])
     omegas = [4.0 * np.pi * 2.0**k for k in range(4)]
-    report = sweep_convergence(builder, omegas, t_f=1.0,
+    report = sweep_convergence(*linear_system(y_off), omegas, t_f=1.0,
                                steps_per_period=200, avg_steps=500)
     for rate, gamma in zip(report.layer_rates, report.layer_gammas):
         assert rate is not None and 0.5 < rate < 1.5
@@ -252,13 +248,8 @@ def test_sweep_fits_layers_for_offset_starts():
 
 
 def test_sweep_report_serializes_to_json():
-    bench = linear_benchmark()
-
-    def builder(w):
-        return bench.spec, bench.averaged_field, bench.x0.copy(), bench.y0.copy()
-
     omegas = [4.0, 8.0, 16.0, 32.0]
-    report = sweep_convergence(builder, omegas, t_f=0.5,
+    report = sweep_convergence(*linear_system(), omegas, t_f=0.5,
                                steps_per_period=64, avg_steps=200, fit_layers=False)
     blob = json.dumps(report.as_dict(), sort_keys=True)
     data = json.loads(blob)
@@ -426,8 +417,6 @@ def test_empty_record_reports_infinite_deviation():
     empty = np.empty((0,))
     record = RunRecord(
         omega=4.0, t_f=1.0, times=empty, x_dev=empty, z_norm=empty,
-        sample_times=empty, x_samples=np.empty((0, 1)),
-        y_samples=np.empty((0, 1)), x_avg_samples=np.empty((0, 1)),
         failed=True, blowup_time=0.5,
     )
     assert record.max_dev == float("inf")
