@@ -8,7 +8,7 @@ as one block of states) so repeated invocations are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,16 +90,12 @@ def run_compare(
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ConfigurationError(f"omega must be positive and finite, got {omega}")
-    if not (np.isfinite(t_f) and t_f > 0.0):
-        raise ConfigurationError(f"t_f must be positive, got {t_f}")
     if steps_per_period < 8:
         raise ConfigurationError(f"steps_per_period must be >= 8, got {steps_per_period}")
     if avg_steps < 1:
         raise ConfigurationError(f"avg_steps must be >= 1, got {avg_steps}")
 
-    dt = (spec.T / omega) / steps_per_period
-    n_steps = max(1, int(round(t_f / dt)))
-    grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
+    grid = TimeGrid.spanning(0.0, t_f, (spec.T / omega) / steps_per_period)
     v0 = spec.pack(np.asarray(x0, dtype=float), np.asarray(y0, dtype=float))
 
     try:
@@ -127,9 +123,9 @@ def run_compare(
 class LayerFit:
     """Log-linear fit of the fast transient ||y - phi0(x)||.
 
-    rate is normalized by omega: the transient is modeled as
+    rate is normalized by the run's omega: the transient is modeled as
     gamma * z(0) * exp(-rate * omega * t) over the window ending at the
-    first drop below the window fraction of z(0).
+    first drop below 5% of z(0).
     """
 
     rate: float
@@ -138,28 +134,25 @@ class LayerFit:
     t_end: float
 
 
-def fit_boundary_layer(
-    record: RunRecord,
-    omega: float | None = None,
-    window_fraction: float = 0.05,
-    min_points: int = 10,
-) -> LayerFit:
-    """Fit the initial fast-transient decay rate from a run record."""
+def fit_boundary_layer(record: RunRecord) -> LayerFit:
+    """Fit the initial fast-transient decay rate from a run record.
+
+    The fit window needs at least 10 samples before the drop below 5%.
+    """
     if record.failed:
         raise ConfigurationError("cannot fit a boundary layer on a failed run")
-    w = record.omega if omega is None else float(omega)
     t = record.times
     z = record.z_norm
     z0 = float(z[0])
     if not z0 > 0.0:
         raise ConfigurationError("initial layer offset is zero; nothing to fit")
-    below = np.nonzero(z < window_fraction * z0)[0]
+    below = np.nonzero(z < 0.05 * z0)[0]
     end = int(below[0]) + 1 if below.size > 0 else z.shape[0]
-    if end < min_points:
+    if end < 10:
         raise ConfigurationError(
-            f"transient too short to fit: {end} samples before the drop, need {min_points}"
+            f"transient too short to fit: {end} samples before the drop, need 10"
         )
-    tw = w * (t[:end] - t[0])
+    tw = record.omega * (t[:end] - t[0])
     logs = np.log(np.maximum(z[:end], 1e-300))
     slope, intercept = np.polyfit(tw, logs, 1)
     return LayerFit(
@@ -205,7 +198,6 @@ def sweep_convergence(
     t_f: float,
     steps_per_period: int = 400,
     avg_steps: int = 4000,
-    fit_layers: bool = True,
 ) -> SweepReport:
     """Run the full-versus-averaged comparison across a frequency ladder.
 
@@ -235,7 +227,7 @@ def sweep_convergence(
         )
         max_devs.append(record.max_dev)
         fit = None
-        if fit_layers and not record.failed:
+        if not record.failed:
             try:
                 fit = fit_boundary_layer(record)
             except ConfigurationError:
@@ -340,9 +332,9 @@ class StabilityProbeReport:
     horizon: float
     entry_deadline: float
     runs: list[ProbeRun]
-    containment_omega: dict[float, float | None] = dataclass_field(default_factory=dict)
-    entry_omega: dict[float, float | None] = dataclass_field(default_factory=dict)
-    bounded_omega: dict[float, float | None] = dataclass_field(default_factory=dict)
+    containment_omega: dict[float, float | None]
+    entry_omega: dict[float, float | None]
+    bounded_omega: dict[float, float | None]
 
     def as_dict(self) -> dict:
         def grid_map(d: dict[float, float | None]) -> list:
@@ -396,13 +388,12 @@ def probe_seeker_stability(
     horizon: float,
     entry_deadline: float | None = None,
     steps_per_fast_period: int = 100,
-    phase_fractions: Sequence[float] = (0.0, 0.25, 0.5),
 ) -> StabilityProbeReport:
     """Probe the closed-loop seeker on a (radius, frequency) grid.
 
     Initial positions sit on the shell of each radius around the source,
     with an aligned frame and quasi-steady filter; each run is repeated
-    at the given fractions of the frame period as start-time offsets.
+    with start-time offsets of 0, 1/4 and 1/2 of the frame period.
     Containment checks the whole run, entry checks the tail after the
     deadline, and boundedness asks only that nothing diverged.
     """
@@ -422,7 +413,7 @@ def probe_seeker_stability(
         for w in omegas:
             config = SeekerConfig(omega=w, steps_per_fast_period=steps_per_fast_period)
             frame_period = 2.0 * np.pi / w
-            for phase_index, frac in enumerate(phase_fractions):
+            for phase_index, frac in enumerate((0.0, 0.25, 0.5)):
                 t0 = frac * frame_period
                 for direction_index in range(dirs.shape[0]):
                     p0 = p_star + delta * dirs[direction_index]
@@ -546,14 +537,14 @@ def probe_averaged_stability(
     should never raise beyond integration noise).
 
     All starts are integrated together, as one block of states on one
-    time grid; the runs do not interact.  A non-finite state in any run
-    raises DivergenceError for the whole probe.
+    time grid of horizon / dt steps, rounded (TimeGrid.spanning); the
+    runs do not interact.  A non-finite state in any run raises
+    DivergenceError for the whole probe.
     """
     deltas = _shell_radii(deltas)
     field = averaged_seeker_field(fld)
     dirs = shell_directions()
-    n_steps = max(1, int(round(horizon / dt)))
-    grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
+    grid = TimeGrid.spanning(0.0, horizon, dt)
 
     starts = [(delta, i) for delta in deltas for i in range(dirs.shape[0])]
     s0 = np.empty((len(starts), 12))
@@ -563,7 +554,7 @@ def probe_averaged_stability(
     times, flat = integrate_rk4(
         lambda t, s: field(t, s.reshape(s0.shape)).reshape(-1), s0.reshape(-1), grid
     )
-    states = flat.reshape(n_steps + 1, *s0.shape)
+    states = flat.reshape(grid.n_steps + 1, *s0.shape)
     positions = states[:, :, 0:3]
     dist = np.linalg.norm(positions - fld.p_star, axis=2)
     # the height deficit V_c = c(p_star) - c(p), with c taken on the block

@@ -53,6 +53,20 @@ class TimeGrid:
         if self.n_steps < 1:
             raise ConfigurationError(f"TimeGrid n_steps must be >= 1, got {self.n_steps}")
 
+    @classmethod
+    def spanning(cls, t0: float, span: float, dt: float) -> TimeGrid:
+        """The grid from t0 over span in steps of dt, the step count
+        rounded to the nearest integer.  A span of half a step or less
+        rounds to no step and is rejected."""
+        if not (np.isfinite(dt) and dt > 0.0):
+            raise ConfigurationError(f"TimeGrid dt must be positive, got {dt}")
+        steps = span / dt
+        if not (np.isfinite(steps) and steps > 0.5):
+            raise ConfigurationError(
+                f"span must be finite and exceed half a step of dt={dt:g}, got {span:g}"
+            )
+        return cls(t0=float(t0), dt=dt, n_steps=int(round(steps)))
+
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
@@ -155,15 +169,11 @@ def cumulative_simpson(samples: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def jacobian_fd(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    h: float | None = None,
-) -> np.ndarray:
+def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of f at x, shape f(x).shape + (len(x),).
 
     f may be array-valued (a field over a phase grid, say); a scalar
-    value counts as shape (1,).  The per-coordinate step defaults to
+    value counts as shape (1,).  The per-coordinate step is
     cbrt(eps) * (1 + |x_i|).  Columns fill one C-ordered array.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -171,7 +181,7 @@ def jacobian_fd(
         raise DimensionError(f"x must be a non-empty vector, got shape {x.shape}")
     out = None
     for i in range(x.shape[0]):
-        hi = h if h is not None else DEFAULT_FD_STEP * (1.0 + abs(x[i]))
+        hi = DEFAULT_FD_STEP * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += hi

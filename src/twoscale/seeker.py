@@ -53,8 +53,6 @@ FILTER_C = np.array([-1.0, 1.0])
 _E1 = np.array([1.0, 0.0, 0.0])
 _NEG_EYE3 = -np.eye(3)  # the quadratic field's Hessian; handed out only as copies
 
-STATE_DIM = 14  # p (3) + frame columns (9) + filter (2)
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -286,24 +284,20 @@ def cross_check(
     fld: ScalarField,
     p0: np.ndarray,
     R0: np.ndarray,
-    n_frame_periods: int = 1,
-    steps_per_fast_period: int = 400,
 ) -> float:
     """Worst disagreement between the raw and rotating representations.
 
     Both start from the same physical state (the rotating frame equals R
-    at t = 0) and integrate unprojected over whole frame periods
-    2 pi / omega; the raw attitude is compared against Q exp_so3(w t e1)
-    step by step.  Agreement at the integrator's accuracy level
-    certifies that the two right-hand sides describe the same vehicle.
+    at t = 0) and integrate unprojected over one frame period 2 pi / omega
+    at the config's step; the raw attitude is compared against
+    Q exp_so3(w t e1) step by step.  Agreement at the integrator's
+    accuracy level certifies that the two right-hand sides describe the
+    same vehicle.
     """
-    if n_frame_periods < 1:
-        raise ConfigurationError(f"n_frame_periods must be >= 1, got {n_frame_periods}")
     w = config.omega
     s0 = initial_state(fld, p0, R0)
-    dt = (np.pi / w) / steps_per_fast_period
-    n_steps = 2 * steps_per_fast_period * n_frame_periods
-    grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
+    n_steps = 2 * config.steps_per_fast_period
+    grid = TimeGrid(t0=0.0, dt=config.dt, n_steps=n_steps)
 
     times, raw = integrate_rk4(raw_kinematics_field(config, fld), s0, grid)
     _, rot = integrate_rk4(seeker_field(config, fld), s0, grid)
@@ -361,19 +355,17 @@ def simulate_seeker(
 ) -> SeekerTrajectory:
     """Integrate the rotating-frame seeker over [t0, t0 + t_f].
 
-    The step is pi/omega divided by steps_per_fast_period; the frame is
+    The step is pi/omega divided by steps_per_fast_period, and t_f is
+    rounded to a whole number of steps (TimeGrid.spanning); the frame is
     projected back onto the rotation constraint after every step when
     projection is enabled.  stride thins the recording (the final state
     is always kept).  t0 sets the dither phase at the start.
     """
-    if not (np.isfinite(t_f) and t_f > 0.0):
-        raise ConfigurationError(f"t_f must be positive, got {t_f}")
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
     s0 = initial_state(fld, p0, R0, y0=y0)
-    dt = config.dt
-    n_steps = max(1, int(round(t_f / dt)))
-    grid = TimeGrid(t0=float(t0), dt=dt, n_steps=n_steps)
+    grid = TimeGrid.spanning(t0, t_f, config.dt)
+    n_steps = grid.n_steps
     post = _project_state if config.projection else None
     times, states = integrate_rk4(seeker_field(config, fld), s0, grid, post_step=post)
     keep = np.arange(0, n_steps + 1, stride)

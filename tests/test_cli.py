@@ -106,6 +106,9 @@ def test_bvp_check_rejects_bad_cases(tmp_path):
     ("stability-probe", {"deltas": [float("inf")]}, "deltas must be finite, got inf"),
     ("stability-probe", {"system": "full", "deltas": [float("nan")]},
      "deltas must be finite, got nan"),
+    ("stability-probe", {"dt": 1000.0, "horizon": 1.0},
+     "span must be finite and exceed half a step of dt=1000, got 1"),
+    ("simulate", {"t_f": 5e-4}, "span must be finite and exceed half a step of dt=0.00125"),
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1

@@ -168,13 +168,6 @@ def test_layer_fit_recovers_unit_rate():
     assert fit.t_end > 0.0
 
 
-def test_layer_fit_rate_scales_with_supplied_frequency():
-    record = pure_layer_record(omega=20.0)
-    base = fit_boundary_layer(record)
-    halved = fit_boundary_layer(record, omega=40.0)
-    assert abs(halved.rate - base.rate / 2.0) < 1e-12
-
-
 def test_layer_fit_needs_an_offset():
     record = pure_layer_record(omega=20.0, y0=0.0)
     with pytest.raises(ConfigurationError, match="offset is zero"):
@@ -191,9 +184,15 @@ def test_layer_fit_rejects_failed_and_short_runs():
         )
     with pytest.raises(ConfigurationError):
         fit_boundary_layer(failed)
-    record = pure_layer_record(omega=20.0)
-    with pytest.raises(ConfigurationError, match="too short"):
-        fit_boundary_layer(record, min_points=10**6)
+    # the offset falls below 5% at the 9th sample, one short of a fit window
+    times = np.arange(12) * 0.01
+    z_norm = 0.67 ** np.arange(12)
+    short = RunRecord(omega=20.0, t_f=0.11, times=times, x_dev=np.zeros(12), z_norm=z_norm)
+    with pytest.raises(ConfigurationError, match="9 samples before the drop, need 10"):
+        fit_boundary_layer(short)
+    # one sample more is enough
+    short.z_norm = 0.7 ** np.arange(12)
+    assert fit_boundary_layer(short).n_points == 10
 
 
 # ------------------------------------------------------------------ sweep
@@ -250,7 +249,7 @@ def test_sweep_fits_layers_for_offset_starts():
 def test_sweep_report_serializes_to_json():
     omegas = [4.0, 8.0, 16.0, 32.0]
     report = sweep_convergence(*linear_system(), omegas, t_f=0.5,
-                               steps_per_period=64, avg_steps=200, fit_layers=False)
+                               steps_per_period=64, avg_steps=200)
     blob = json.dumps(report.as_dict(), sort_keys=True)
     data = json.loads(blob)
     assert data["omegas"] == omegas

@@ -234,11 +234,6 @@ def test_jacobian_fd_gradient_at_critical_point():
     assert np.max(np.abs(J)) < 1e-9
 
 
-def test_jacobian_fd_explicit_step():
-    J = jacobian_fd(lambda x: np.array([np.sin(x[0])]), np.array([0.7]), h=1e-5)
-    assert abs(J[0, 0] - np.cos(0.7)) < 1e-9
-
-
 def test_jacobian_fd_array_valued_map():
     # a field over K phases: f(x)[k] = (x0 cos t_k + x1^2, x0 x1 sin t_k)
     taus = np.linspace(0.0, 6.0, 7)
@@ -284,6 +279,23 @@ def test_time_grid_validation_and_end():
         TimeGrid(t0=0.0, dt=0.1, n_steps=0)
     with pytest.raises(ConfigurationError):
         TimeGrid(t0=np.inf, dt=0.1, n_steps=4)
+
+
+def test_time_grid_spanning_rounds_to_the_nearest_step():
+    grid = TimeGrid.spanning(0.5, 1.0, 0.3)
+    assert (grid.t0, grid.dt, grid.n_steps) == (0.5, 0.3, 3)
+    assert TimeGrid.spanning(0.0, 0.51, 1.0).n_steps == 1
+    assert TimeGrid.spanning(0.0, 1.49, 1.0).n_steps == 1
+    assert TimeGrid.spanning(0.0, 1.51, 1.0).n_steps == 2
+
+
+@pytest.mark.parametrize("span,dt", [
+    (0.5, 1.0), (0.4, 1.0), (1.0, 1000.0), (0.0, 0.1), (-1.0, 0.1),
+    (np.inf, 0.1), (np.nan, 0.1), (1.0, 0.0), (1.0, -0.1), (1.0, np.nan),
+])
+def test_time_grid_spanning_rejects_spans_without_a_step(span, dt):
+    with pytest.raises(ConfigurationError):
+        TimeGrid.spanning(0.0, span, dt)
 
 
 def test_rk4_zero_field_is_constant():
