@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .numkit import mat_exp
 from .seeker import ScalarField, builtin_fields
 from .system import OscillatorySystemSpec
@@ -190,5 +191,5 @@ def field_by_name(name: str) -> ScalarField:
     """Look up a built-in scalar field, with a helpful error."""
     fields = builtin_fields()
     if name not in fields:
-        raise KeyError(f"unknown field {name!r}; choices: {sorted(fields)}")
+        raise ConfigurationError(f"unknown field {name!r}; choices: {sorted(fields)}")
     return fields[name]

@@ -169,6 +169,16 @@ def _positive(cfg: dict, key: str) -> float:
     return v
 
 
+def _whole(cfg: dict, key: str) -> int:
+    """An integer setting: a JSON integer, or a float with no fraction."""
+    v = cfg[key]
+    if isinstance(v, bool) or not (
+        isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    ):
+        raise ConfigurationError(f"{key} must be a whole number, got {v!r}")
+    return int(v)
+
+
 def _tolerance(cfg: dict) -> float:
     # zero is a legal (if unsatisfiable) threshold: the check then reports
     # a criterion failure rather than a config error
@@ -200,13 +210,15 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
     if not (np.isfinite(t_f) and t_f >= 0.0):
         raise ConfigurationError(f"t_f must be >= 0, got {cfg['t_f']}")
     # checked here because the t_f = 0 row never reaches simulate_seeker
-    stride = int(cfg["stride"])
+    stride = _whole(cfg, "stride")
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
+    if not isinstance(cfg["projection"], bool):
+        raise ConfigurationError(f"projection must be true or false, got {cfg['projection']!r}")
     config = SeekerConfig(
         omega=omega,
-        steps_per_fast_period=int(cfg["steps_per_fast_period"]),
-        projection=bool(cfg["projection"]),
+        steps_per_fast_period=_whole(cfg, "steps_per_fast_period"),
+        projection=cfg["projection"],
     )
 
     header = (
@@ -246,17 +258,17 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 def cmd_average_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
     fld = field_by_name(str(cfg["field"]))
-    n_states = int(cfg["n_states"])
+    n_states = _whole(cfg, "n_states")
     if n_states < 1:
         raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
     tol = _tolerance(cfg)
-    panels = int(cfg["panels"])
+    panels = _whole(cfg, "panels")
 
     spec = as_system_spec(fld)
     bundle = build_bundle(spec, n_panels=panels)
     closed = averaged_seeker_field(fld)
 
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(_whole(cfg, "seed"))
     errors = []
     for _ in range(n_states):
         x = _random_seeker_state(rng)
@@ -308,8 +320,8 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
     report = sweep_convergence(
         spec, averaged, x0, y0, omegas, t_f,
-        steps_per_period=int(cfg["steps_per_period"]),
-        avg_steps=int(cfg["avg_steps"]),
+        steps_per_period=_whole(cfg, "steps_per_period"),
+        avg_steps=_whole(cfg, "avg_steps"),
     )
     diverged = any(not np.isfinite(e) for e in report.max_devs)
     slope_ok = report.slope <= slope_max
@@ -359,7 +371,7 @@ def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
             omegas=[float(w) for w in cfg["omegas"]],
             horizon=horizon,
             entry_deadline=None if deadline is None else float(deadline),
-            steps_per_fast_period=int(cfg["steps_per_fast_period"]),
+            steps_per_fast_period=_whole(cfg, "steps_per_fast_period"),
         )
         payload = report.as_dict()
         payload["system"] = system
@@ -373,9 +385,9 @@ def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    panels = int(cfg["panels"])
+    panels = _whole(cfg, "panels")
     tol = _tolerance(cfg)
-    n_states = int(cfg["n_states"])
+    n_states = _whole(cfg, "n_states")
     if n_states < 1:
         raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
     case_names = cfg["cases"]
@@ -401,7 +413,7 @@ def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
             bundle = build_bundle(spec, n_panels=panels)
             b1 = bundle.phi1.b
             b2 = bundle.phi2.b
-            rng = np.random.default_rng(int(cfg["seed"]))
+            rng = np.random.default_rng(_whole(cfg, "seed"))
             residuals = []
             for _ in range(n_states):
                 x = _random_seeker_state(rng)

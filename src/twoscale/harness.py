@@ -72,28 +72,26 @@ def _interp_rows(t_query: np.ndarray, t_data: np.ndarray, rows: np.ndarray) -> n
 
 def run_compare(
     spec: OscillatorySystemSpec,
-    averaged: Callable[[float, np.ndarray], np.ndarray],
+    reference: tuple[np.ndarray, np.ndarray],
     x0: np.ndarray,
     y0: np.ndarray,
     omega: float,
     t_f: float,
     steps_per_period: int = 400,
-    avg_steps: int = 4000,
 ) -> RunRecord:
-    """Integrate the full system and its average from matched starts.
+    """Integrate the full system from (x0, y0) and compare it with a
+    given averaged path.
 
-    averaged(t, x) is the averaged right-hand side.  The full run
-    resolves the fast phase with steps_per_period RK4 steps per t-period
-    T/omega; the averaged run uses a coarse grid and is interpolated onto
-    the fast times.  A diverging full run is recorded as failed with its
-    blow-up time rather than raised.
+    reference is the averaged run as (times, states), the pair
+    integrate_rk4 returns; it is interpolated onto the full run's times.
+    The full run resolves the fast phase with steps_per_period RK4 steps
+    per t-period T/omega.  A diverging full run is recorded as failed
+    with its blow-up time rather than raised.
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ConfigurationError(f"omega must be positive and finite, got {omega}")
     if steps_per_period < 8:
         raise ConfigurationError(f"steps_per_period must be >= 8, got {steps_per_period}")
-    if avg_steps < 1:
-        raise ConfigurationError(f"avg_steps must be >= 1, got {avg_steps}")
 
     grid = TimeGrid.spanning(0.0, t_f, (spec.T / omega) / steps_per_period)
     v0 = spec.pack(np.asarray(x0, dtype=float), np.asarray(y0, dtype=float))
@@ -107,9 +105,7 @@ def run_compare(
             failed=True, blowup_time=err.time,
         )
 
-    avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
-    avg_times, avg_states = integrate_rk4(averaged, np.asarray(x0, dtype=float), avg_grid)
-    x_avg_full = _interp_rows(times, avg_times, avg_states)
+    x_avg_full = _interp_rows(times, *reference)
 
     x_full = states[:, : spec.n]
     y_full = states[:, spec.n :]
@@ -201,11 +197,13 @@ def sweep_convergence(
 ) -> SweepReport:
     """Run the full-versus-averaged comparison across a frequency ladder.
 
-    Every rung starts the system and its average from (x0, y0); the
-    decomposition is frequency-free, so one spec serves the whole ladder.
+    Every rung starts the full system from (x0, y0); the decomposition is
+    frequency-free, so one spec serves the whole ladder, and so does one
+    averaged path: averaged(t, x) is integrated once from x0 over t_f in
+    avg_steps RK4 steps, and every rung compares against that run.
     Requires at least four strictly increasing frequencies so the slope
     fit means something.  A run whose layer fit is degenerate reports None
-    for its rate; a diverging run reports an infinite deviation.
+    for its rate; a diverging full run reports an infinite deviation.
     """
     omegas = [float(w) for w in omegas]
     # checked before the first run, so a bad top rung costs no lower runs
@@ -216,14 +214,17 @@ def sweep_convergence(
         raise ConfigurationError(f"need at least 4 frequencies, got {len(omegas)}")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ConfigurationError("frequencies must be strictly increasing")
+    if avg_steps < 1:
+        raise ConfigurationError(f"avg_steps must be >= 1, got {avg_steps}")
 
+    avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
+    reference = integrate_rk4(averaged, np.asarray(x0, dtype=float), avg_grid)
     max_devs: list[float] = []
     layer_rates: list[float | None] = []
     layer_gammas: list[float | None] = []
     for w in omegas:
         record = run_compare(
-            spec, averaged, x0, y0, w, t_f,
-            steps_per_period=steps_per_period, avg_steps=avg_steps,
+            spec, reference, x0, y0, w, t_f, steps_per_period=steps_per_period,
         )
         max_devs.append(record.max_dev)
         fit = None
@@ -551,10 +552,7 @@ def probe_averaged_stability(
     for b, (delta, i) in enumerate(starts):
         p0 = fld.p_star + delta * dirs[i]
         s0[b] = np.concatenate([p0, embed(aligned_frame(fld.grad(p0)))])
-    times, flat = integrate_rk4(
-        lambda t, s: field(t, s.reshape(s0.shape)).reshape(-1), s0.reshape(-1), grid
-    )
-    states = flat.reshape(grid.n_steps + 1, *s0.shape)
+    times, states = integrate_rk4(field, s0, grid)
     positions = states[:, :, 0:3]
     dist = np.linalg.norm(positions - fld.p_star, axis=2)
     # the height deficit V_c = c(p_star) - c(p), with c taken on the block

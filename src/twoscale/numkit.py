@@ -215,17 +215,16 @@ def integrate_rk4(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over the grid; returns (times, states).
 
-    states[k] is the state at times[k]; every step is recorded.
-    post_step, when given, is applied to the state after each step
-    (constraint projection hooks).  Raises DivergenceError at the first
-    non-finite step, and also when post_step raises ManifoldError on a
-    finite state that has drifted too far to project back.
+    x0 is a vector or a block such as (B, d) of independent runs;
+    states[k], of x0's shape, is the state at times[k].  post_step, when
+    given, is applied to the state after each step (constraint projection
+    hooks).  Raises DivergenceError at the first step with a non-finite
+    entry anywhere in the state, and also when post_step raises
+    ManifoldError on a finite state that has drifted too far to project back.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if x.ndim != 1:
-        raise DimensionError(f"x0 must be a vector, got shape {x.shape}")
     times = grid.times()
-    out = np.empty((grid.n_steps + 1, x.shape[0]))
+    out = np.empty((grid.n_steps + 1,) + x.shape)
     out[0] = x
     for k in range(grid.n_steps):
         x = rk4_step(field, times[k], x, grid.dt)

@@ -18,6 +18,7 @@ import pytest
 from twoscale import cli
 from twoscale.benchmarks import field_by_name
 from twoscale.harness import fit_boundary_layer, run_compare
+from twoscale.numkit import TimeGrid, integrate_rk4
 from twoscale.seeker import SeekerConfig, as_system_spec, averaged_seeker_field, cross_check
 from twoscale.so3 import embed
 
@@ -106,7 +107,9 @@ def layer_fit_pipeline():
     def build_and_fit():
         fld = field_by_name("log")
         x0 = np.concatenate([[6.0, 2.0, -2.0], embed(np.eye(3))])
-        record = run_compare(as_system_spec(fld), averaged_seeker_field(fld), x0,
+        avg_grid = TimeGrid(t0=0.0, dt=2.0 / 4000, n_steps=4000)
+        reference = integrate_rk4(averaged_seeker_field(fld), x0, avg_grid)
+        record = run_compare(as_system_spec(fld), reference, x0,
                              np.zeros(2), omega=OMEGA, t_f=2.0)
         return record, fit_boundary_layer(record)
 

@@ -16,6 +16,7 @@ from twoscale.benchmarks import (
     linear_benchmark,
 )
 from twoscale.cli import DEFAULTS
+from twoscale.errors import ConfigurationError
 from twoscale.numkit import mat_exp, quad_periodic
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
@@ -129,7 +130,7 @@ def test_seeker_builder_custom_start():
 def test_field_by_name_lookup():
     assert field_by_name("log").name == "log"
     assert field_by_name("quadratic").name == "quadratic"
-    with pytest.raises(KeyError, match="choices"):
+    with pytest.raises(ConfigurationError, match="choices"):
         field_by_name("gaussian")
 
 

@@ -91,6 +91,23 @@ def test_bvp_check_rejects_bad_cases(tmp_path):
     assert run_cmd("bvp-check", tmp_path, {"cases": ["heat-1d"]}) == 1
 
 
+# each count key, in every command that reads it: int() would truncate 2.5
+# to 2 and read true as 1
+_WHOLE_KEYS = [
+    ("simulate", "stride", {}),
+    ("simulate", "steps_per_fast_period", {}),
+    ("sweep", "steps_per_period", {}),
+    ("sweep", "avg_steps", {}),
+    ("average-check", "n_states", {}),
+    ("average-check", "panels", {}),
+    ("average-check", "seed", {}),
+    ("bvp-check", "n_states", {}),
+    ("bvp-check", "panels", {}),
+    ("bvp-check", "seed", {}),
+    ("stability-probe", "steps_per_fast_period", {"system": "full"}),
+]
+
+
 @pytest.mark.parametrize("command,bad,message", [
     ("stability-probe", {"deltas": 6.0}, "not iterable"),
     ("sweep", {"omegas": 5}, "not iterable"),
@@ -109,6 +126,12 @@ def test_bvp_check_rejects_bad_cases(tmp_path):
     ("stability-probe", {"dt": 1000.0, "horizon": 1.0},
      "span must be finite and exceed half a step of dt=1000, got 1"),
     ("simulate", {"t_f": 5e-4}, "span must be finite and exceed half a step of dt=0.00125"),
+    # bool("false") is True: a string would silently run projected
+    ("simulate", {"t_f": 0.5, "projection": "false"},
+     "error: projection must be true or false, got 'false'"),
+    ("average-check", {"field": "nope"}, "error: unknown field 'nope'; choices: "),
+    *[(command, {**base, key: bad}, f"error: {key} must be a whole number, got {bad!r}")
+      for command, key, base in _WHOLE_KEYS for bad in (2.5, True, "4")],
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1
@@ -116,6 +139,13 @@ def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
     assert not (tmp_path / "out" / DEFAULTS[command]["output"]).exists()
+
+
+def test_integer_keys_accept_whole_floats(tmp_path):
+    assert run_cmd("simulate", tmp_path, {"t_f": 0.5, "stride": 2.0}, out_name="float") == 0
+    assert run_cmd("simulate", tmp_path, {"t_f": 0.5, "stride": 2}, out_name="int") == 0
+    written = [(tmp_path / name / "trajectory.csv").read_bytes() for name in ("float", "int")]
+    assert written[0] == written[1]
 
 
 def test_probe_rejects_unknown_system(tmp_path):

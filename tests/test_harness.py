@@ -27,7 +27,7 @@ from twoscale.harness import (
 from twoscale.numkit import TimeGrid, integrate_rk4
 from twoscale.seeker import averaged_seeker_field, builtin_fields, lyapunov_value_and_rate
 from twoscale.so3 import embed, manifold_residual
-from twoscale.system import OscillatorySystemSpec
+from twoscale.system import OscillatorySystemSpec, assemble_full_field
 
 
 def zero_spec():
@@ -67,13 +67,19 @@ def zero_avg(t, x):
     return np.zeros_like(x)
 
 
+def averaged_path(averaged, x0, t_f, avg_steps):
+    """The averaged run a sweep shares across its ladder, as (times, states)."""
+    grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
+    return integrate_rk4(averaged, np.asarray(x0, dtype=float), grid)
+
+
 # ---------------------------------------------------------------- run_compare
 
 
 def test_zero_system_has_zero_deviation():
     record = run_compare(
-        zero_spec(), zero_avg, np.zeros(1), np.zeros(1), omega=8.0, t_f=1.0,
-        steps_per_period=32, avg_steps=64,
+        zero_spec(), averaged_path(zero_avg, np.zeros(1), 1.0, 64), np.zeros(1),
+        np.zeros(1), omega=8.0, t_f=1.0, steps_per_period=32,
     )
     assert not record.failed
     assert record.max_dev == 0.0
@@ -83,8 +89,8 @@ def test_zero_system_has_zero_deviation():
 def test_linear_benchmark_tracks_closed_form_average():
     bench = linear_benchmark()
     record = run_compare(
-        bench.spec, bench.averaged_field, bench.x0, bench.y0,
-        omega=16.0 * np.pi, t_f=2.0,
+        bench.spec, averaged_path(bench.averaged_field, bench.x0, 2.0, 4000),
+        bench.x0, bench.y0, omega=16.0 * np.pi, t_f=2.0,
     )
     # the full system stays within the first-order band of the average
     assert record.max_dev < 0.05
@@ -92,11 +98,13 @@ def test_linear_benchmark_tracks_closed_form_average():
 
 def test_averaged_run_follows_closed_form_flow():
     # the zero system stays at x0 while the average decays as x0 exp(-t),
-    # so the deviation is the closed form x0 (1 - exp(-t)) at every step
+    # so the deviation is the closed form x0 (1 - exp(-t)) at every step;
+    # the reference path is that flow sampled on 2,000 steps
     x0 = np.array([0.7])
+    avg_times = np.linspace(0.0, 2.0, 2001)
+    reference = (avg_times, x0 * np.exp(-avg_times)[:, None])
     record = run_compare(
-        zero_spec(), lambda t, x: -x, x0, np.zeros(1), omega=8.0, t_f=2.0,
-        steps_per_period=32, avg_steps=2000,
+        zero_spec(), reference, x0, np.zeros(1), omega=8.0, t_f=2.0, steps_per_period=32,
     )
     exact = x0[0] * (1.0 - np.exp(-record.times))
     assert np.max(np.abs(record.x_dev - exact)) < 1e-6
@@ -104,11 +112,12 @@ def test_averaged_run_follows_closed_form_flow():
 
 def test_deviation_shrinks_with_frequency():
     bench = linear_benchmark()
+    reference = averaged_path(bench.averaged_field, bench.x0, 2.0, 1000)
 
     def dev(w):
         record = run_compare(
-            bench.spec, bench.averaged_field, bench.x0, bench.y0,
-            omega=w, t_f=2.0, steps_per_period=200, avg_steps=1000,
+            bench.spec, reference, bench.x0, bench.y0,
+            omega=w, t_f=2.0, steps_per_period=200,
         )
         return record.max_dev
 
@@ -120,8 +129,8 @@ def test_diverging_run_recorded_not_raised():
     spec.f2 = lambda x, y, tau: np.full(np.shape(tau) + (1,), x[0] ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
         record = run_compare(
-            spec, zero_avg, np.array([2.0]), np.zeros(1), omega=8.0, t_f=2.0,
-            steps_per_period=64, avg_steps=64,
+            spec, averaged_path(zero_avg, [2.0], 2.0, 64), np.array([2.0]), np.zeros(1),
+            omega=8.0, t_f=2.0, steps_per_period=64,
         )
     assert record.failed
     assert record.blowup_time is not None
@@ -131,18 +140,15 @@ def test_diverging_run_recorded_not_raised():
 
 def test_run_compare_validation():
     spec = zero_spec()
+    reference = averaged_path(zero_avg, np.zeros(1), 1.0, 10)
     with pytest.raises(ConfigurationError):
-        run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), 8.0, t_f=0.0)
+        run_compare(spec, reference, np.zeros(1), np.zeros(1), 8.0, t_f=0.0)
     with pytest.raises(ConfigurationError):
-        run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), 8.0, t_f=1.0,
+        run_compare(spec, reference, np.zeros(1), np.zeros(1), 8.0, t_f=1.0,
                     steps_per_period=4)
     for omega in (0.0, float("inf"), float("nan")):
         with pytest.raises(ConfigurationError, match="omega"):
-            run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), omega, t_f=1.0)
-    for avg_steps in (0, -3):
-        with pytest.raises(ConfigurationError, match="avg_steps"):
-            run_compare(spec, zero_avg, np.zeros(1), np.zeros(1), 8.0, t_f=1.0,
-                        avg_steps=avg_steps)
+            run_compare(spec, reference, np.zeros(1), np.zeros(1), omega, t_f=1.0)
 
 
 # ---------------------------------------------------------- boundary layer fit
@@ -153,8 +159,8 @@ def pure_layer_record(omega=20.0, y0=1.0, A=None):
     m = spec.m
     y_init = np.full(m, y0) if np.isscalar(y0) else np.asarray(y0)
     return run_compare(
-        spec, zero_avg, np.zeros(1), y_init, omega=omega, t_f=2.0,
-        steps_per_period=400, avg_steps=100,
+        spec, averaged_path(zero_avg, np.zeros(1), 2.0, 100), np.zeros(1), y_init,
+        omega=omega, t_f=2.0, steps_per_period=400,
     )
 
 
@@ -179,8 +185,8 @@ def test_layer_fit_rejects_failed_and_short_runs():
     spec.f2 = lambda x, y, tau: np.full(np.shape(tau) + (1,), x[0] ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
         failed = run_compare(
-            spec, zero_avg, np.array([2.0]), np.zeros(1), omega=8.0, t_f=2.0,
-            steps_per_period=64, avg_steps=64,
+            spec, averaged_path(zero_avg, [2.0], 2.0, 64), np.array([2.0]), np.zeros(1),
+            omega=8.0, t_f=2.0, steps_per_period=64,
         )
     with pytest.raises(ConfigurationError):
         fit_boundary_layer(failed)
@@ -214,11 +220,51 @@ def test_sweep_rejects_bad_frequencies_before_any_run(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before the ladder was checked")
 
+    # neither a full run nor the shared averaged run may start
     monkeypatch.setattr(harness, "run_compare", no_run)
+    monkeypatch.setattr(harness, "integrate_rk4", no_run)
     for ladder in ([8.0, 16.0, 32.0, float("inf")], [8.0, 16.0, 32.0, float("nan")],
                    [-8.0, 16.0, 32.0, 64.0]):
         with pytest.raises(ConfigurationError, match="positive and finite"):
             sweep_convergence(*linear_system(), ladder, t_f=1.0)
+    for avg_steps in (0, -3):
+        with pytest.raises(ConfigurationError, match=f"avg_steps must be >= 1, got {avg_steps}"):
+            sweep_convergence(*linear_system(), [8.0, 16.0, 32.0, 64.0], t_f=1.0,
+                              avg_steps=avg_steps)
+
+
+def _per_rung_max_devs(spec, averaged, x0, y0, omegas, t_f, steps_per_period, avg_steps):
+    """Oracle: every rung integrates the full system and, separately, its
+    own copy of the averaged run, then takes the largest slow deviation."""
+    devs = []
+    for w in omegas:
+        grid = TimeGrid.spanning(0.0, t_f, (spec.T / w) / steps_per_period)
+        times, states = integrate_rk4(assemble_full_field(spec, w), spec.pack(x0, y0), grid)
+        avg_times, avg_states = averaged_path(averaged, x0, t_f, avg_steps)
+        x_avg = np.column_stack([np.interp(times, avg_times, avg_states[:, j])
+                                 for j in range(spec.n)])
+        devs.append(float(np.max(np.abs(states[:, : spec.n] - x_avg))))
+    return devs
+
+
+@pytest.mark.parametrize("n_rungs", [4, 5])
+def test_sweep_integrates_its_average_once(n_rungs):
+    spec, averaged, x0, y0 = linear_system()
+    calls = []
+
+    def counting(t, x):
+        calls.append(t)
+        return averaged(t, x)
+
+    omegas = [4.0 * 2.0**k for k in range(n_rungs)]
+    t_f, steps_per_period, avg_steps = 0.5, 32, 50
+    report = sweep_convergence(spec, counting, x0, y0, omegas, t_f,
+                               steps_per_period=steps_per_period, avg_steps=avg_steps)
+    # four RHS calls per RK4 step of the one shared averaged run
+    assert len(calls) == 4 * avg_steps
+    expected = _per_rung_max_devs(spec, averaged, x0, y0, omegas, t_f,
+                                  steps_per_period, avg_steps)
+    assert report.max_devs == expected
 
 
 def test_sweep_linear_benchmark_first_order_trend():

@@ -401,7 +401,54 @@ def test_rk4_post_step_manifold_error_is_divergence():
     assert "projection failed" in str(err)
 
 
-def test_rk4_rejects_matrix_state():
-    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=1)
-    with pytest.raises(DimensionError):
-        integrate_rk4(lambda t, x: x, np.zeros((2, 2)), grid)
+def _rowwise_field(t, x):
+    # arithmetic only, so each row of a block rounds as it does alone
+    return t * x[..., ::-1] - x * x * x
+
+
+def test_rk4_block_rows_match_rows_integrated_alone():
+    grid = TimeGrid(t0=0.1, dt=0.01, n_steps=300)
+    x0 = np.random.default_rng(5).uniform(-2.0, 2.0, size=(6, 3))
+    times, states = integrate_rk4(_rowwise_field, x0, grid)
+    assert states.shape == (301, 6, 3)
+    assert np.array_equal(states[0], x0)
+    for b in range(x0.shape[0]):
+        alone_times, alone = integrate_rk4(_rowwise_field, x0[b], grid)
+        assert np.array_equal(alone_times, times)
+        assert np.array_equal(states[:, b, :], alone)
+
+
+def test_rk4_post_step_receives_the_block():
+    grid = TimeGrid(t0=0.0, dt=0.05, n_steps=40)
+    x0 = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+    seen = []
+
+    def renorm(s):
+        seen.append(s.shape)
+        return s / np.linalg.norm(s, axis=-1, keepdims=True)
+
+    def field(t, s):
+        return np.stack([s[..., 1], -s[..., 0]], axis=-1)
+
+    _, states = integrate_rk4(field, x0, grid, post_step=renorm)
+    assert seen == [(3, 2)] * 40
+    for b in range(3):
+        _, alone = integrate_rk4(field, x0[b], grid, post_step=renorm)
+        assert np.array_equal(states[:, b, :], alone)
+
+
+def test_rk4_nan_in_one_row_raises_for_the_block():
+    # row 1 turns NaN in the step that ends at t = 0.3; the other rows stay finite
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=10)
+
+    def field(t, x):
+        out = -x
+        if t > 0.25:
+            out = out.copy()
+            out[1] = np.nan
+        return out
+
+    with pytest.raises(DivergenceError) as exc_info:
+        integrate_rk4(field, np.ones((3, 2)), grid)
+    assert exc_info.value.step == 3
+    assert abs(exc_info.value.time - 0.3) < 1e-12
