@@ -5,13 +5,12 @@ Pipeline: restrict the oscillatory fields to the quasi-steady manifold
 correctors (build_b / solve_periodic_bvp), then average the reduced
 system including the Lie-bracket term (average).
 
-Everything lives on one uniform phase grid with an even panel count.
+Everything lives on one uniform phase grid with an even panel count, and
+both periodic problems are diagonal in its Fourier modes: a corrector is
+one small linear solve per mode, the bracket's mean one Parseval sum.
 The spec's phase fields are evaluated by one phase_terms call per grid
-(the contract in OscillatorySystemSpec), and a corrector evaluated at
-every grid-shifted phase is one circular correlation of its quadrature
-samples, done by FFT.  That keeps the finite-difference x-Jacobians
-needed by the second corrector source at O(n) grid sweeps instead of
-O(n * panels) point solves.
+(the contract in OscillatorySystemSpec), which keeps the slow-state
+finite-difference Jacobians at O(n) grid sweeps.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .numkit import cumulative_simpson, jacobian_fd, mat_exp, simpson_rule
+from .numkit import jacobian_fd
 from .system import OscillatorySystemSpec, grid_terms, phase_values
 
 __all__ = [
@@ -38,8 +37,8 @@ __all__ = [
     "values_at",
 ]
 
-# 1 - e^{T A} must be safely invertible; beyond this the layer matrix is
-# effectively resonant and the corrector problem ill-posed
+# each mode matrix i k w0 I - A must be safely invertible; beyond this the
+# layer matrix is effectively resonant and the corrector problem ill-posed
 _MAX_CONDITION = 1e12
 
 
@@ -70,13 +69,23 @@ def values_at(fun, x, taus: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(fun(x, t), dtype=float) for t in taus])
 
 
+def _phase_grid(T: float, n_panels: int) -> np.ndarray:
+    """The n_panels uniform phases k T / n_panels of one period, k < n_panels."""
+    if n_panels < 2 or n_panels % 2 != 0:
+        raise ConfigurationError(f"n_panels must be even and >= 2, got {n_panels}")
+    if not (np.isfinite(T) and T > 0.0):
+        raise ConfigurationError(f"period T must be positive, got {T}")
+    return (T / n_panels) * np.arange(n_panels)
+
+
 class CorrectorSolution:
     """Periodic solution of d phi/d tau = A phi + b(x, tau).
 
-    Evaluated through the one-period variation-of-constants formula
-    phi(x, tau) = (I - e^{T A})^{-1} * integral_0^T e^{(T-s) A}
-    b(x, s + tau) ds with composite Simpson quadrature on n_panels
-    subintervals.  The node exponentials are cached at construction; x is
+    Solved mode by mode on n_panels uniform phases (Trefethen, Spectral
+    Methods in MATLAB, ch. 3): with w0 = 2 pi / T, the k-th Fourier mode
+    of phi is (i k w0 I - A)^{-1} times that of b.  This is exact to
+    rounding for a trigonometric-polynomial source of degree below
+    n_panels / 2.  The mode inverses are cached at construction; x is
     passed through to b untouched.
     """
 
@@ -84,7 +93,9 @@ class CorrectorSolution:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got shape {A.shape}")
-        nodes, weights = simpson_rule(T, n_panels)
+        self._taus = _phase_grid(T, n_panels)
+        if not np.all(np.isfinite(A)):
+            raise ConfigurationError("A contains non-finite entries")
         self.A = A
         self.b = b
         self.T = float(T)
@@ -92,37 +103,23 @@ class CorrectorSolution:
         self.m = A.shape[0]
         self.h = self.T / self.n_panels
 
-        N = self.n_panels
-        step = mat_exp(A, self.h)
-        E = np.empty((N + 1, self.m, self.m))
-        E[N] = np.eye(self.m)
-        for j in range(N - 1, -1, -1):
-            E[j] = E[j + 1] @ step
-        M = np.eye(self.m) - E[0]
-        # exact resonance (exp(T A) = I) leaves M made of pure roundoff,
-        # which can be well-conditioned as a matrix, so check the smallest
-        # singular value against both the spread and an absolute floor
-        sv = np.linalg.svd(M, compute_uv=False)
-        smin, smax = float(sv[-1]), float(sv[0])
-        if not np.isfinite(smax) or smin <= max(smax / _MAX_CONDITION, 1e-12):
+        k = np.arange(self.n_panels // 2 + 1)
+        modes = (1j * (2.0 * np.pi / self.T)) * k[:, None, None] * np.eye(self.m) - A
+        # a resonant mode is pure roundoff, which can be well-conditioned, so
+        # test its smallest singular value against the spread and a floor
+        sv = np.linalg.svd(modes, compute_uv=False)
+        bad = np.flatnonzero(sv[:, -1] <= np.maximum(sv[:, 0] / _MAX_CONDITION, 1e-12))
+        if bad.size:
             raise ConfigurationError(
-                "I - exp(T A) is numerically singular (smallest singular "
-                f"value {smin:.3g}); the layer matrix must be Hurwitz"
+                f"i k w0 I - A is numerically singular at mode k = {bad[0]} (smallest "
+                f"singular value {sv[bad[0], -1]:.3g}); the layer matrix must be Hurwitz"
             )
-        P = np.linalg.solve(M, np.eye(self.m))
-        # fold the duplicate endpoint: nodes 0 and T hit the same phase
-        C = weights[:, None, None] * E
-        C[0] += C[N]
-        self._PC = P @ C[:N]
-        # spectrum of the weights for the grid sweep's circular correlation
-        self._PC_hat_conj = np.conj(np.fft.rfft(self._PC, axis=0))
+        self._inv = np.linalg.inv(modes)
 
     def _sample_b(self, x, offset: float) -> np.ndarray:
         # the representation is T-periodic by construction, so phase-reducing
         # the offset is exact and keeps large arguments out of the trig calls
-        offset = float(offset) % self.T
-        taus = offset + self.h * np.arange(self.n_panels)
-        vals = values_at(self.b, x, taus)
+        vals = values_at(self.b, x, float(offset) % self.T + self._taus)
         if vals.shape != (self.n_panels, self.m):
             raise DimensionError(
                 f"source returned shape {vals.shape}, expected ({self.n_panels}, {self.m})"
@@ -130,19 +127,12 @@ class CorrectorSolution:
         return vals
 
     def __call__(self, x, tau: float) -> np.ndarray:
-        beta = self._sample_b(x, float(tau))
-        return np.einsum("lij,lj->i", self._PC, beta)
+        return self.values_on_grid(x, tau)[0]
 
     def values_on_grid(self, x, offset: float = 0.0) -> np.ndarray:
-        """phi(x, offset + k h) for k = 0..n_panels, shape (n_panels+1, m).
-
-        The last row repeats the first by periodicity of the formula.
-        """
-        beta = self._sample_b(x, float(offset))
-        # vals[k] = sum_l PC[l] beta[(l + k) mod N] is a circular
-        # correlation: frequency by frequency, conj(PC^) times beta^
-        beta_hat = np.fft.rfft(beta, axis=0)
-        vals = np.fft.irfft(_contract(self._PC_hat_conj, beta_hat), n=self.n_panels, axis=0)
+        """phi(x, offset + k h) for k = 0..n_panels; the last row repeats the first."""
+        beta_hat = np.fft.rfft(self._sample_b(x, float(offset)), axis=0)
+        vals = np.fft.irfft(_contract(self._inv, beta_hat), n=self.n_panels, axis=0)
         return np.vstack([vals, vals[:1]])
 
     def values_at(self, x, taus: np.ndarray) -> np.ndarray:
@@ -307,40 +297,37 @@ def build_reduced(spec: OscillatorySystemSpec, phi1: CorrectorSolution) -> Reduc
 class AveragedSystem:
     """Phase average of the reduced system, bracket term included.
 
-    fbar(x) = (1/T) * integral over one period of
-        f2_tilde + (1/2) [F, f1_tilde],   F(x, tau) = integral_0^tau f1_tilde,
-    with the bracket [u, v] = (Dv) u - (Du) v.  Slow-state Jacobians are
-    central differences (jacobian_fd) of manifold-restricted grid sweeps.
+    fbar(x) = mean over one period of f2_tilde + (1/2) [F, f1_tilde], with
+    [u, v] = (Dv) u - (Du) v and F the zero-mean antiderivative of f1_tilde.
+    On N uniform phases, f2_tilde gives its grid mean and the bracket a
+    Parseval sum over the modes G^_k of f1_tilde and dG^_k of its slow-state
+    Jacobian (jacobian_fd): with F^_k = G^_k / (i k w0), w0 = 2 pi / T, it is
+    -(1/2) sum_k w_k Im(dG^_k conj G^_k), w_k = c_k 2 / (k w0 N^2), c_k = 2
+    for 0 < k < N/2, 1 at N/2 and 0 at k = 0 (Trefethen, Spectral Methods in
+    MATLAB, ch. 3).  This assumes f1 has zero phase mean at every state, as
+    check_assumption_A checks: F then has no secular part, and its constant
+    of integration drops out of the bracket's mean.
     """
 
     def __init__(self, reduced: ReducedSystem, n_panels: int = 256):
         self.reduced = reduced
         self.n_panels = int(n_panels)
-        nodes, weights = simpson_rule(reduced.T, n_panels)
-        self._nodes = nodes
-        self._weights = weights
+        self._taus = _phase_grid(reduced.T, n_panels)
+        N = self.n_panels
+        k = np.arange(1, N // 2 + 1)
+        c = np.where(k < N // 2, 2.0, 1.0)
+        self._weights = c * 2.0 / (k * (2.0 * np.pi / reduced.T) * N**2)
 
     def fbar(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.reduced.n,):
             raise DimensionError(f"x must have shape ({self.reduced.n},), got {x.shape}")
         red = self.reduced
-        taus = self._nodes
-        h = taus[1] - taus[0]
-
-        def f1_and_integral(w: np.ndarray) -> np.ndarray:
-            G = red.f1_values(w, taus)
-            return np.stack([G, cumulative_simpson(G, h)])
-
-        # np.stack keeps f1's column-major layout, on which _contract's
-        # rounding depends; dF is the difference of two perturbed running
-        # integrals, which rounds differently from the running integral of dG
-        G, F = f1_and_integral(x)
-        dG, dF = jacobian_fd(f1_and_integral, x)
-        H = red.f2_values(x, taus)
-        bracket = _contract(dG, F) - _contract(dF, G)
-        integrand = H + 0.5 * bracket
-        return (self._weights @ integrand) / red.T
+        taus = self._taus
+        G_hat = np.fft.rfft(red.f1_values(x, taus), axis=0)[1:]
+        dG_hat = np.fft.rfft(jacobian_fd(lambda w: red.f1_values(w, taus), x), axis=0)[1:]
+        bracket = -0.5 * (self._weights @ _contract(dG_hat, np.conj(G_hat)).imag)
+        return np.mean(red.f2_values(x, taus), axis=0) + bracket
 
     def field(self, t: float, x: np.ndarray) -> np.ndarray:
         """Autonomous right-hand side adapter for the integrators."""
@@ -393,7 +380,10 @@ def residual_bvp(phi, A: np.ndarray, b, T: float, x=None, n_panels: int | None =
     h = float(T) / n_panels
     taus = h * np.arange(n_panels)
 
-    V = values_at(phi, x, taus)
+    # one sweep over the grid and T itself: (T / N) * N need not equal T
+    V = values_at(phi, x, np.append(taus, float(T)))
+    gap = float(np.max(np.abs(V[n_panels] - V[0])))
+    V = V[:n_panels]
     B = values_at(b, x, taus)
     dV = (
         -np.roll(V, -2, axis=0)
@@ -402,11 +392,4 @@ def residual_bvp(phi, A: np.ndarray, b, T: float, x=None, n_panels: int | None =
         + np.roll(V, 2, axis=0)
     ) / (12.0 * h)
     defect = float(np.max(np.abs(dV - V @ A.T - B)))
-    gap = float(
-        np.max(
-            np.abs(
-                np.asarray(phi(x, 0.0), dtype=float) - np.asarray(phi(x, float(T)), dtype=float)
-            )
-        )
-    )
     return defect + gap

@@ -2,9 +2,10 @@
 
 Oracles: closed-form periodic solutions (cosine and Jordan-block
 correctors, derived by matching trig coefficients), a forward-integration
-check that is independent of the solver's quadrature, the closed-form
-first corrector of the seeker loop, and benchmark systems whose averages
-are exact.
+check that is independent of the solver's mode solves, the Simpson
+variation-of-constants formula the spectral solve replaced (fourth-order
+convergent to it), the closed-form first corrector of the seeker loop,
+and benchmark systems whose averages are exact.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from twoscale.benchmarks import (
     linear_benchmark,
 )
 from twoscale.errors import ConfigurationError
-from twoscale.numkit import TimeGrid, cumulative_simpson, integrate_rk4, quad_periodic
+from twoscale.numkit import TimeGrid, integrate_rk4, mat_exp, quad_periodic, simpson_rule
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
 from twoscale.system import OscillatorySystemSpec, grid_terms
@@ -126,8 +127,8 @@ def test_jordan_corrector_against_forward_integration():
 
     grid = TimeGrid(t0=0.0, dt=case.T / 4096, n_steps=4096)
     times, states = integrate_rk4(field, start, grid)
-    # the start carries ~1e-9 quadrature error, so the return gap is the
-    # same size (the flow contracts, it cannot amplify it)
+    # the return gap is the integrator's own error (the flow contracts, it
+    # cannot amplify an error in the start)
     assert np.max(np.abs(states[-1] - start)) < 1e-7
     for k in range(0, 4097, 512):
         claimed = phi(None, float(times[k]))
@@ -169,7 +170,9 @@ def test_corrector_values_at_grid_fast_path_matches_point_calls():
 @pytest.mark.parametrize("N", [8, 512])
 @pytest.mark.parametrize("m", [1, 2])
 def test_grid_sweep_matches_explicit_circular_sum(N, m):
-    # vals[k] = sum_l PC[l] beta[(l + k) mod N], summed term by term
+    # per-mode oracle: the DFT of the samples as explicit sums, one
+    # np.linalg.solve of (i k w0 I - A) phi_k = beta_k per mode, and the
+    # inverse DFT as explicit sums; the Nyquist mode keeps its real part
     rng = np.random.default_rng(N + m)
     A = -np.eye(m) + 0.4 * rng.uniform(-1.0, 1.0, (m, m))
     coef = rng.normal(size=(4, m))
@@ -181,13 +184,80 @@ def test_grid_sweep_matches_explicit_circular_sum(N, m):
     phi = CorrectorSolution(A, b, TWO_PI, n_panels=N)
     offset = 0.37
     beta = b(None, offset + phi.h * np.arange(N))
-    ref = np.array([
-        sum(phi._PC[l] @ beta[(l + k) % N] for l in range(N)) for k in range(N)
-    ])
+    w0 = TWO_PI / phi.T
+    j = np.arange(N)
+    phi_hat = np.empty((N, m), dtype=complex)
+    for k in range(N):
+        beta_k = np.exp(-2j * np.pi * j * k / N) @ beta
+        freq = k if k <= N // 2 else k - N
+        phi_hat[k] = np.linalg.solve(1j * freq * w0 * np.eye(m) - A, beta_k)
+    ref = np.empty((N, m))
+    for l in range(N):
+        ref[l] = (np.exp(2j * np.pi * l * j / N) @ phi_hat).real / N
     vals = phi.values_on_grid(None, offset)
     assert vals.shape == (N + 1, m)
     assert np.max(np.abs(vals[:N] - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(vals[N], vals[0])
+
+
+def _simpson_propagator_corrector(A, b, T, N):
+    """The Simpson variation-of-constants corrector the mode solves replaced,
+    on the grid phases k T / N: phi(tau) = (I - e^{T A})^{-1} times the
+    composite-Simpson integral of e^{(T - s) A} b(s + tau) over [0, T]."""
+    m = A.shape[0]
+    nodes, weights = simpson_rule(T, N)
+    step = mat_exp(A, T / N)
+    E = np.empty((N + 1, m, m))
+    E[N] = np.eye(m)
+    for j in range(N - 1, -1, -1):
+        E[j] = E[j + 1] @ step
+    C = weights[:, None, None] * E
+    C[0] += C[N]  # nodes 0 and T hit the same phase
+    PC = np.linalg.solve(np.eye(m) - E[0], np.eye(m)) @ C[:N]
+    beta = b(None, nodes[:N])
+    shifted = beta[(np.arange(N)[:, None] + np.arange(N)) % N]
+    return np.einsum("lij,klj->ki", PC, shifted)
+
+
+def _random_hurwitz_case():
+    rng = np.random.default_rng(7)
+    M = rng.uniform(-1.0, 1.0, (3, 3))
+    A = M - (float(np.max(np.linalg.eigvals(M).real)) + 0.5) * np.eye(3)
+    coef = rng.uniform(-1.0, 1.0, (7, 3))
+    k = np.arange(1, 4)
+
+    def b(x, tau):
+        phase = np.multiply.outer(tau, k)
+        return coef[0] + np.cos(phase) @ coef[1:4] + np.sin(phase) @ coef[4:]
+
+    return A, b, TWO_PI
+
+
+@pytest.mark.parametrize("name", ["cosine-1d", "jordan-2d", "random-hurwitz"])
+def test_simpson_formula_converges_to_mode_solve_at_fourth_order(name):
+    cases = {c.name: (np.asarray(c.A, dtype=float), c.b, c.T) for c in (bvp_cosine_case(), bvp_jordan_case())}
+    A, b, T = cases[name] if name in cases else _random_hurwitz_case()
+    errors = []
+    for N in (16, 32, 64, 128):
+        spectral = CorrectorSolution(A, b, T, n_panels=N).values_on_grid(None)[:N]
+        errors.append(np.max(np.abs(_simpson_propagator_corrector(A, b, T, N) - spectral)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 12.0, errors
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("case", [bvp_cosine_case(), bvp_jordan_case()], ids=lambda c: c.name)
+def test_mode_solve_matches_closed_forms_to_rounding(case, N):
+    # the Simpson formula was off by 3.7e-4 (cosine) and 5.8e-4 (Jordan) at 16
+    phi = CorrectorSolution(case.A, case.b, case.T, n_panels=N)
+    for tau in np.linspace(0.0, TWO_PI, 29):
+        assert np.max(np.abs(phi(None, tau) - case.exact(tau))) < 1e-14
+
+
+def test_nearly_singular_hurwitz_layer_is_accepted():
+    # the zero mode's singular value 1e-11 clears the 1e-12 floor
+    phi = CorrectorSolution(np.array([[-1e-11]]), lambda x, tau: np.cos(tau)[..., None], TWO_PI, 16)
+    assert np.all(np.isfinite(phi.values_on_grid(None)))
 
 
 def test_corrector_periodicity_and_large_phase():
@@ -250,6 +320,58 @@ def test_residual_panel_validation():
         residual_bvp(phi, case.A, case.b, case.T, n_panels=7)
     with pytest.raises(ConfigurationError):
         residual_bvp(phi, case.A, case.b, case.T, n_panels=4)
+
+
+def _two_point_residual(phi, A, b, T, x=None, n_panels=None):
+    """residual_bvp as it was before its one-sweep form: the gap from two
+    point calls at 0 and T."""
+    A = np.asarray(A, dtype=float)
+    if n_panels is None:
+        n_panels = phi.n_panels if isinstance(phi, CorrectorSolution) else 256
+    h = float(T) / n_panels
+    taus = h * np.arange(n_panels)
+    V = values_at(phi, x, taus)
+    B = values_at(b, x, taus)
+    dV = (
+        -np.roll(V, -2, axis=0)
+        + 8.0 * np.roll(V, -1, axis=0)
+        - 8.0 * np.roll(V, 1, axis=0)
+        + np.roll(V, 2, axis=0)
+    ) / (12.0 * h)
+    defect = float(np.max(np.abs(dV - V @ A.T - B)))
+    gap = float(
+        np.max(
+            np.abs(
+                np.asarray(phi(x, 0.0), dtype=float) - np.asarray(phi(x, float(T)), dtype=float)
+            )
+        )
+    )
+    return defect + gap
+
+
+@pytest.mark.parametrize(
+    "candidate", ["doubled", "exact-8", "exact-100", "exact-256", "corrector-100"]
+)
+def test_residual_one_sweep_matches_two_point_formula_bit_for_bit(candidate):
+    # (T / 100) * 100 != T at T = 2 pi, so the sweep's last phase must be T
+    # itself for a plain callable to see the same gap
+    case = bvp_cosine_case()
+    n_panels = None
+    if candidate == "doubled":
+        phi256 = solve_periodic_bvp(case.A, case.b, case.T, n_panels=256)
+
+        def phi(x, tau):
+            return 2.0 * phi256(x, tau)
+    elif candidate.startswith("exact"):
+        n_panels = int(candidate.split("-")[1])
+
+        def phi(x, tau):
+            return case.exact(tau)
+    else:
+        phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=100)
+    new = residual_bvp(phi, case.A, case.b, case.T, n_panels=n_panels)
+    old = _two_point_residual(phi, case.A, case.b, case.T, n_panels=n_panels)
+    assert np.float64(new).tobytes() == np.float64(old).tobytes()
 
 
 def test_residual_default_panels_follow_the_corrector():
@@ -361,34 +483,31 @@ def test_fd_jacobian_fallbacks_match_analytic_jacobians():
 
 # Oracles for the two slow-state central differences, written out as
 # explicit loops over the slow coordinates: step cbrt(eps) * (1 + |x_j|),
-# columns written into preallocated C-ordered arrays, and fbar's dF taken
-# as the difference of the two perturbed running integrals.
+# columns written into preallocated C-ordered arrays, and fbar's bracket
+# as the Parseval sum over the modes of f1 and of its difference quotients.
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def _loop_fbar(averaged, x):
     red = averaged.reduced
-    taus = averaged._nodes
-    h = taus[1] - taus[0]
-    K, n = taus.shape[0], red.n
-    G = red.f1_values(x, taus)
-    F = cumulative_simpson(G, h)
-    H = red.f2_values(x, taus)
-    dG = np.empty((K, n, n))
-    dF = np.empty((K, n, n))
+    N, n = averaged.n_panels, red.n
+    taus = (red.T / N) * np.arange(N)
+    # a C-ordered copy of the column-major f1 grid: fbar's bits must not
+    # depend on the grid's memory layout
+    G = np.ascontiguousarray(red.f1_values(x, taus))
+    dG = np.empty((N, n, n))
     for j in range(n):
         hj = _FD_STEP * (1.0 + abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += hj
         xm[j] -= hj
-        Gp = red.f1_values(xp, taus)
-        Gm = red.f1_values(xm, taus)
-        dG[:, :, j] = (Gp - Gm) / (2.0 * hj)
-        dF[:, :, j] = (cumulative_simpson(Gp, h) - cumulative_simpson(Gm, h)) / (2.0 * hj)
-    bracket = _contract(dG, F) - _contract(dF, G)
-    return (averaged._weights @ (H + 0.5 * bracket)) / red.T
+        dG[:, :, j] = (red.f1_values(xp, taus) - red.f1_values(xm, taus)) / (2.0 * hj)
+    k = np.arange(1, N // 2 + 1)
+    w = np.where(k < N // 2, 2.0, 1.0) * 2.0 / (k * (TWO_PI / red.T) * N**2)
+    modes = _contract(np.fft.rfft(dG, axis=0)[1:], np.conj(np.fft.rfft(G, axis=0)[1:]))
+    return np.mean(red.f2_values(x, taus), axis=0) - 0.5 * (w @ modes.imag)
 
 
 def _loop_b2(source, x, taus):
@@ -457,6 +576,14 @@ def test_bracket_benchmark_average_is_exact_form():
     for x in (np.array([0.3, 1.2]), np.array([-1.0, 0.5]), np.array([2.0, -2.0])):
         fbar = bundle.averaged.fbar(x)
         assert np.max(np.abs(fbar - bench.fbar_exact(x))) < 1e-6
+
+
+def test_bracket_benchmark_average_is_exact_at_eight_panels():
+    # the Simpson-weighted average with running integrals was off by 1.8e-2
+    bench = bracket_benchmark()
+    bundle = build_bundle(bench.spec, n_panels=8)
+    for x in (np.array([0.3, 1.2]), np.array([-1.0, 0.5]), np.array([2.0, -2.0])):
+        assert np.max(np.abs(bundle.averaged.fbar(x) - bench.fbar_exact(x))) < 1e-9
 
 
 def test_linear_benchmark_average_is_matrix_action():
