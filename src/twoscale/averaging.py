@@ -3,7 +3,9 @@
 Pipeline: restrict the oscillatory fields to the quasi-steady manifold
 (build_reduced), solve the periodic boundary-value problems for the fast
 correctors (build_b / solve_periodic_bvp), then average the reduced
-system including the Lie-bracket term (average).
+system including the Lie-bracket term (average).  The order-one slow
+drift f2~ = f2 + D_y f1 phi1 on y = phi0(x) is formed once (_order_one)
+and read by f2_tilde, the source b2 and fbar.
 
 Everything lives on one uniform phase grid with an even panel count, and
 both periodic problems are diagonal in its Fourier modes: a corrector is
@@ -43,17 +45,31 @@ _MAX_CONDITION = 1e12
 
 
 def _contract(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Phase-wise matrix-vector products: out[k] = M[k] @ v[k]."""
-    return np.einsum("kij,kj->ki", M, v)
+    """Phase-wise out[k] = M[k] @ v[k], on C-ordered copies: einsum's
+    rounding depends on memory order, which a spec's layout must not set."""
+    return np.einsum("kij,kj->ki", np.ascontiguousarray(M), np.ascontiguousarray(v))
 
 
-def _dy_jacobian(spec, jac, cols: slice, x, y0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Fast-state Jacobian over the grid of the F1 columns cols (f1 or g1),
-    (K, rows, m): the spec's analytic jac when supplied, else central
-    differences of those columns through one array-valued jacobian_fd."""
-    if jac is not None:
-        return phase_values(jac, x, y0, taus, (cols.stop - cols.start, spec.m))
-    return jacobian_fd(lambda w: grid_terms(spec, x, w, taus, False)[0][:, cols], y0)
+def _dy_jacobian(spec, x, y0: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """D_y F1 over the grid, (K, n+m, m).  Per part (the f1 rows, the g1
+    rows) the spec's analytic df1_dy or dg1_dy when supplied, else that
+    part's rows of one central-difference jacobian_fd of F1."""
+    parts = ((spec.df1_dy, 0, spec.n), (spec.dg1_dy, spec.n, spec.n + spec.m))
+    if any(jac is None for jac, _, _ in parts):
+        fd = jacobian_fd(lambda w: grid_terms(spec, x, w, taus, False)[0], y0)
+    return np.concatenate([
+        fd[:, a:b] if jac is None else phase_values(jac, x, y0, taus, (b - a, spec.m))
+        for jac, a, b in parts
+    ], axis=1)
+
+
+def _order_one(spec, phi1, x, taus: np.ndarray):
+    """(F1, H) on y = phi0(x), each (K, n+m): F1 = (f1, g1) and the
+    order-one drift H = F2 + D_y F1 phi1 = (f2~, g2 + D_y g1 phi1) along
+    the first corrector.  f2~, fbar and the source b2 all read it here."""
+    y0 = np.asarray(spec.phi0(x), dtype=float)
+    F1, F2 = grid_terms(spec, x, y0, taus)
+    return F1, F2 + _contract(_dy_jacobian(spec, x, y0, taus), phi1.values_at(x, taus))
 
 
 def values_at(fun, x, taus: np.ndarray) -> np.ndarray:
@@ -155,7 +171,7 @@ def solve_periodic_bvp(A: np.ndarray, b, T: float, n_panels: int = 256) -> Corre
 
 
 class _FirstCorrectorSource:
-    """b1: the fast-state source at the sqrt scale, on the manifold."""
+    """b1 = g1 - Dphi0 f1 on y = phi0(x): the fast source at the sqrt scale."""
 
     def __init__(self, spec: OscillatorySystemSpec):
         self.spec = spec
@@ -182,12 +198,11 @@ class _FirstCorrectorSource:
 
 
 class _SecondCorrectorSource:
-    """b2: the order-one fast source, manifold-restricted.
+    """b2 = g2 + D_y g1 phi1 - Dphi0 f2~ - Dx phi1 f1~ on y = phi0(x).
 
-    Includes the transport of the first corrector by the fast slow-state
-    drift (the Dx phi1 term) and the linearized coupling of g1 along
-    phi1.  Dx phi1 comes from central differences of the corrector
-    (jacobian_fd), two grid sweeps per slow coordinate.
+    Its first two terms and f2~ are the rows of _order_one's H; Dx phi1
+    comes from central differences of the corrector (jacobian_fd), two
+    grid sweeps per slow coordinate.
     """
 
     def __init__(self, spec: OscillatorySystemSpec, phi1: CorrectorSolution):
@@ -203,27 +218,16 @@ class _SecondCorrectorSource:
         x = np.asarray(x, dtype=float)
         taus = np.asarray(taus, dtype=float)
         key = (x.tobytes(), taus.tobytes())
-        if key == self._cache_key:
-            return self._cache_val
-        vals = self._values_at(x, taus)
-        self._cache_key = key
-        self._cache_val = vals
-        return vals
+        if key != self._cache_key:
+            self._cache_val = self._values_at(x, taus)
+            self._cache_key = key
+        return self._cache_val
 
     def _values_at(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        n = spec.n
-        y0 = np.asarray(spec.phi0(x), dtype=float)
-        D0 = spec.phi0_jacobian(x)
-        phi1_vals = self.phi1.values_at(x, taus)
+        n = self.spec.n
+        F1, H = _order_one(self.spec, self.phi1, x, taus)
         dphi1 = jacobian_fd(lambda w: self.phi1.values_at(w, taus), x)
-
-        F1, F2 = grid_terms(spec, x, y0, taus)
-        dg1 = _dy_jacobian(spec, spec.dg1_dy, slice(n, n + spec.m), x, y0, taus)
-        return (
-            F2[:, n:] - F2[:, :n] @ D0.T - _contract(dphi1, F1[:, :n])
-            + _contract(dg1, phi1_vals)
-        )
+        return H[:, n:] - H[:, :n] @ self.spec.phi0_jacobian(x).T - _contract(dphi1, F1[:, :n])
 
     def __call__(self, x, tau: float) -> np.ndarray:
         return self.values_at(x, np.array([float(tau)]))[0]
@@ -251,8 +255,8 @@ def build_b(
 class ReducedSystem:
     """Oscillatory fields restricted to the quasi-steady manifold.
 
-    f1_tilde(x, tau) = f1(x, phi0(x), tau); f2_tilde adds the coupling
-    of the first corrector through the fast-state Jacobian of f1.
+    f1_tilde(x, tau) = f1(x, phi0(x), tau); f2_tilde = f2 + D_y f1 phi1
+    there is the order-one slow drift along the first corrector.
     """
 
     spec: OscillatorySystemSpec
@@ -279,14 +283,8 @@ class ReducedSystem:
         return F1[:, : spec.n]
 
     def f2_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        n = spec.n
-        taus = np.asarray(taus, dtype=float)
-        y0 = np.asarray(spec.phi0(x), dtype=float)
-        phi1_vals = self.phi1.values_at(x, taus)
-        df1 = _dy_jacobian(spec, spec.df1_dy, slice(0, n), x, y0, taus)
-        _, F2 = grid_terms(spec, x, y0, taus)
-        return F2[:, :n] + _contract(df1, phi1_vals)
+        _, H = _order_one(self.spec, self.phi1, x, np.asarray(taus, dtype=float))
+        return H[:, : self.spec.n]
 
 
 def build_reduced(spec: OscillatorySystemSpec, phi1: CorrectorSolution) -> ReducedSystem:
@@ -324,10 +322,11 @@ class AveragedSystem:
             raise DimensionError(f"x must have shape ({self.reduced.n},), got {x.shape}")
         red = self.reduced
         taus = self._taus
-        G_hat = np.fft.rfft(red.f1_values(x, taus), axis=0)[1:]
+        F1, H = _order_one(red.spec, red.phi1, x, taus)
+        G_hat = np.fft.rfft(F1[:, : red.n], axis=0)[1:]
         dG_hat = np.fft.rfft(jacobian_fd(lambda w: red.f1_values(w, taus), x), axis=0)[1:]
         bracket = -0.5 * (self._weights @ _contract(dG_hat, np.conj(G_hat)).imag)
-        return np.mean(red.f2_values(x, taus), axis=0) + bracket
+        return np.mean(H[:, : red.n], axis=0) + bracket
 
     def field(self, t: float, x: np.ndarray) -> np.ndarray:
         """Autonomous right-hand side adapter for the integrators."""

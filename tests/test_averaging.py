@@ -5,7 +5,8 @@ correctors, derived by matching trig coefficients), a forward-integration
 check that is independent of the solver's mode solves, the Simpson
 variation-of-constants formula the spectral solve replaced (fourth-order
 convergent to it), the closed-form first corrector of the seeker loop,
-and benchmark systems whose averages are exact.
+benchmark systems whose averages are exact, and a full run that stays
+within O(omega^-3/2) of the corrected manifold.
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ from twoscale.errors import ConfigurationError
 from twoscale.numkit import TimeGrid, integrate_rk4, mat_exp, quad_periodic, simpson_rule
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
-from twoscale.system import OscillatorySystemSpec, grid_terms
+from twoscale.system import OscillatorySystemSpec, assemble_full_field, grid_terms
 
 TWO_PI = 2.0 * np.pi
 
@@ -481,6 +482,83 @@ def test_fd_jacobian_fallbacks_match_analytic_jacobians():
         assert np.max(np.abs(fd - analytic)) < 1e-8 * (1.0 + np.max(np.abs(analytic)))
 
 
+def test_dy_jacobian_falls_back_field_by_field():
+    # without dg1_dy only the g1 rows of D_y F1 are differences: f2_tilde
+    # and the second corrector's source still call the spec's df1_dy
+    spec = as_system_spec(builtin_fields()["log"])
+    calls = []
+
+    def counted_df1_dy(x, y, tau):
+        calls.append(tau)
+        return spec.df1_dy(x, y, tau)
+
+    half = dataclasses.replace(spec, df1_dy=counted_df1_dy, dg1_dy=None)
+    x = np.concatenate([np.array([1.5, -0.5, 2.0]), embed(exp_so3(np.array([0.3, 0.8, -0.2])))])
+    taus = (spec.T / 64) * np.arange(64)
+    analytic, mixed = build_bundle(spec, n_panels=64), build_bundle(half, n_panels=64)
+    for read in (
+        lambda bundle: bundle.reduced.f2_values(x, taus),
+        lambda bundle: bundle.phi2.b.values_at(x, taus),
+    ):
+        expected = read(analytic)
+        before = len(calls)
+        got = read(mixed)
+        assert len(calls) > before
+        assert np.max(np.abs(got - expected)) < 1e-8 * (1.0 + np.max(np.abs(expected)))
+
+
+def test_results_do_not_depend_on_the_memory_order_of_the_terms():
+    # the seeker's terms stack transposed, column-major grids; C-ordered
+    # copies of the same values must give the same bits
+    spec = as_system_spec(builtin_fields()["log"])
+
+    def c_ordered_terms(x, y, tau, order_one=True):
+        F1, F2 = spec.terms(x, y, tau, order_one)
+        return np.ascontiguousarray(F1), None if F2 is None else np.ascontiguousarray(F2)
+
+    bundles = [
+        build_bundle(s, n_panels=256)
+        for s in (spec, dataclasses.replace(spec, terms=c_ordered_terms))
+    ]
+    grid = (spec.T / 256) * np.arange(256)
+    for x in _seeker_states(5, 23):
+        reads = [
+            (b.phi2.b.values_at(x, grid), b.reduced.f2_values(x, grid), b.averaged.fbar(x))
+            for b in bundles
+        ]
+        for native, copied in zip(*reads):
+            assert np.array_equal(native, copied)
+
+
+def test_second_corrector_makes_the_corrected_manifold_invariant_to_third_order():
+    # f1 = sin(tau) y couples the slow drift to phi1, so phi2's source
+    # needs the tilt term -Dphi0 D_y f1 phi1: a run started on
+    # y = phi0 + eps phi1 + eps^2 phi2 (eps = omega^-1/2) then stays within
+    # O(eps^3) of it, and the distance shrinks 8x per 4x in omega
+    spec = scalar_spec(f1=lambda x, y, tau: np.array([np.sin(tau) * y[0]]).T)
+    bundle = build_bundle(spec, n_panels=64)
+
+    def manifold(x, tau, eps):
+        return spec.phi0(x) + eps * bundle.phi1(x, tau) + eps**2 * bundle.phi2(x, tau)
+
+    x0 = np.array([0.3])
+    t_f = 0.1
+    distances = []
+    for omega in (100.0, 400.0, 1600.0):
+        eps = omega**-0.5
+        n_steps = int(round(100 * t_f * omega / spec.T))
+        times, states = integrate_rk4(
+            assemble_full_field(spec, omega),
+            np.concatenate([x0, manifold(x0, 0.0, eps)]),
+            TimeGrid(t0=0.0, dt=t_f / n_steps, n_steps=n_steps),
+        )
+        rows = np.linspace(0, n_steps, 40).astype(int)
+        distances.append(max(
+            abs(states[r, 1] - manifold(states[r, :1], omega * times[r], eps)[0]) for r in rows
+        ))
+    assert distances[0] / distances[1] > 6.0 and distances[1] / distances[2] > 6.0, distances
+
+
 # Oracles for the two slow-state central differences, written out as
 # explicit loops over the slow coordinates: step cbrt(eps) * (1 + |x_j|),
 # columns written into preallocated C-ordered arrays, and fbar's bracket
@@ -525,11 +603,8 @@ def _loop_b2(source, x, taus):
         xm[j] -= hj
         dphi1[:, :, j] = (phi1.values_at(xp, taus) - phi1.values_at(xm, taus)) / (2.0 * hj)
     F1, F2 = grid_terms(spec, x, y0, taus)
-    dg1 = _dy_jacobian(spec, spec.dg1_dy, slice(n, n + m), x, y0, taus)
-    return (
-        F2[:, n:] - F2[:, :n] @ D0.T - _contract(dphi1, F1[:, :n])
-        + _contract(dg1, phi1_vals)
-    )
+    H = F2 + _contract(_dy_jacobian(spec, x, y0, taus), phi1_vals)
+    return H[:, n:] - H[:, :n] @ D0.T - _contract(dphi1, F1[:, :n])
 
 
 def _seeker_states(count, seed):
