@@ -179,6 +179,15 @@ def _whole(cfg: dict, key: str) -> int:
     return int(v)
 
 
+def _numbers(cfg: dict, key: str) -> list[float]:
+    """A list setting: a JSON list, read as floats (a string would
+    otherwise be read one character at a time)."""
+    v = cfg[key]
+    if not isinstance(v, list):
+        raise ConfigurationError(f"{key} must be a list of numbers, got {v!r}")
+    return [float(x) for x in v]
+
+
 def _tolerance(cfg: dict) -> float:
     # zero is a legal (if unsatisfiable) threshold: the check then reports
     # a criterion failure rather than a config error
@@ -295,7 +304,7 @@ def cmd_average_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
     system = str(cfg["system"])
-    omegas = [float(w) for w in cfg["omegas"]]
+    omegas = _numbers(cfg, "omegas")
     t_f = _positive(cfg, "t_f")
     slope_max = float(cfg["slope_max"])
     if not np.isfinite(slope_max):
@@ -344,7 +353,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
 def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
     system = str(cfg["system"])
     fld = field_by_name(str(cfg["field"]))
-    deltas = [float(d) for d in cfg["deltas"]]
+    deltas = _numbers(cfg, "deltas")
     horizon = _positive(cfg, "horizon")
 
     if system == "averaged":
@@ -368,7 +377,7 @@ def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
             eps_x=_positive(cfg, "eps_x"),
             eps_z=_positive(cfg, "eps_z"),
             deltas=deltas,
-            omegas=[float(w) for w in cfg["omegas"]],
+            omegas=_numbers(cfg, "omegas"),
             horizon=horizon,
             entry_deadline=None if deadline is None else float(deadline),
             steps_per_fast_period=_whole(cfg, "steps_per_fast_period"),

@@ -359,13 +359,16 @@ class StabilityProbeReport:
 
 
 def _shell_radii(deltas: Sequence[float]) -> list[float]:
-    """The probe's start radii as floats, checked before any run."""
+    """The probe's start radii as floats, checked before any run.  A zero
+    radius starts on the optimum and a negative one repeats a shell."""
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ConfigurationError("deltas must be non-empty")
     for d in deltas:
         if not np.isfinite(d):
             raise ConfigurationError(f"deltas must be finite, got {d}")
+        if d <= 0.0:
+            raise ConfigurationError(f"deltas must be positive, got {d}")
     return deltas
 
 
@@ -543,6 +546,8 @@ def probe_averaged_stability(
     DivergenceError for the whole probe.
     """
     deltas = _shell_radii(deltas)
+    if not (np.isfinite(entry_radius) and entry_radius > 0.0):
+        raise ConfigurationError(f"entry_radius must be positive and finite, got {entry_radius}")
     field = averaged_seeker_field(fld)
     dirs = shell_directions()
     grid = TimeGrid.spanning(0.0, horizon, dt)

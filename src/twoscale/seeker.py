@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, ManifoldError
 from .numkit import TimeGrid, integrate_rk4, jacobian_fd
-from .so3 import cross3, dot3, embed, exp_so3, extract, manifold_residual, project_so3
+from .so3 import cross3, embed, exp_so3, extract, manifold_residual, project_so3
 from .system import OscillatorySystemSpec
 
 __all__ = [
@@ -388,6 +388,15 @@ def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.
     The state is one (12,) vector (p, frame columns) or a (B, 12) block
     of B such states, one per row; the result has the same shape.  Rows
     do not interact, and grad c is evaluated once for the whole block.
+
+    The frame is one stack Q, Q[j, i] = component i of q_{j+1}, with the
+    block axis last, so each step acts on all three columns at once; the
+    cyclic shifts of (w x q)_i = w_{i+1} q_{i+2} - w_{i+2} q_{i+1} are
+    slices of Q, and of w, wrapped once along the component axis.  Each
+    product and left-to-right sum is that of u_j = q_j[0] g[0] +
+    q_j[1] g[1] + q_j[2] g[2] and of cross3, so the result is the same
+    bit for bit, signed zeros included; (Q * g).sum(axis=1) is not, as
+    it flips the sign of zero outputs where grad c is -0.0.
     """
     grad = fld.grad
 
@@ -395,20 +404,14 @@ def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.
         s = np.asarray(s, dtype=float)
         if s.ndim not in (1, 2) or s.shape[-1] != 12:
             raise DimensionError(f"state must have shape (12,) or (B, 12), got {s.shape}")
-        # grad takes the block's (B, 3) positions; the frame is handled as
-        # (3, B) component stacks, which the scalar formulas broadcast over
         x = s.T
-        q1 = x[3:6]
-        q2 = x[6:9]
-        q3 = x[9:12]
-        g = grad(s[..., 0:3]).T
-        u1 = dot3(q1, g)
-        u2 = dot3(q2, g)
-        u3 = dot3(q3, g)
-        wbar = 0.25 * (u2 * q3 - u3 * q2)
-        return np.concatenate(
-            [u1 * q1, cross3(wbar, q1), cross3(wbar, q2), cross3(wbar, q3)]
-        ).T
+        Q = x[3:12].reshape((3, 3) + x.shape[1:])
+        Qe = np.concatenate([Q, Q[:, :2]], axis=1)
+        Qg = Q * grad(s[..., 0:3]).T
+        u = Qg[:, 0] + Qg[:, 1] + Qg[:, 2]
+        we = 0.25 * (u[1] * Qe[2] - u[2] * Qe[1])
+        turn = we[1:4] * Qe[:, 2:5] - we[2:5] * Qe[:, 1:4]
+        return np.concatenate([u[0] * Q[0], turn.reshape((9,) + x.shape[1:])]).T
 
     return rhs
 

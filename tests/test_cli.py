@@ -109,8 +109,8 @@ _WHOLE_KEYS = [
 
 
 @pytest.mark.parametrize("command,bad,message", [
-    ("stability-probe", {"deltas": 6.0}, "not iterable"),
-    ("sweep", {"omegas": 5}, "not iterable"),
+    ("stability-probe", {"deltas": 6.0}, "deltas must be a list of numbers, got 6.0"),
+    ("sweep", {"omegas": 5}, "omegas must be a list of numbers, got 5"),
     ("simulate", {"t_f": None}, "NoneType"),
     ("bvp-check", {"cases": 5}, "cases must be a non-empty list of names"),
     ("bvp-check", {"cases": "cosine-1d"}, "cases must be a non-empty list of names"),
@@ -132,6 +132,12 @@ _WHOLE_KEYS = [
     ("average-check", {"field": "nope"}, "error: unknown field 'nope'; choices: "),
     *[(command, {**base, key: bad}, f"error: {key} must be a whole number, got {bad!r}")
       for command, key, base in _WHOLE_KEYS for bad in (2.5, True, "4")],
+    # a JSON string is not read one character at a time
+    ("stability-probe", {"deltas": "12", "horizon": 2},
+     "error: deltas must be a list of numbers, got '12'"),
+    ("stability-probe", {"system": "full", "omegas": "12"},
+     "error: omegas must be a list of numbers, got '12'"),
+    ("sweep", {"omegas": "12345"}, "error: omegas must be a list of numbers, got '12345'"),
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1

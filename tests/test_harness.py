@@ -394,6 +394,14 @@ def test_averaged_probe_validation():
     fld = builtin_fields()["quadratic"]
     with pytest.raises(ConfigurationError):
         probe_averaged_stability(fld, deltas=[], horizon=1.0, entry_radius=0.1)
+    # a NaN radius would report every run as entered at t = 0
+    for radius in (float("nan"), float("inf"), 0.0, -0.1):
+        with pytest.raises(ConfigurationError, match="entry_radius"):
+            probe_averaged_stability(fld, deltas=[3.0], horizon=1.0, entry_radius=radius)
+    # a zero radius starts on the optimum; a negative one repeats the shell
+    for delta in (0.0, -3.0):
+        with pytest.raises(ConfigurationError, match="deltas must be positive"):
+            probe_averaged_stability(fld, deltas=[3.0, delta], horizon=1.0, entry_radius=0.1)
 
 
 # -------------------------------------------------------------- seeker probe
@@ -453,6 +461,10 @@ def test_seeker_probe_validation():
     with pytest.raises(ConfigurationError):
         probe_seeker_stability(fld, eps_x=1.0, eps_z=1.0, deltas=[1.0],
                                omegas=[4.0], horizon=1.0, entry_deadline=2.0)
+    for delta in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="deltas must be positive"):
+            probe_seeker_stability(fld, eps_x=1.0, eps_z=1.0, deltas=[delta],
+                                   omegas=[4.0], horizon=1.0)
 
 
 # ------------------------------------------------------------------ records
