@@ -409,14 +409,15 @@ def probe_seeker_stability(
         entry_deadline = horizon / 2.0
     if not 0.0 < entry_deadline <= horizon:
         raise ConfigurationError("entry_deadline must lie in (0, horizon]")
+    # every frequency is checked here, before the first flight
+    configs = [SeekerConfig(omega=w, steps_per_fast_period=steps_per_fast_period) for w in omegas]
     dirs = shell_directions()
     p_star = fld.p_star
 
     runs: list[ProbeRun] = []
     for delta in deltas:
-        for w in omegas:
-            config = SeekerConfig(omega=w, steps_per_fast_period=steps_per_fast_period)
-            frame_period = 2.0 * np.pi / w
+        for config in configs:
+            frame_period = 2.0 * np.pi / config.omega
             for phase_index, frac in enumerate((0.0, 0.25, 0.5)):
                 t0 = frac * frame_period
                 for direction_index in range(dirs.shape[0]):

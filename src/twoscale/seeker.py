@@ -471,9 +471,22 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     is frequency-free: the sensor offset enters only through the Taylor
     split of the reading around the center value, which is what the
     sqrt-scale and order-one slow/fast fields below encode.
+
+    terms stacks the split's components; full(omega) is the full
+    right-hand side of the same split, which assemble_full_field returns.
+    It reads the state as floats once, evaluates c, grad and the Hessian
+    once each, and forms every entry as the same products and sums in the
+    same order as the generic assembly, sqrt(w) f1 + f2 and
+    (sqrt(w) g1 + w A (y - phi0)) + g2, so the two agree bit for bit.
+    The frame rows add F2's zeros too, which turns a -0.0 into +0.0; the
+    layer term stays one numpy expression, because a float transcription
+    of the 2x2 product can round a zero to the other sign.
     """
     grad = fld.grad
     c = fld.c
+    hessian = fld.hessian
+    A = FILTER_A.copy()
+    b0, b1 = FILTER_B.tolist()
 
     def phi0(x: np.ndarray) -> np.ndarray:
         val = float(c(x[0:3]))
@@ -486,40 +499,56 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         out[1, 0:3] = g
         return out
 
-    b0, b1 = FILTER_B.tolist()
-
-    # terms reads the state as floats (q: the frame columns q1, q2, q3 as 9
-    # floats) and builds each output component as one expression in tau,
-    # so a float tau gives (14,) through float arithmetic and K phases give
-    # (K, 14) through the same expressions on arrays.  The center value,
-    # gradient, trig values and dither axis are shared by all four fields.
-
-    def terms(x: np.ndarray, y: np.ndarray, tau, order_one: bool = True):
-        p = x[0:3]
-        q = x[3:12].tolist()
-        ya, yb = y.tolist()
+    def split(p: np.ndarray, q: list, gain, tau, order_one: bool):
+        """F1 = (f1, g1) and F2 = (f2, g2) (None unless order_one) as
+        component lists, and the center value c(p).  p is the center as
+        an array, q the frame columns q1, q2, q3 as 9 floats and gain the
+        filter output yb - ya.  Each component is one expression in tau,
+        so a float tau gives floats through float arithmetic and K phases
+        give (K,) arrays through the same expressions.  The center value,
+        gradient, trig values and dither axis are shared by all four
+        fields."""
         g = np.asarray(grad(p), dtype=float).tolist()
         cos, sin, zero = _phase_ops(tau)
         ct = cos(tau)
         st = sin(tau)
-        arg = 2.0 * tau - float(c(p))
+        val = float(c(p))
+        arg = 2.0 * tau - val
         d = _dither_axis(q, ct, st)
         u = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]
-        gain = yb - ya
         s1 = 2.0 * cos(arg)
-        F1 = np.array(
+        F1 = (
             [s1 * q[0], s1 * q[1], s1 * q[2]]
             + [gain * r for r in _frame_turn(q, ct, st)]
             + [b0 * u, b1 * u]
-        ).T
+        )
         if not order_one:
-            return F1, None
-        H = fld.hessian(p).tolist()
+            return F1, None, val
+        H = hessian(p).tolist()
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
         s2 = 2.0 * u * sin(arg)
-        F2 = np.array([s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [b0 * v, b1 * v]).T
-        return F1, F2
+        F2 = [s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [b0 * v, b1 * v]
+        return F1, F2, val
+
+    def terms(x: np.ndarray, y: np.ndarray, tau, order_one: bool = True):
+        ya, yb = y.tolist()
+        F1, F2, _ = split(x[0:3], x[3:12].tolist(), yb - ya, tau, order_one)
+        return np.array(F1).T, (np.array(F2).T if order_one else None)
+
+    def full(omega: float) -> Callable[[float, np.ndarray], np.ndarray]:
+        sqrt_w = float(np.sqrt(omega))
+
+        def rhs(t: float, v: np.ndarray) -> np.ndarray:
+            s = v.tolist()
+            F1, F2, val = split(v[0:3], s[3:12], s[13] - s[12], omega * t, True)
+            la, lb = (omega * (A @ (v[12:14] - val))).tolist()
+            return np.array(
+                [sqrt_w * a + b for a, b in zip(F1[:12], F2[:12])]
+                + [(sqrt_w * F1[12] + la) + F2[12], (sqrt_w * F1[13] + lb) + F2[13]]
+            )
+
+        return rhs
 
     def df1_dy(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
         ct = np.cos(tau)
@@ -534,7 +563,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         n=12,
         m=2,
         T=2.0 * np.pi,
-        A=FILTER_A.copy(),
+        A=A,
         phi0=phi0,
         f1=_terms_view(terms, 0, slice(0, 12)),
         f2=_terms_view(terms, 1, slice(0, 12)),
@@ -544,5 +573,6 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         df1_dy=df1_dy,
         dg1_dy=dg1_dy,
         terms=terms,
+        full=full,
         name=f"seeker-{fld.name}",
     )

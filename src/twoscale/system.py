@@ -9,7 +9,8 @@ The slow state x and fast state y evolve as
 with all oscillatory fields T-periodic in the phase tau = w t, A Hurwitz,
 and phi0 the quasi-steady map the fast state tracks.  The standing
 assumptions (periodicity, zero phase-average of the sqrt(w)-scale terms,
-Hurwitz A) are checked numerically, not taken on faith.
+Hurwitz A) are checked numerically, not taken on faith.  A spec may
+supply this right-hand side whole (OscillatorySystemSpec.full).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ PhaseField = Callable[[np.ndarray, np.ndarray, float | np.ndarray], np.ndarray]
 PhaseTerms = Callable[
     [np.ndarray, np.ndarray, float | np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]
 ]
+FullField = Callable[[float], Callable[[float, np.ndarray], np.ndarray]]
 
 
 @dataclass
@@ -70,6 +72,13 @@ class OscillatorySystemSpec:
     every averaging grid make one spec call instead of up to four.
     Without it, phase_terms calls and stacks the fields, read from the
     spec at each call, so a field reassigned after construction is used.
+
+    full is optional: full(omega) -> rhs, the whole right-hand side at
+    frequency omega, mapping (t, packed state) to the packed derivative.
+    Its values must equal the assembly from the fields, the remainders f3
+    and g3 included: assemble_full_field returns it as it is when present.
+    A spec supplies it when one closure over the packed state beats the
+    generic assembly.
     """
 
     n: int
@@ -87,6 +96,7 @@ class OscillatorySystemSpec:
     df1_dy: PhaseField | None = None
     dg1_dy: PhaseField | None = None
     terms: PhaseTerms | None = None
+    full: FullField | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -170,10 +180,13 @@ def assemble_full_field(
     """Right-hand side of the full system at frequency omega.
 
     The returned callable maps (t, packed state) to the packed
-    derivative, with the fast phase tau = omega * t.
+    derivative, with the fast phase tau = omega * t.  It is spec.full(omega)
+    when the spec supplies full, else the fields' assembly below.
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ConfigurationError(f"omega must be positive, got {omega}")
+    if spec.full is not None:
+        return spec.full(omega)
     n = spec.n
     sqrt_w = float(np.sqrt(omega))
     A = spec.A

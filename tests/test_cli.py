@@ -138,6 +138,13 @@ _WHOLE_KEYS = [
     ("stability-probe", {"system": "full", "omegas": "12"},
      "error: omegas must be a list of numbers, got '12'"),
     ("sweep", {"omegas": "12345"}, "error: omegas must be a list of numbers, got '12345'"),
+    # float() would read true as 1.0 and "6" as 6.0: list entries must be JSON numbers
+    ("stability-probe", {"deltas": [True], "horizon": 2},
+     "error: deltas must be a list of numbers, got [True]"),
+    ("stability-probe", {"deltas": ["6"], "horizon": 2},
+     "error: deltas must be a list of numbers, got ['6']"),
+    ("sweep", {"omegas": [12.5, 25.0, True, 100.0]},
+     "error: omegas must be a list of numbers, got [12.5, 25.0, True, 100.0]"),
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1

@@ -467,6 +467,16 @@ def test_seeker_probe_validation():
                                    omegas=[4.0], horizon=1.0)
 
 
+def test_seeker_probe_checks_every_frequency_before_any_flight(monkeypatch):
+    def no_flight(*args, **kwargs):
+        raise AssertionError("a flight started before every frequency was checked")
+
+    monkeypatch.setattr(harness, "simulate_seeker", no_flight)
+    with pytest.raises(ConfigurationError, match="omega must be positive, got -1.0"):
+        probe_seeker_stability(builtin_fields()["quadratic"], eps_x=1.0, eps_z=1.0,
+                               deltas=[2.0], omegas=[4.0 * np.pi, -1.0], horizon=2.0)
+
+
 # ------------------------------------------------------------------ records
 
 

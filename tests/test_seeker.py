@@ -731,7 +731,12 @@ def test_terms_match_reference_fields_bit_for_bit(name):
 @pytest.mark.parametrize("name", TERM_FIELDS)
 def test_full_field_matches_reference_assembly(name):
     # 2000 random states, frequencies and times: the one-call right-hand
-    # side equals the four-call assembly of the reference fields bit for bit
+    # side equals the four-call assembly of the reference fields bit for bit.
+    # Every other draw adds states where the layer term y - phi0(x) has zero
+    # entries, whose signs must survive too: y = phi0(x) exactly, yb = c(p)
+    # with ya < c(p), and p = 0 (where the quadratic gradient is -0.0); each
+    # also with a zero frame, where the dither axis vanishes and the sign of
+    # a zero layer entry reaches the output.
     fld = term_field(name)
     spec = as_system_spec(fld)
     ref = reference_phase_fields(fld)
@@ -741,9 +746,31 @@ def test_full_field_matches_reference_assembly(name):
     for k in range(2000):
         got, want = fields[k % len(fields)]
         x, y = random_spec_state(rng)
-        v = np.concatenate([x, y])
+        states = [np.concatenate([x, y])]
         t = float(rng.uniform(0.0, 5.0))
-        assert same_bits(got(t, v), want(t, v))
+        if k % 2 == 0:
+            p = np.zeros(3) if k % 6 == 0 else x[0:3]
+            c = float(fld.c(p))
+            for frame in (x[3:12], np.zeros(9)):
+                for fast in ([c, c], [c - 0.1 - abs(y[0]), c], y):
+                    states.append(np.concatenate([p, frame, fast]))
+        for v in states:
+            assert same_bits(got(t, v), want(t, v))
+
+
+def test_full_field_reads_the_field_value_once_per_call():
+    calls = []
+    fld = builtin_fields()["quadratic"]
+
+    def counted_c(p):
+        calls.append(1)
+        return fld.c(p)
+
+    spec = as_system_spec(ScalarField(name="counted", c=counted_c, grad=fld.grad,
+                                      hess=fld.hess, p_star=fld.p_star))
+    rhs = assemble_full_field(spec, 16.0 * np.pi)
+    rhs(0.3, np.concatenate([P_REF, embed(np.eye(3)), [0.2, -0.1]]))
+    assert len(calls) == 1
 
 
 def test_anisotropic_g2_follows_the_dither_direction():

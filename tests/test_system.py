@@ -188,6 +188,27 @@ def test_full_field_makes_one_terms_call_per_evaluation():
     assert np.array_equal(got, assemble_full_field(base, 9.0)(0.2, v))
 
 
+def test_full_field_returns_the_specs_own_right_hand_side():
+    # a spec's full(omega) is returned as it is (f3 is not added to it),
+    # and a bad omega is refused before full is called
+    made = []
+
+    def rhs(t, v):
+        return np.array([t, -t])
+
+    def full(omega):
+        made.append(omega)
+        return rhs
+
+    spec = scalar_spec(full=full, f3=lambda x, y, tau, w: np.array([1.0]))
+    assert assemble_full_field(spec, 9.0) is rhs
+    assert made == [9.0]
+    for bad in (0.0, -2.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="omega must be positive"):
+            assemble_full_field(spec, bad)
+    assert made == [9.0]
+
+
 def test_phase_terms_with_wrong_shape_raise_dimension_error():
     def short(x, y, tau, order_one=True):  # F1 one column short of n + m
         return np.zeros(np.shape(tau) + (1,)), np.zeros(np.shape(tau) + (2,))
