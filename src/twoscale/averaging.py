@@ -11,8 +11,10 @@ Everything lives on one uniform phase grid with an even panel count, and
 both periodic problems are diagonal in its Fourier modes: a corrector is
 one small linear solve per mode, the bracket's mean one Parseval sum.
 The spec's phase fields are evaluated by one phase_terms call per grid
-(the contract in OscillatorySystemSpec), which keeps the slow-state
-finite-difference Jacobians at O(n) grid sweeps.
+(the contract in OscillatorySystemSpec).  Of the two slow-state
+finite-difference Jacobians, fbar's differences the spec's f1 alone, and
+b2's D_x phi1 differences the source b1 and solves all n columns in one
+corrector sweep, since phi1 is linear in b1.
 """
 
 from __future__ import annotations
@@ -142,17 +144,20 @@ class CorrectorSolution:
             )
         return vals
 
-    def __call__(self, x, tau: float) -> np.ndarray:
-        return self.values_on_grid(x, tau)[0]
+    def _solve(self, beta: np.ndarray) -> np.ndarray:
+        """The grid solution, (n_panels + 1, m, ...) with the first row
+        repeated, for a source sampled on the grid, (n_panels, m, ...);
+        trailing axes are sources solved independently, bit for bit."""
+        beta_hat = np.fft.rfft(beta, axis=0)
+        vals = np.fft.irfft(
+            np.einsum("kij,kj...->ki...", self._inv, beta_hat), n=self.n_panels, axis=0
+        )
+        return np.concatenate([vals, vals[:1]])
 
-    def values_on_grid(self, x, offset: float = 0.0) -> np.ndarray:
-        """phi(x, offset + k h) for k = 0..n_panels; the last row repeats the first."""
-        beta_hat = np.fft.rfft(self._sample_b(x, float(offset)), axis=0)
-        vals = np.fft.irfft(_contract(self._inv, beta_hat), n=self.n_panels, axis=0)
-        return np.vstack([vals, vals[:1]])
-
-    def values_at(self, x, taus: np.ndarray) -> np.ndarray:
-        """Sample at the given phases; grid-aligned phases share one sweep."""
+    def _at_phases(self, on_grid, taus: np.ndarray) -> np.ndarray:
+        """Rows at the given phases of on_grid(offset), a quantity on the
+        grid offset + k h: grid-aligned phases share one call, any other
+        phase takes row 0 of its own."""
         taus = np.asarray(taus, dtype=float)
         if taus.ndim != 1:
             raise DimensionError(f"taus must be a vector, got shape {taus.shape}")
@@ -161,8 +166,19 @@ class CorrectorSolution:
             d = np.diff(taus)
             tol = 1e-9 * max(self.h, 1.0)
             if np.all(np.abs(d - self.h) < tol):
-                return self.values_on_grid(x, float(taus[0]))[:K]
-        return np.stack([self(x, t) for t in taus])
+                return on_grid(float(taus[0]))[:K]
+        return np.stack([on_grid(float(t))[0] for t in taus])
+
+    def __call__(self, x, tau: float) -> np.ndarray:
+        return self.values_on_grid(x, tau)[0]
+
+    def values_on_grid(self, x, offset: float = 0.0) -> np.ndarray:
+        """phi(x, offset + k h) for k = 0..n_panels; the last row repeats the first."""
+        return self._solve(self._sample_b(x, float(offset)))
+
+    def values_at(self, x, taus: np.ndarray) -> np.ndarray:
+        """Sample at the given phases; grid-aligned phases share one sweep."""
+        return self._at_phases(lambda t: self.values_on_grid(x, t), taus)
 
 
 def solve_periodic_bvp(A: np.ndarray, b, T: float, n_panels: int = 256) -> CorrectorSolution:
@@ -200,9 +216,9 @@ class _FirstCorrectorSource:
 class _SecondCorrectorSource:
     """b2 = g2 + D_y g1 phi1 - Dphi0 f2~ - Dx phi1 f1~ on y = phi0(x).
 
-    Its first two terms and f2~ are the rows of _order_one's H; Dx phi1
-    comes from central differences of the corrector (jacobian_fd), two
-    grid sweeps per slow coordinate.
+    Its first two terms and f2~ are the rows of _order_one's H.  phi1 is
+    linear in its source b1, so Dx phi1 is phi1's solve of Dx b1: central
+    differences of b1 (jacobian_fd), all n columns in one sweep.
     """
 
     def __init__(self, spec: OscillatorySystemSpec, phi1: CorrectorSolution):
@@ -226,7 +242,10 @@ class _SecondCorrectorSource:
     def _values_at(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         n = self.spec.n
         F1, H = _order_one(self.spec, self.phi1, x, taus)
-        dphi1 = jacobian_fd(lambda w: self.phi1.values_at(w, taus), x)
+        phi1 = self.phi1
+        dphi1 = phi1._at_phases(
+            lambda t: phi1._solve(jacobian_fd(lambda w: phi1._sample_b(w, t), x)), taus
+        )
         return H[:, n:] - H[:, :n] @ self.spec.phi0_jacobian(x).T - _contract(dphi1, F1[:, :n])
 
     def __call__(self, x, tau: float) -> np.ndarray:
@@ -279,8 +298,7 @@ class ReducedSystem:
     def f1_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         spec = self.spec
         y0 = np.asarray(spec.phi0(x), dtype=float)
-        F1, _ = grid_terms(spec, x, y0, np.asarray(taus, dtype=float), False)
-        return F1[:, : spec.n]
+        return phase_values(spec.f1, x, y0, np.asarray(taus, dtype=float), (spec.n,))
 
     def f2_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         _, H = _order_one(self.spec, self.phi1, x, np.asarray(taus, dtype=float))

@@ -288,7 +288,8 @@ def cmd_average_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
         reference = closed(0.0, x)
         err = float(np.linalg.norm(numeric - reference) / np.linalg.norm(reference))
         errors.append(err)
-    max_err = max(errors)
+    # np.max, not max: a NaN on any state must reach the verdict
+    max_err = float(np.max(errors))
     passed = max_err < tol
 
     _write_report(out_dir / str(cfg["output"]), {
@@ -411,14 +412,12 @@ def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
         raise ConfigurationError(f"unknown bvp cases: {', '.join(bad)}")
 
     results = []
-    worst = 0.0
     for name in case_names:
         if name in ("cosine-1d", "jordan-2d"):
             case = bvp_cosine_case() if name == "cosine-1d" else bvp_jordan_case()
             phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=panels)
             res = residual_bvp(phi, case.A, case.b, case.T)
             results.append({"case": name, "residuals": [res]})
-            worst = max(worst, res)
         else:
             fld = field_by_name("log")
             spec = as_system_spec(fld)
@@ -433,8 +432,9 @@ def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
                 r2 = residual_bvp(bundle.phi2, spec.A, b2, spec.T, x=x)
                 residuals.extend([r1, r2])
             results.append({"case": name, "residuals": residuals})
-            worst = max(worst, max(residuals))
 
+    # np.max, not max: a NaN residual must reach the verdict
+    worst = float(np.max([r for entry in results for r in entry["residuals"]]))
     passed = worst < tol
     _write_report(out_dir / str(cfg["output"]), {
         "cases": results,
@@ -445,7 +445,7 @@ def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
     })
     for entry in results:
         _say(quiet, f"bvp-check [{entry['case']}]: max residual "
-                    f"{max(entry['residuals']):.3g}")
+                    f"{np.max(entry['residuals']):.3g}")
     _say(quiet, f"bvp-check: overall {'pass' if passed else 'FAIL'} "
                 f"(worst {worst:.3g}, threshold {tol:.3g})")
     return EXIT_OK if passed else EXIT_CRITERION

@@ -449,14 +449,6 @@ def _frame_turn(q: list, ct, st) -> list:
     return out
 
 
-def _phase_ops(tau):
-    """(cos, sin, zero) for a phase: math and 0.0 for a float, numpy and
-    a zero array of tau's shape otherwise."""
-    if isinstance(tau, float):
-        return math.cos, math.sin, 0.0
-    return np.cos, np.sin, np.zeros(np.shape(tau))
-
-
 def _terms_view(terms, part: int, cols: slice):
     """One phase field of a spec as its columns of terms' F1 (part 0,
     computed alone) or F2 (part 1)."""
@@ -499,6 +491,29 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         out[1, 0:3] = g
         return out
 
+    trig_key = trig_val = None
+
+    def phase_trig(tau, val: float):
+        """cos tau, sin tau and 2 cos(2 tau - val) at a phase tau and center
+        value val: floats through math for a float tau, arrays through numpy
+        otherwise.  The arrays of the last (phases, val) pair are kept: a
+        slow-state Jacobian evaluates one grid at one center value for 17
+        of its 18 frame-coordinate evaluations in a row."""
+        nonlocal trig_key, trig_val
+        if isinstance(tau, float):
+            return math.cos(tau), math.sin(tau), 2.0 * math.cos(2.0 * tau - val)
+        tau = np.asarray(tau, dtype=float)
+        key = (tau.shape, tau.tobytes(), val)
+        if key != trig_key:
+            trig_val = (np.cos(tau), np.sin(tau), 2.0 * np.cos(2.0 * tau - val))
+            trig_key = key
+        return trig_val
+
+    def f1_rows(q: list, gain, ct, st, s1) -> list:
+        """The 12 components of f1: the dithered surge s1 q1 and the
+        filter-gain turn of the frame."""
+        return [s1 * q[0], s1 * q[1], s1 * q[2]] + [gain * r for r in _frame_turn(q, ct, st)]
+
     def split(p: np.ndarray, q: list, gain, tau, order_one: bool):
         """F1 = (f1, g1) and F2 = (f2, g2) (None unless order_one) as
         component lists, and the center value c(p).  p is the center as
@@ -509,27 +524,27 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         gradient, trig values and dither axis are shared by all four
         fields."""
         g = np.asarray(grad(p), dtype=float).tolist()
-        cos, sin, zero = _phase_ops(tau)
-        ct = cos(tau)
-        st = sin(tau)
         val = float(c(p))
-        arg = 2.0 * tau - val
+        ct, st, s1 = phase_trig(tau, val)
         d = _dither_axis(q, ct, st)
         u = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]
-        s1 = 2.0 * cos(arg)
-        F1 = (
-            [s1 * q[0], s1 * q[1], s1 * q[2]]
-            + [gain * r for r in _frame_turn(q, ct, st)]
-            + [b0 * u, b1 * u]
-        )
+        F1 = f1_rows(q, gain, ct, st, s1) + [b0 * u, b1 * u]
         if not order_one:
             return F1, None, val
+        sin = math.sin if isinstance(tau, float) else np.sin
+        zero = 0.0 if isinstance(tau, float) else np.zeros(np.shape(tau))
         H = hessian(p).tolist()
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
-        s2 = 2.0 * u * sin(arg)
+        s2 = 2.0 * u * sin(2.0 * tau - val)
         F2 = [s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [b0 * v, b1 * v]
         return F1, F2, val
+
+    def f1(x: np.ndarray, y: np.ndarray, tau):
+        """terms' f1 columns alone: no gradient, dither axis or g1."""
+        ya, yb = y.tolist()
+        ct, st, s1 = phase_trig(tau, float(c(x[0:3])))
+        return np.array(f1_rows(x[3:12].tolist(), yb - ya, ct, st, s1)).T
 
     def terms(x: np.ndarray, y: np.ndarray, tau, order_one: bool = True):
         ya, yb = y.tolist()
@@ -565,7 +580,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         T=2.0 * np.pi,
         A=A,
         phi0=phi0,
-        f1=_terms_view(terms, 0, slice(0, 12)),
+        f1=f1,
         f2=_terms_view(terms, 1, slice(0, 12)),
         g1=_terms_view(terms, 0, slice(12, 14)),
         g2=_terms_view(terms, 1, slice(12, 14)),

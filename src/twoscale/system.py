@@ -65,11 +65,12 @@ class OscillatorySystemSpec:
     sqrt(w)-scale part and F2 = (f2, g2) the order-one part, each stacked
     along the last axis: shape (n+m,) at a scalar tau and (K, n+m) at K
     phases.  Its values must equal the four fields'.  order_one=False
-    means the caller uses F1 alone (the first corrector and the reduced
-    f1 need nothing else), and terms may then return None for F2.  A
-    spec supplies terms when its fields share work (a trig value, a
-    sensor reading, a gradient), so that the full right-hand side and
-    every averaging grid make one spec call instead of up to four.
+    means the caller uses F1 alone (the first corrector needs nothing
+    else), and terms may then return None for F2.  A spec supplies terms
+    when its fields share work (a trig value, a sensor reading, a
+    gradient), so that the full right-hand side and every averaging grid
+    make one spec call instead of up to four; the reduced f1 alone, which
+    fbar differences, is read from f1 itself.
     Without it, phase_terms calls and stacks the fields, read from the
     spec at each call, so a field reassigned after construction is used.
 

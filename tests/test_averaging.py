@@ -34,7 +34,7 @@ from twoscale.benchmarks import (
     linear_benchmark,
 )
 from twoscale.errors import ConfigurationError
-from twoscale.numkit import TimeGrid, integrate_rk4, mat_exp, quad_periodic, simpson_rule
+from twoscale.numkit import TimeGrid, integrate_rk4, jacobian_fd, mat_exp, quad_periodic, simpson_rule
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
 from twoscale.system import OscillatorySystemSpec, assemble_full_field, grid_terms
@@ -563,6 +563,8 @@ def test_second_corrector_makes_the_corrected_manifold_invariant_to_third_order(
 # explicit loops over the slow coordinates: step cbrt(eps) * (1 + |x_j|),
 # columns written into preallocated C-ordered arrays, and fbar's bracket
 # as the Parseval sum over the modes of f1 and of its difference quotients.
+# phi1 is linear in its source, so b2's D_x phi1 is the corrector solve of
+# b1's difference quotients, each column solved alone.
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -588,20 +590,62 @@ def _loop_fbar(averaged, x):
     return np.mean(red.f2_values(x, taus), axis=0) - 0.5 * (w @ modes.imag)
 
 
-def _loop_b2(source, x, taus):
-    spec, phi1 = source.spec, source.phi1
-    K, n, m = taus.shape[0], spec.n, spec.m
-    y0 = np.asarray(spec.phi0(x), dtype=float)
-    D0 = spec.phi0_jacobian(x)
-    phi1_vals = phi1.values_at(x, taus)
-    dphi1 = np.empty((K, m, n))
-    for j in range(n):
+def _solve_alone(phi, beta):
+    """One source's corrector on phi's grid, (N, m) -> (N + 1, m): one
+    rfft, the mode inverses, one irfft, the first row repeated."""
+    vals = np.fft.irfft(_contract(phi._inv, np.fft.rfft(beta, axis=0)), n=phi.n_panels, axis=0)
+    return np.vstack([vals, vals[:1]])
+
+
+def _rows_at(phi, on_grid, taus):
+    """The corrector's phase dispatch: one grid for a grid-aligned phase
+    set, else row 0 of a grid at each phase."""
+    if np.allclose(np.diff(taus), phi.h, rtol=0.0, atol=1e-12):
+        return on_grid(float(taus[0]))[: taus.shape[0]]
+    return np.stack([on_grid(float(t))[0] for t in taus])
+
+
+def _loop_dphi1(phi1, x, taus):
+    """D_x phi1: b1 differenced per coordinate, each column solved alone."""
+    N, m, n = phi1.n_panels, phi1.m, x.shape[0]
+
+    def on_grid(offset):
+        grid = offset % phi1.T + (phi1.T / N) * np.arange(N)
+        out = np.empty((N + 1, m, n))
+        for j in range(n):
+            hj = _FD_STEP * (1.0 + abs(x[j]))
+            xp = x.copy()
+            xm = x.copy()
+            xp[j] += hj
+            xm[j] -= hj
+            dB = (phi1.b.values_at(xp, grid) - phi1.b.values_at(xm, grid)) / (2.0 * hj)
+            out[:, :, j] = _solve_alone(phi1, dB)
+        return out
+
+    return _rows_at(phi1, on_grid, taus)
+
+
+def _old_order_dphi1(phi1, x, taus):
+    """D_x phi1 the way round b2 used to take it: solve phi1 at each
+    perturbed state, then difference."""
+    dphi1 = np.empty((taus.shape[0], phi1.m, x.shape[0]))
+    for j in range(x.shape[0]):
         hj = _FD_STEP * (1.0 + abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += hj
         xm[j] -= hj
         dphi1[:, :, j] = (phi1.values_at(xp, taus) - phi1.values_at(xm, taus)) / (2.0 * hj)
+    return dphi1
+
+
+def _loop_b2(source, x, taus, dphi1_of=_loop_dphi1):
+    spec, phi1 = source.spec, source.phi1
+    n = spec.n
+    y0 = np.asarray(spec.phi0(x), dtype=float)
+    D0 = spec.phi0_jacobian(x)
+    phi1_vals = phi1.values_at(x, taus)
+    dphi1 = dphi1_of(phi1, x, taus)
     F1, F2 = grid_terms(spec, x, y0, taus)
     H = F2 + _contract(_dy_jacobian(spec, x, y0, taus), phi1_vals)
     return H[:, n:] - H[:, :n] @ D0.T - _contract(dphi1, F1[:, :n])
@@ -640,6 +684,40 @@ def test_fd_jacobians_match_coordinate_loops_bit_for_bit(name):
         # an off-grid phase set takes the point-by-point corrector path
         odd = np.array([0.1, 1.7, 4.4])
         assert np.array_equal(source.values_at(x, odd), _loop_b2(source, x, odd)), name
+
+
+@pytest.mark.parametrize("name", ["log", "bracket", "log-without-dy-jacobians"])
+def test_second_source_matches_the_solve_then_difference_order(name):
+    # differencing b1 and then solving rounds apart from solving phi1 at
+    # each perturbed state and then differencing; the two agree to 1e-9
+    spec, states = _fd_oracle_case(name)
+    bundle = build_bundle(spec, n_panels=256)
+    source = bundle.phi2.b
+    grid = (spec.T / 256) * np.arange(256)
+    for x in states:
+        for taus in (grid, np.array([0.1, 1.7, 4.4])):
+            old = _loop_b2(source, x, taus, dphi1_of=_old_order_dphi1)
+            err = np.max(np.abs(source.values_at(x, taus) - old))
+            assert err <= 1e-9 * np.max(np.abs(old)), (name, err)
+
+
+def test_stacked_corrector_solve_equals_per_column_solves_bit_for_bit():
+    bundle = build_bundle(as_system_spec(builtin_fields()["log"]), n_panels=256)
+    phi1 = bundle.phi1
+    rng = np.random.default_rng(23)
+    for x in _seeker_states(2, 24):
+        sources = [
+            jacobian_fd(lambda w: phi1._sample_b(w, 0.3), x),
+            rng.standard_normal((256, 2, 5)),
+        ]
+        for beta in sources:
+            stacked = phi1._solve(beta)
+            assert stacked.shape == (257, 2, beta.shape[-1])
+            # the source's memory layout must not set the bits
+            assert np.array_equal(phi1._solve(np.asfortranarray(beta)), stacked)
+            for j in range(beta.shape[-1]):
+                assert np.array_equal(stacked[..., j], phi1._solve(beta[..., j]))
+                assert np.array_equal(stacked[..., j], _solve_alone(phi1, beta[..., j]))
 
 
 # ---------------------------------------------------------------- averaging

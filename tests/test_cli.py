@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from twoscale import cli
+from twoscale.averaging import AveragedSystem
 from twoscale.benchmarks import linear_benchmark
 from twoscale.cli import DEFAULTS, _write_csv, main
 from twoscale.harness import SweepReport
@@ -282,6 +283,25 @@ def test_average_check_zero_tolerance_is_criterion_failure(tmp_path):
     assert report["max_rel_error"] > 0.0
 
 
+def test_average_check_nan_on_a_later_state_fails(tmp_path, monkeypatch):
+    # Python's max keeps its first operand against a NaN, so a NaN fbar on
+    # state 2 once passed with the max of the finite errors
+    fbar = AveragedSystem.fbar
+    calls = []
+
+    def nan_on_second(self, x):
+        calls.append(1)
+        return fbar(self, x) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(AveragedSystem, "fbar", nan_on_second)
+    payload = {"n_states": 3, "panels": 64, "tolerance": 1e-3}
+    assert run_cmd("average-check", tmp_path, payload) == 3
+    report = json.loads((tmp_path / "out" / "average_check.json").read_text())
+    assert report["pass"] is False
+    assert np.isnan(report["max_rel_error"])
+    assert np.isnan(report["rel_errors"][1])
+
+
 def test_average_check_rejects_bad_counts(tmp_path):
     assert run_cmd("average-check", tmp_path, {"n_states": 0}) == 1
     assert run_cmd("average-check", tmp_path, {"tolerance": -1.0}) == 1
@@ -387,6 +407,24 @@ def test_bvp_check_coarse_panels_fail_the_gate(tmp_path):
     report = json.loads((tmp_path / "out" / "bvp_report.json").read_text())
     assert report["pass"] is False
     assert report["max_residual"] > 1e-6
+
+
+def test_bvp_check_nan_phi2_residual_on_a_later_state_fails(tmp_path, monkeypatch):
+    # state 2's phi2 residual is the last of four; max would drop its NaN
+    residual = cli.residual_bvp
+    calls = []
+
+    def nan_on_fourth(*args, **kwargs):
+        calls.append(1)
+        return np.nan if len(calls) == 4 else residual(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "residual_bvp", nan_on_fourth)
+    payload = {"cases": ["seeker-log"], "n_states": 2}
+    assert run_cmd("bvp-check", tmp_path, payload) == 3
+    report = json.loads((tmp_path / "out" / "bvp_report.json").read_text())
+    assert report["pass"] is False
+    assert np.isnan(report["max_residual"])
+    assert np.isnan(report["cases"][0]["residuals"][3])
 
 
 # --------------------------------------------------------- stability-probe

@@ -10,6 +10,7 @@ of the averaged loop.
 import numpy as np
 import pytest
 
+from twoscale.averaging import build_bundle
 from twoscale.errors import ConfigurationError, DimensionError, ManifoldError
 from twoscale.numkit import TimeGrid, integrate_rk4, jacobian_fd
 from twoscale.seeker import (
@@ -780,3 +781,57 @@ def test_anisotropic_g2_follows_the_dither_direction():
     for tau, dHd in ((0.0, -2.0), (0.5 * np.pi, -4.0)):
         _, F2 = spec.terms(x, np.zeros(2), tau)
         assert abs(F2[13] - 0.5 * dHd) < 1e-15
+
+
+def test_array_phase_trig_cache_keeps_fresh_spec_bits():
+    # each spec keeps the trig values of its last (phase grid, center
+    # value); grids of 256 and 512 phases and a shifted one, interleaved
+    # with float phases, two fields, and states that share the grid and
+    # center value but not the frame, must each give the bits of the same
+    # call on a freshly built spec
+    rng = np.random.default_rng(71)
+    two_pi = 2.0 * np.pi
+    phases = [
+        (two_pi / 256) * np.arange(256),
+        (two_pi / 512) * np.arange(512),
+        0.37 + (two_pi / 256) * np.arange(256),
+        float(rng.uniform(0.0, two_pi)),
+    ]
+    x, y = random_spec_state(rng)
+    frame_moved = x.copy()
+    frame_moved[3:12] += 1e-3 * rng.standard_normal(9)
+    center_moved = x.copy()
+    center_moved[0:3] += 0.1
+    states = [(x, y), (frame_moved, y), (center_moved, rng.standard_normal(2))]
+    kept = {name: as_system_spec(term_field(name)) for name in ("log", "anisotropic")}
+    calls = [
+        lambda s, x, y, tau: s.terms(x, y, tau, True),
+        lambda s, x, y, tau: s.terms(x, y, tau, False)[:1],
+        lambda s, x, y, tau: (s.f1(x, y, tau),),
+        lambda s, x, y, tau: (s.full(16.0 * np.pi)(0.3, np.concatenate([x, y])),),
+    ]
+    cases = [
+        (name, state, tau, call)
+        for name in kept for state in states for tau in phases for call in calls
+    ]
+    for i in rng.permutation(len(cases)):
+        name, (x, y), tau, call = cases[i]
+        got = call(kept[name], x, y, tau)
+        want = call(as_system_spec(term_field(name)), x, y, tau)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_fbar_matches_the_averaged_loop_on_an_anisotropic_field():
+    # K = diag(1, 2, 4): the average turns the frame differently along each
+    # dither direction, which the radial built-in fields cannot show
+    fld = anisotropic_field()
+    bundle = build_bundle(as_system_spec(fld), n_panels=256)
+    closed = averaged_seeker_field(fld)
+    rng = np.random.default_rng(73)
+    for _ in range(5):
+        direction = rng.normal(size=3)
+        p = float(rng.uniform(1.5, 5.0)) * direction / np.linalg.norm(direction)
+        x = np.concatenate([p, embed(exp_so3(rng.uniform(-np.pi, np.pi, size=3)))])
+        numeric = bundle.averaged.fbar(x)
+        reference = closed(0.0, x)
+        assert np.linalg.norm(numeric - reference) < 1e-6 * np.linalg.norm(reference)
