@@ -126,9 +126,9 @@ def _load_config(path: str | None, command: str) -> dict:
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     table = np.asarray(rows, dtype=float)
-    fmt = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
-    path.write_text("\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = (row * table.shape[0]) % tuple(table.ravel().tolist())
+    path.write_text(",".join(header) + "\n" + body)
 
 
 def _write_report(path: Path, payload: dict) -> None:

@@ -8,6 +8,7 @@ is plain float64; no adaptivity, no hidden state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -196,10 +197,24 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
 def rk4_step(
     field: Callable[[float, np.ndarray], np.ndarray],
     t: float,
-    x: np.ndarray,
+    x: np.ndarray | list,
     dt: float,
-) -> np.ndarray:
-    """One classical Runge-Kutta step of size dt."""
+) -> np.ndarray | list:
+    """One classical Runge-Kutta step of size dt.
+
+    x is an array, or a list of floats that the field takes and returns
+    as lists; a list is stepped entry by entry through the same products
+    and sums in the same order, so both forms give the same bits.
+    """
+    if isinstance(x, list):
+        h = 0.5 * dt
+        k1 = field(t, x)
+        k2 = field(t + h, [a + h * b for a, b in zip(x, k1)])
+        k3 = field(t + h, [a + h * b for a, b in zip(x, k2)])
+        k4 = field(t + dt, [a + dt * b for a, b in zip(x, k3)])
+        h6 = dt / 6.0
+        return [a + h6 * ((b1 + 2.0 * (b2 + b3)) + b4)
+                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
     k1 = field(t, x)
     k2 = field(t + 0.5 * dt, x + (0.5 * dt) * k1)
     k3 = field(t + 0.5 * dt, x + (0.5 * dt) * k2)
@@ -209,26 +224,35 @@ def rk4_step(
 
 def integrate_rk4(
     field: Callable[[float, np.ndarray], np.ndarray],
-    x0: np.ndarray,
+    x0: np.ndarray | list,
     grid: TimeGrid,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over the grid; returns (times, states).
 
     x0 is a vector or a block such as (B, d) of independent runs;
-    states[k], of x0's shape, is the state at times[k].  post_step, when
-    given, is applied to the state after each step (constraint projection
-    hooks).  Raises DivergenceError at the first step with a non-finite
-    entry anywhere in the state, and also when post_step raises
-    ManifoldError on a finite state that has drifted too far to project back.
+    states[k], of x0's shape, is the state at times[k].  A list x0 is
+    one vector of d floats, stepped as a list (rk4_step): the field and
+    post_step then take and return lists, and states is (n + 1, d) as
+    for the equal array.  post_step, when given, is applied to the state
+    after each step (constraint projection hooks).  Raises
+    DivergenceError at the first step with a non-finite entry anywhere
+    in the state, and also when post_step raises ManifoldError on a
+    finite state that has drifted too far to project back.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    floats = isinstance(x0, list)
     times = grid.times()
-    out = np.empty((grid.n_steps + 1,) + x.shape)
+    if floats:
+        x = [float(v) for v in x0]
+        steps = times.tolist()
+    else:
+        x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+        steps = times
+    out = np.empty((grid.n_steps + 1,) + np.shape(x))
     out[0] = x
     for k in range(grid.n_steps):
-        x = rk4_step(field, times[k], x, grid.dt)
-        if not np.isfinite(x).all():
+        x = rk4_step(field, steps[k], x, grid.dt)
+        if not (all(map(math.isfinite, x)) if floats else np.isfinite(x).all()):
             raise DivergenceError(k + 1, float(times[k + 1]))
         if post_step is not None:
             try:

@@ -177,7 +177,8 @@ def initial_state(
     """Packed initial state; the filter starts quasi-steady unless y0 is given.
 
     Quasi-steady means y = -A^{-1} B c(p0) = (c(p0), c(p0)), which removes
-    the initial fast transient.
+    the initial fast transient.  A start that cannot be flown, a
+    non-finite y0 or field value c(p0), raises ConfigurationError.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (3,):
@@ -188,26 +189,37 @@ def initial_state(
     res = manifold_residual(embed(R0))
     if not res < 1e-6:
         raise ManifoldError(f"R0 is not a rotation (residual {res:.3g})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0 = float(fld.c(p0))
+    if not math.isfinite(c0):
+        raise ConfigurationError(f"c(p0) must be finite, got {c0} at p0 = {p0.tolist()}")
     if y0 is not None:
         y = np.asarray(y0, dtype=float)
         if y.shape != (2,):
             raise DimensionError(f"y0 must have shape (2,), got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ConfigurationError(f"y0 must be finite, got {y.tolist()}")
     else:
-        c0 = float(fld.c(p0))
         y = np.array([c0, c0])
     return np.concatenate([p0, embed(R0), y])
 
 
 def seeker_field(
     config: SeekerConfig, fld: ScalarField
-) -> Callable[[float, np.ndarray], np.ndarray]:
+) -> Callable[[float, list], list]:
     """Closed-loop right-hand side in the rotating-frame representation.
 
-    State layout: p (3), frame columns q (9), filter y (2).  The roll is
+    State layout: p (3), frame columns q (9), filter y (2), as a list of
+    14 floats; the derivative is returned as one too.  The roll is
     absorbed into the frame R0(tau) = exp_so3(tau e1); what remains of
     the steering is the filtered reading times the rotated third axis
     R0(tau) e3 = (0, -sin tau, cos tau), in world coordinates
     cos(tau) q3 - sin(tau) q2.
+
+    The body is the float arithmetic of _dither_axis and _frame_turn
+    written out entry by entry, with the same products and sums in the
+    same order.  The reading c stays one call on a (3,) array: numpy's
+    vecdot and log1p round differently from their float transcriptions.
     """
     w = config.omega
     sqw = float(np.sqrt(w))
@@ -215,23 +227,31 @@ def seeker_field(
     amp = 2.0 * sqw
     c = fld.c
 
-    def rhs(t: float, s: np.ndarray) -> np.ndarray:
-        x = s.tolist()
-        q = x[3:12]
-        ya, yb = x[12:14]
+    def rhs(t: float, s: list) -> list:
+        # the frame columns are q1 = (a0, a1, a2), q2 = (b0, ...), q3 = (c0, ...)
+        p0, p1, p2, a0, a1, a2, b0, b1, b2, c0, c1, c2, ya, yb = s
         tau = w * t
         ct = math.cos(tau)
         st = math.sin(tau)
-        d = _dither_axis(q, ct, st)
-        sensor = np.array([x[0] + radius * d[0], x[1] + radius * d[1], x[2] + radius * d[2]])
-        val = float(c(sensor))
+        # the sensor rides the dither axis cos(tau) q2 + sin(tau) q3
+        val = float(c(np.array([
+            p0 + radius * (ct * b0 + st * c0),
+            p1 + radius * (ct * b1 + st * c1),
+            p2 + radius * (ct * b2 + st * c2),
+        ])))
         surge = amp * math.cos(2.0 * tau - val)
         gain = sqw * (yb - ya)
-        return np.array(
-            [surge * q[0], surge * q[1], surge * q[2]]
-            + [gain * r for r in _frame_turn(q, ct, st)]
-            + [w * (yb - ya), w * (val - yb)]
-        )
+        # the frame turns about the steering axis v = cos(tau) q3 - sin(tau) q2
+        v0 = ct * c0 - st * b0
+        v1 = ct * c1 - st * b1
+        v2 = ct * c2 - st * b2
+        return [
+            surge * a0, surge * a1, surge * a2,
+            gain * (v1 * a2 - v2 * a1), gain * (v2 * a0 - v0 * a2), gain * (v0 * a1 - v1 * a0),
+            gain * (v1 * b2 - v2 * b1), gain * (v2 * b0 - v0 * b2), gain * (v0 * b1 - v1 * b0),
+            gain * (v1 * c2 - v2 * c1), gain * (v2 * c0 - v0 * c2), gain * (v0 * c1 - v1 * c0),
+            w * (yb - ya), w * (val - yb),
+        ]
 
     return rhs
 
@@ -300,7 +320,7 @@ def cross_check(
     grid = TimeGrid(t0=0.0, dt=config.dt, n_steps=n_steps)
 
     times, raw = integrate_rk4(raw_kinematics_field(config, fld), s0, grid)
-    _, rot = integrate_rk4(seeker_field(config, fld), s0, grid)
+    _, rot = integrate_rk4(seeker_field(config, fld), s0.tolist(), grid)
 
     dev = 0.0
     for k in range(n_steps + 1):
@@ -337,10 +357,10 @@ class SeekerTrajectory:
         return float(fld.c(fld.p_star)) - center
 
 
-def _project_state(s: np.ndarray) -> np.ndarray:
-    out = s.copy()
-    out[3:12] = project_so3(s[3:12].reshape(3, 3).T).T.ravel()
-    return out
+def _project_state(s: list) -> list:
+    """The 14-float state with its frame projected back onto SO(3)."""
+    Q = project_so3(np.array(s[3:12]).reshape(3, 3).T)
+    return s[0:3] + Q.T.ravel().tolist() + s[12:14]
 
 
 def simulate_seeker(
@@ -367,7 +387,7 @@ def simulate_seeker(
     grid = TimeGrid.spanning(t0, t_f, config.dt)
     n_steps = grid.n_steps
     post = _project_state if config.projection else None
-    times, states = integrate_rk4(seeker_field(config, fld), s0, grid, post_step=post)
+    times, states = integrate_rk4(seeker_field(config, fld), s0.tolist(), grid, post_step=post)
     keep = np.arange(0, n_steps + 1, stride)
     if keep[-1] != n_steps:
         keep = np.append(keep, n_steps)

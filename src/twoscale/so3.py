@@ -25,6 +25,7 @@ __all__ = [
 
 _SMALL_ANGLE = 1e-6
 _EYE3 = np.eye(3)
+_EYE3_THREE_HALVES = 1.5 * _EYE3
 
 
 def _vec3(v: np.ndarray, name: str) -> np.ndarray:
@@ -152,9 +153,10 @@ def project_so3(M: np.ndarray, tol: float = 1e-14, max_iter: int = 25) -> np.nda
         raise ManifoldError("input has non-positive determinant, no nearby rotation")
     Q = M
     for _ in range(max_iter):
-        D = G - _EYE3
-        if math.sqrt(np.vdot(D, D)) <= tol:
+        if gram_defect <= tol:
             return Q
-        Q = Q @ (1.5 * _EYE3 - 0.5 * G)
+        Q = Q @ (_EYE3_THREE_HALVES - 0.5 * G)
         G = Q.T @ Q
+        D = G - _EYE3
+        gram_defect = math.sqrt(np.vdot(D, D))
     raise ManifoldError("projection did not converge; input too distorted")

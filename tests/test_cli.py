@@ -146,6 +146,12 @@ _WHOLE_KEYS = [
      "error: deltas must be a list of numbers, got ['6']"),
     ("sweep", {"omegas": [12.5, 25.0, True, 100.0]},
      "error: omegas must be a list of numbers, got [12.5, 25.0, True, 100.0]"),
+    # a start that cannot be flown is bad input, not a divergence (exit 2)
+    # or a bare math domain error from the first step
+    ("simulate", {"y0": [float("nan"), 0.0], "t_f": 0.5}, "y0 must be finite, got [nan, 0.0]"),
+    ("simulate", {"y0": [0.0, float("inf")], "t_f": 0.0}, "y0 must be finite, got [0.0, inf]"),
+    ("simulate", {"p0": [1e160, 0.0, 0.0], "t_f": 0.5},
+     "c(p0) must be finite, got -inf at p0 = [1e+160, 0.0, 0.0]"),
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1
@@ -242,8 +248,9 @@ def test_simulate_output_is_deterministic(tmp_path):
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
-    # one format string per row prints the same bytes as formatting each
-    # cell alone, special values included; a list of rows writes the same
+    # one template for the whole table prints the same bytes as one format
+    # string per row and as formatting each cell alone, special values
+    # included; a list of rows writes the same
     special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 3.0, 0.1]
     rng = np.random.default_rng(59)
     scaled = rng.standard_normal((5, 8)) * 10.0 ** rng.integers(-300, 300, (5, 8))
@@ -252,6 +259,10 @@ def test_write_csv_matches_per_cell_format(tmp_path):
         header = [f"c{i}" for i in range(table.shape[1])]
         expected = "\n".join(
             [",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in table]
+        ) + "\n"
+        fmt = ",".join(["%.17g"] * table.shape[1])
+        assert expected == "\n".join(
+            [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
         ) + "\n"
         for rows in (table, list(table)):
             path = tmp_path / f"t{k}.csv"

@@ -6,6 +6,8 @@ solutions) or cross-checked against scipy, which is a test-only
 dependency.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -452,3 +454,97 @@ def test_rk4_nan_in_one_row_raises_for_the_block():
         integrate_rk4(field, np.ones((3, 2)), grid)
     assert exc_info.value.step == 3
     assert abs(exc_info.value.time - 0.3) < 1e-12
+
+
+def _float_or_array_field(t, x):
+    # a forced Lorenz field: a list state gets a list, an array an array,
+    # through the same float arithmetic
+    a, b, c = x
+    out = [10.0 * (b - a) + math.cos(t), a * (28.0 - c) - b, a * b - (8.0 / 3.0) * c]
+    return out if isinstance(x, list) else np.array(out)
+
+
+def test_rk4_list_state_matches_array_bit_for_bit():
+    # the chaotic field amplifies any rounding difference over 2,000 steps
+    grid = TimeGrid(t0=0.3, dt=0.002, n_steps=2000)
+    x0 = [1.0, -2.0, 20.0]
+    times, states = integrate_rk4(_float_or_array_field, x0, grid)
+    a_times, a_states = integrate_rk4(_float_or_array_field, np.array(x0), grid)
+    assert states.shape == (2001, 3) and states.dtype == np.float64
+    assert times.tobytes() == a_times.tobytes()
+    assert states.tobytes() == a_states.tobytes()
+    step = rk4_step(_float_or_array_field, 0.3, x0, 0.002)
+    assert isinstance(step, list)
+    array_step = rk4_step(_float_or_array_field, 0.3, np.array(x0), 0.002)
+    assert np.array(step).tobytes() == array_step.tobytes()
+
+
+def test_rk4_list_post_step_takes_and_returns_lists():
+    grid = TimeGrid(t0=0.0, dt=0.05, n_steps=40)
+    seen = []
+
+    def renorm(s):
+        seen.append(type(s))
+        r = math.sqrt(s[0] * s[0] + s[1] * s[1])
+        out = [s[0] / r, s[1] / r]
+        return out if isinstance(s, list) else np.array(out)
+
+    def field(t, s):
+        out = [s[1], -s[0]]
+        return out if isinstance(s, list) else np.array(out)
+
+    _, states = integrate_rk4(field, [3.0, 4.0], grid, post_step=renorm)
+    assert seen == [list] * 40
+    _, a_states = integrate_rk4(field, np.array([3.0, 4.0]), grid, post_step=renorm)
+    assert states.tobytes() == a_states.tobytes()
+
+
+def test_rk4_list_divergence_matches_array():
+    # x' = x^2 overflows to inf as floats and as arrays at the same step
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=50)
+
+    def square(t, x):
+        out = [v * v for v in x]
+        return out if isinstance(x, list) else np.array(out)
+
+    errors = []
+    for x0 in ([1.0], np.array([1.0])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc_info:
+                integrate_rk4(square, x0, grid)
+        errors.append(exc_info.value)
+    assert errors[0].step == errors[1].step and 1 <= errors[0].step <= 50
+    assert errors[0].time == errors[1].time
+    assert str(errors[0]) == str(errors[1])
+
+
+def test_rk4_list_nan_entry_raises_divergence():
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=10)
+
+    def field(t, x):
+        return [-x[0], math.nan if t > 0.25 else -x[1]]
+
+    with pytest.raises(DivergenceError) as exc_info:
+        integrate_rk4(field, [1.0, 1.0], grid)
+    assert exc_info.value.step == 3
+    assert abs(exc_info.value.time - 0.3) < 1e-12
+
+
+def test_rk4_list_post_step_manifold_error_matches_array():
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=10)
+
+    def reject_large(s):
+        if s[0] > 1.5:
+            raise ManifoldError("cannot project")
+        return s
+
+    errors = []
+    for x0 in ([1.0], np.array([1.0])):
+        with pytest.raises(DivergenceError) as exc_info:
+            integrate_rk4(lambda t, x: x, x0, grid, post_step=reject_large)
+        errors.append(exc_info.value)
+    assert errors[0].step == errors[1].step == 5
+    assert errors[0].time == errors[1].time
+    assert str(errors[0]) == str(errors[1])
+    assert "projection failed" in str(errors[0])
+    assert isinstance(errors[0].__cause__, ManifoldError)

@@ -7,6 +7,8 @@ rotating-frame representations, the pure-roll solution in a flat field
 of the averaged loop.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from twoscale.seeker import (
     sensor_position,
     simulate_seeker,
 )
-from twoscale.so3 import cross3, embed, exp_so3, manifold_residual
+from twoscale.so3 import cross3, embed, exp_so3, manifold_residual, project_so3
 from twoscale.system import assemble_full_field, check_assumption_A
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -222,7 +224,7 @@ def test_seeker_field_at_crafted_state():
     cfg = SeekerConfig(omega=w)
     r = cfg.sensor_radius
     s = np.concatenate([-r * E2, embed(np.eye(3)), np.zeros(2)])
-    ds = seeker_field(cfg, fld)(0.0, s)
+    ds = np.array(seeker_field(cfg, fld)(0.0, s.tolist()))
     expected = np.zeros(14)
     expected[0:3] = 2.0 * np.sqrt(w) * E1
     assert np.array_equal(ds, expected)
@@ -236,7 +238,7 @@ def test_seeker_field_filter_drives_frame():
     cfg = SeekerConfig(omega=w)
     r = cfg.sensor_radius
     s = np.concatenate([-r * E2, embed(np.eye(3)), np.array([0.0, 1.0])])
-    ds = seeker_field(cfg, fld)(0.0, s)
+    ds = np.array(seeker_field(cfg, fld)(0.0, s.tolist()))
     sqw = np.sqrt(w)
     assert np.max(np.abs(ds[0:3] - 2.0 * sqw * E1)) < 1e-14
     assert np.max(np.abs(ds[3:6] - sqw * E2)) < 1e-14
@@ -254,7 +256,7 @@ def test_seeker_field_filter_tracks_sensor_reading():
     y = np.array([0.05, -0.3])
     t = 0.37
     s = np.concatenate([P_REF, embed(Q), y])
-    ds = seeker_field(cfg, fld)(t, s)
+    ds = np.array(seeker_field(cfg, fld)(t, s.tolist()))
     ps = sensor_position(P_REF, embed(Q), w * t, cfg.sensor_radius)
     expected_dy = w * (FILTER_A @ y + FILTER_B * fld.c(ps))
     assert np.max(np.abs(ds[12:14] - expected_dy)) < 1e-12
@@ -294,7 +296,7 @@ def test_seeker_field_matches_cross_product_reference(name):
         t = float(rng.uniform(-1e4, 1e4)) / cfg.omega
         q = embed(exp_so3(rng.uniform(-np.pi, np.pi, size=3))) + 1e-3 * rng.standard_normal(9)
         s = np.concatenate([rng.uniform(-8.0, 8.0, size=3), q, rng.standard_normal(2)])
-        got = seeker_field(cfg, fld)(t, s)
+        got = np.array(seeker_field(cfg, fld)(t, s.tolist()))
         ref = reference_seeker_field(cfg, fld)(t, s)
         assert got.shape == (14,)
         for block in (slice(0, 3), slice(3, 12), slice(12, 14)):
@@ -389,10 +391,73 @@ def test_simulate_start_time_sets_phase():
     from twoscale.numkit import rk4_step
 
     s0 = initial_state(fld, P_REF, np.eye(3))
-    manual = rk4_step(seeker_field(cfg, fld), 0.125, s0, cfg.dt)
+    manual = rk4_step(seeker_field(cfg, fld), 0.125, s0.tolist(), cfg.dt)
     from twoscale.seeker import _project_state
 
-    assert np.max(np.abs(traj.states[1] - _project_state(manual))) < 1e-15
+    assert np.max(np.abs(traj.states[1] - np.array(_project_state(manual)))) < 1e-15
+
+
+def array_seeker_field(config, fld):
+    """seeker_field as it was on arrays: the state read with tolist(), the
+    dither axis and frame turn formed as lists, one np.array returned."""
+    w = config.omega
+    sqw = float(np.sqrt(w))
+    radius = config.sensor_radius
+    amp = 2.0 * sqw
+
+    def rhs(t, s):
+        x = s.tolist()
+        q = x[3:12]
+        ya, yb = x[12:14]
+        tau = w * t
+        ct = math.cos(tau)
+        st = math.sin(tau)
+        d = [ct * q[3] + st * q[6], ct * q[4] + st * q[7], ct * q[5] + st * q[8]]
+        sensor = np.array([x[0] + radius * d[0], x[1] + radius * d[1], x[2] + radius * d[2]])
+        val = float(fld.c(sensor))
+        surge = amp * math.cos(2.0 * tau - val)
+        gain = sqw * (yb - ya)
+        v0 = ct * q[6] - st * q[3]
+        v1 = ct * q[7] - st * q[4]
+        v2 = ct * q[8] - st * q[5]
+        turn = []
+        for a0, a1, a2 in (q[0:3], q[3:6], q[6:9]):
+            turn += [v1 * a2 - v2 * a1, v2 * a0 - v0 * a2, v0 * a1 - v1 * a0]
+        return np.array(
+            [surge * q[0], surge * q[1], surge * q[2]]
+            + [gain * r for r in turn]
+            + [w * (yb - ya), w * (val - yb)]
+        )
+
+    return rhs
+
+
+def array_project_state(s):
+    out = s.copy()
+    out[3:12] = project_so3(s[3:12].reshape(3, 3).T).T.ravel()
+    return out
+
+
+@pytest.mark.parametrize("name, projection, stride, t0, y0", [
+    ("log", True, 1, 0.0, None),
+    ("log", False, 7, 0.37, None),
+    ("log", True, 5, 1.1, [0.0, 0.0]),
+    ("quadratic", True, 3, 0.25, None),
+    ("quadratic", False, 1, 0.0, [0.0, 0.0]),
+])
+def test_simulate_matches_the_array_flight_bit_for_bit(name, projection, stride, t0, y0):
+    fld = builtin_fields()[name]
+    cfg = SeekerConfig(omega=4.0 * np.pi, steps_per_fast_period=50, projection=projection)
+    R0 = exp_so3(np.array([0.4, -1.2, 0.7]))
+    traj = simulate_seeker(cfg, fld, P_REF, R0, t_f=1.0, y0=y0, stride=stride, t0=t0)
+    grid = TimeGrid.spanning(t0, 1.0, cfg.dt)
+    post = array_project_state if projection else None
+    times, states = integrate_rk4(
+        array_seeker_field(cfg, fld), initial_state(fld, P_REF, R0, y0=y0), grid, post_step=post
+    )
+    keep = sorted(set(range(0, grid.n_steps + 1, stride)) | {grid.n_steps})
+    assert traj.times.tobytes() == times[keep].tobytes()
+    assert traj.states.tobytes() == states[keep].tobytes()
 
 
 def test_simulate_validation():
@@ -572,7 +637,7 @@ def test_seeker_spec_truncation_shrinks_like_inverse_sqrt():
         errs = []
         for w in (16.0 * np.pi, 32.0 * np.pi, 64.0 * np.pi):
             full = assemble_full_field(spec, w)(0.0, s)
-            exact = seeker_field(SeekerConfig(omega=w), fld)(0.0, s)
+            exact = np.array(seeker_field(SeekerConfig(omega=w), fld)(0.0, s.tolist()))
             errs.append(float(np.max(np.abs(full - exact))))
         for k in range(len(errs) - 1):
             ratio = errs[k] / errs[k + 1]

@@ -4,6 +4,8 @@ Oracles are closed-form rotations (Rodrigues on coordinate axes) and
 algebraic identities of the hat map and the embedding.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,53 @@ def test_project_so3_matches_reference_over_drifts():
         for _ in range(10):
             M = random_rotation(rng) + drift * rng.standard_normal((3, 3))
             assert np.array_equal(project_so3(M), reference_project_so3(M))
+
+
+def loop_project_so3(M, tol=1e-14, max_iter=25):
+    """project_so3 as it was before the Gram defect was carried forward:
+    the first pass recomputes G - I and its vdot, and each pass rebuilds
+    1.5 I.  Returns the rotation and the number of iterations taken."""
+    eye = np.eye(3)
+    G = M.T @ M
+    D = G - eye
+    gram_defect = math.sqrt(np.vdot(D, D))
+    if not gram_defect < 0.5:
+        raise ManifoldError("input too far from a rotation")
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = M.T.tolist()
+    if a1 * (b2 * c3 - b3 * c2) + a2 * (b3 * c1 - b1 * c3) + a3 * (b1 * c2 - b2 * c1) <= 0.0:
+        raise ManifoldError("input has non-positive determinant")
+    Q = M
+    for k in range(max_iter):
+        D = G - eye
+        if math.sqrt(np.vdot(D, D)) <= tol:
+            return Q, k
+        Q = Q @ (1.5 * eye - 0.5 * G)
+        G = Q.T @ Q
+    raise ManifoldError("projection did not converge")
+
+
+def test_project_so3_matches_the_loop_oracle_bit_for_bit():
+    # near-rotations that take no iteration, one, and two or more; the
+    # transposed input is the layout the seeker projects
+    rng = np.random.default_rng(61)
+    counts = set()
+    for drift in (0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 5e-2):
+        for _ in range(8):
+            M = random_rotation(rng) + drift * rng.standard_normal((3, 3))
+            for inp in (M, np.ascontiguousarray(M.T).T):
+                expected, iters = loop_project_so3(inp)
+                counts.add(min(iters, 2))
+                assert project_so3(inp).tobytes() == expected.tobytes()
+    assert counts == {0, 1, 2}
+    for M in (1.5 * np.eye(3), np.diag([1.0, 1.0, -1.0]) + 1e-6):
+        with pytest.raises(ManifoldError):
+            loop_project_so3(M)
+        with pytest.raises(ManifoldError):
+            project_so3(M)
+    with pytest.raises(ManifoldError, match="too far"):
+        project_so3(1.5 * np.eye(3))
+    with pytest.raises(ManifoldError, match="determinant"):
+        project_so3(np.diag([1.0, 1.0, -1.0]) + 1e-6)
 
 
 def test_project_so3_rejects_nan_entry():
