@@ -162,9 +162,19 @@ def _parse_y0(value) -> np.ndarray | None:
     return y
 
 
+def _number(cfg: dict, key: str) -> float:
+    """A scalar setting: a finite JSON number, read as a float (float()
+    would take true, "1" and NaN, and overflow beyond the float range)."""
+    v = cfg[key]
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not (number and abs(v) <= sys.float_info.max):
+        raise ConfigurationError(f"{key} must be a number, got {v!r} ({type(v).__name__})")
+    return float(v)
+
+
 def _positive(cfg: dict, key: str) -> float:
-    v = float(cfg[key])
-    if not (np.isfinite(v) and v > 0.0):
+    v = _number(cfg, key)
+    if not v > 0.0:
         raise ConfigurationError(f"{key} must be positive, got {cfg[key]}")
     return v
 
@@ -194,8 +204,8 @@ def _numbers(cfg: dict, key: str) -> list[float]:
 def _tolerance(cfg: dict) -> float:
     # zero is a legal (if unsatisfiable) threshold: the check then reports
     # a criterion failure rather than a config error
-    v = float(cfg["tolerance"])
-    if not (np.isfinite(v) and v >= 0.0):
+    v = _number(cfg, "tolerance")
+    if not v >= 0.0:
         raise ConfigurationError(f"tolerance must be >= 0, got {cfg['tolerance']}")
     return v
 
@@ -218,9 +228,10 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
         raise ConfigurationError("p0 must be a 3-vector")
     R0 = _parse_rotation(cfg["R0"])
     y0 = _parse_y0(cfg["y0"])
-    t_f = float(cfg["t_f"])
-    if not (np.isfinite(t_f) and t_f >= 0.0):
+    t_f = _number(cfg, "t_f")
+    if not t_f >= 0.0:
         raise ConfigurationError(f"t_f must be >= 0, got {cfg['t_f']}")
+    t0 = _number(cfg, "t0")
     # checked here because the t_f = 0 row never reaches simulate_seeker
     stride = _whole(cfg, "stride")
     if stride < 1:
@@ -239,7 +250,6 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
         + ["y1", "y2", "c_center", "v_c", "frame_residual"]
     )
 
-    t0 = float(cfg["t0"])
     if t_f == 0.0:
         traj = SeekerTrajectory(
             times=np.array([t0]),
@@ -310,9 +320,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
     system = str(cfg["system"])
     omegas = _numbers(cfg, "omegas")
     t_f = _positive(cfg, "t_f")
-    slope_max = float(cfg["slope_max"])
-    if not np.isfinite(slope_max):
-        raise ConfigurationError(f"slope_max must be finite, got {cfg['slope_max']}")
+    slope_max = _number(cfg, "slope_max")
 
     y0_mode = str(cfg["y0"])
     if y0_mode not in ("quasi-steady", "zero"):
@@ -383,7 +391,7 @@ def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
             deltas=deltas,
             omegas=_numbers(cfg, "omegas"),
             horizon=horizon,
-            entry_deadline=None if deadline is None else float(deadline),
+            entry_deadline=None if deadline is None else _number(cfg, "entry_deadline"),
             steps_per_fast_period=_whole(cfg, "steps_per_fast_period"),
         )
         payload = report.as_dict()

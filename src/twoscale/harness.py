@@ -97,7 +97,7 @@ def run_compare(
     v0 = spec.pack(np.asarray(x0, dtype=float), np.asarray(y0, dtype=float))
 
     try:
-        times, states = integrate_rk4(assemble_full_field(spec, omega), v0, grid)
+        times, states = integrate_rk4(assemble_full_field(spec, omega), v0.tolist(), grid)
     except DivergenceError as err:
         empty = np.empty((0,))
         return RunRecord(
@@ -206,7 +206,7 @@ def sweep_convergence(
     for its rate; a diverging full run reports an infinite deviation.
     """
     omegas = [float(w) for w in omegas]
-    # checked before the first run, so a bad top rung costs no lower runs
+    # checked before any run, so a bad setting costs no averaged or full run
     for w in omegas:
         if not (np.isfinite(w) and w > 0.0):
             raise ConfigurationError(f"frequencies must be positive and finite, got {w}")
@@ -216,6 +216,8 @@ def sweep_convergence(
         raise ConfigurationError("frequencies must be strictly increasing")
     if avg_steps < 1:
         raise ConfigurationError(f"avg_steps must be >= 1, got {avg_steps}")
+    if steps_per_period < 8:
+        raise ConfigurationError(f"steps_per_period must be >= 8, got {steps_per_period}")
 
     avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
     reference = integrate_rk4(averaged, np.asarray(x0, dtype=float), avg_grid)

@@ -51,7 +51,8 @@ FILTER_B = np.array([0.0, 1.0])
 FILTER_C = np.array([-1.0, 1.0])
 
 _E1 = np.array([1.0, 0.0, 0.0])
-_NEG_EYE3 = -np.eye(3)  # the quadratic field's Hessian; handed out only as copies
+_NEG_EYE3 = -np.eye(3)  # the quadratic field's Hessian: read-only, handed out uncopied
+_NEG_EYE3.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def builtin_fields() -> dict[str, ScalarField]:
         return -p
 
     def quad_hess(p: np.ndarray) -> np.ndarray:
-        return _NEG_EYE3.copy()
+        return _NEG_EYE3
 
     return {
         "log": ScalarField(
@@ -484,21 +485,23 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     split of the reading around the center value, which is what the
     sqrt-scale and order-one slow/fast fields below encode.
 
-    terms stacks the split's components; full(omega) is the full
-    right-hand side of the same split, which assemble_full_field returns.
-    It reads the state as floats once, evaluates c, grad and the Hessian
-    once each, and forms every entry as the same products and sums in the
-    same order as the generic assembly, sqrt(w) f1 + f2 and
-    (sqrt(w) g1 + w A (y - phi0)) + g2, so the two agree bit for bit.
-    The frame rows add F2's zeros too, which turns a -0.0 into +0.0; the
-    layer term stays one numpy expression, because a float transcription
-    of the 2x2 product can round a zero to the other sign.
+    terms stacks the split's components; full(omega), which
+    assemble_full_field returns, is the full right-hand side of the same
+    split as straight-line float code over the 14 state floats.  c, grad
+    and the Hessian read one array of the center (numpy's vecdot and log1p
+    round differently from float code), and every entry is the same
+    products and sums in the same order as split and the generic assembly,
+    sqrt(w) f1 + f2 and (sqrt(w) g1 + w A (y - phi0)) + g2, F2's zeros and
+    the products with B's zero entry included, so the two agree bit for
+    bit.  The layer term w A z is w (0.0 + (z1 - z0)) and w (0.0 - z1):
+    numpy's 2x2 product sums each row onto +0.0, so these give its bits,
+    signed zeros included, where -z0 + z1 and 0 z0 - z1 do not.
     """
     grad = fld.grad
     c = fld.c
     hessian = fld.hessian
     A = FILTER_A.copy()
-    b0, b1 = FILTER_B.tolist()
+    fb0, fb1 = FILTER_B.tolist()
 
     def phi0(x: np.ndarray) -> np.ndarray:
         val = float(c(x[0:3]))
@@ -548,7 +551,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         ct, st, s1 = phase_trig(tau, val)
         d = _dither_axis(q, ct, st)
         u = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]
-        F1 = f1_rows(q, gain, ct, st, s1) + [b0 * u, b1 * u]
+        F1 = f1_rows(q, gain, ct, st, s1) + [fb0 * u, fb1 * u]
         if not order_one:
             return F1, None, val
         sin = math.sin if isinstance(tau, float) else np.sin
@@ -557,7 +560,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
         s2 = 2.0 * u * sin(2.0 * tau - val)
-        F2 = [s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [b0 * v, b1 * v]
+        F2 = [s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [fb0 * v, fb1 * v]
         return F1, F2, val
 
     def f1(x: np.ndarray, y: np.ndarray, tau):
@@ -571,17 +574,43 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         F1, F2, _ = split(x[0:3], x[3:12].tolist(), yb - ya, tau, order_one)
         return np.array(F1).T, (np.array(F2).T if order_one else None)
 
-    def full(omega: float) -> Callable[[float, np.ndarray], np.ndarray]:
+    def full(omega: float) -> Callable[[float, list], list]:
         sqrt_w = float(np.sqrt(omega))
 
-        def rhs(t: float, v: np.ndarray) -> np.ndarray:
-            s = v.tolist()
-            F1, F2, val = split(v[0:3], s[3:12], s[13] - s[12], omega * t, True)
-            la, lb = (omega * (A @ (v[12:14] - val))).tolist()
-            return np.array(
-                [sqrt_w * a + b for a, b in zip(F1[:12], F2[:12])]
-                + [(sqrt_w * F1[12] + la) + F2[12], (sqrt_w * F1[13] + lb) + F2[13]]
-            )
+        def rhs(t: float, s: list) -> list:
+            # the frame columns are q1 = (a0, a1, a2), q2 = (b0, ...), q3 = (c0, ...)
+            a0, a1, a2, b0, b1, b2, c0, c1, c2, ya, yb = s[3:]
+            center = np.array(s[0:3])
+            val = float(c(center))
+            g0, g1, g2 = np.asarray(grad(center), dtype=float).tolist()
+            tau = omega * t
+            ct, st = math.cos(tau), math.sin(tau)
+            s1 = 2.0 * math.cos(2.0 * tau - val)
+            # dither axis d = ct q2 + st q3, steering axis v = ct q3 - st q2
+            d0, d1, d2 = ct * b0 + st * c0, ct * b1 + st * c1, ct * b2 + st * c2
+            v0, v1, v2 = ct * c0 - st * b0, ct * c1 - st * b1, ct * c2 - st * b2
+            u = g0 * d0 + g1 * d1 + g2 * d2
+            e0, e1, e2 = [h0 * d0 + h1 * d1 + h2 * d2 for h0, h1, h2 in hessian(center).tolist()]
+            hv = 0.5 * (d0 * e0 + d1 * e1 + d2 * e2)
+            s2 = 2.0 * u * math.sin(2.0 * tau - val)
+            gain = yb - ya
+            z0, z1 = ya - val, yb - val
+            return [
+                sqrt_w * (s1 * a0) + s2 * a0,
+                sqrt_w * (s1 * a1) + s2 * a1,
+                sqrt_w * (s1 * a2) + s2 * a2,
+                sqrt_w * (gain * (v1 * a2 - v2 * a1)) + 0.0,
+                sqrt_w * (gain * (v2 * a0 - v0 * a2)) + 0.0,
+                sqrt_w * (gain * (v0 * a1 - v1 * a0)) + 0.0,
+                sqrt_w * (gain * (v1 * b2 - v2 * b1)) + 0.0,
+                sqrt_w * (gain * (v2 * b0 - v0 * b2)) + 0.0,
+                sqrt_w * (gain * (v0 * b1 - v1 * b0)) + 0.0,
+                sqrt_w * (gain * (v1 * c2 - v2 * c1)) + 0.0,
+                sqrt_w * (gain * (v2 * c0 - v0 * c2)) + 0.0,
+                sqrt_w * (gain * (v0 * c1 - v1 * c0)) + 0.0,
+                (sqrt_w * (fb0 * u) + omega * (0.0 + (z1 - z0))) + fb0 * hv,
+                (sqrt_w * (fb1 * u) + omega * (0.0 - z1)) + fb1 * hv,
+            ]
 
         return rhs
 

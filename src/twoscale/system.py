@@ -40,7 +40,7 @@ PhaseField = Callable[[np.ndarray, np.ndarray, float | np.ndarray], np.ndarray]
 PhaseTerms = Callable[
     [np.ndarray, np.ndarray, float | np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]
 ]
-FullField = Callable[[float], Callable[[float, np.ndarray], np.ndarray]]
+FullField = Callable[[float], Callable[[float, list], list]]
 
 
 @dataclass
@@ -75,11 +75,11 @@ class OscillatorySystemSpec:
     spec at each call, so a field reassigned after construction is used.
 
     full is optional: full(omega) -> rhs, the whole right-hand side at
-    frequency omega, mapping (t, packed state) to the packed derivative.
-    Its values must equal the assembly from the fields, the remainders f3
-    and g3 included: assemble_full_field returns it as it is when present.
-    A spec supplies it when one closure over the packed state beats the
-    generic assembly.
+    frequency omega, mapping (t, packed state as a list of n + m floats)
+    to the packed derivative as such a list.  Its values must equal the
+    assembly from the fields, the remainders f3 and g3 included:
+    assemble_full_field returns it as it is when present.  A spec supplies
+    it when one float closure over the packed state beats the assembly.
     """
 
     n: int
@@ -177,12 +177,13 @@ def grid_terms(spec: OscillatorySystemSpec, x, y, taus: np.ndarray, order_one: b
 
 def assemble_full_field(
     spec: OscillatorySystemSpec, omega: float
-) -> Callable[[float, np.ndarray], np.ndarray]:
+) -> Callable[[float, list], list]:
     """Right-hand side of the full system at frequency omega.
 
-    The returned callable maps (t, packed state) to the packed
-    derivative, with the fast phase tau = omega * t.  It is spec.full(omega)
-    when the spec supplies full, else the fields' assembly below.
+    The returned callable maps (t, packed state as a list of n + m floats)
+    to the packed derivative as such a list, with the fast phase
+    tau = omega * t.  It is spec.full(omega) when the spec supplies full,
+    else the fields' assembly below, on arrays inside its list boundary.
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ConfigurationError(f"omega must be positive, got {omega}")
@@ -195,7 +196,8 @@ def assemble_full_field(
     f3, g3 = spec.f3, spec.g3
     phi0 = spec.phi0
 
-    def field(t: float, v: np.ndarray) -> np.ndarray:
+    def field(t: float, s: list) -> list:
+        v = np.array(s)
         x = v[:n]
         y = v[n:]
         tau = omega * t
@@ -209,7 +211,7 @@ def assemble_full_field(
             out[:n] += f3(x, y, tau, omega) / sqrt_w
         if g3 is not None:
             out[n:] += g3(x, y, tau, omega) / sqrt_w
-        return out
+        return out.tolist()
 
     return field
 

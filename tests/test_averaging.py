@@ -549,7 +549,7 @@ def test_second_corrector_makes_the_corrected_manifold_invariant_to_third_order(
         n_steps = int(round(100 * t_f * omega / spec.T))
         times, states = integrate_rk4(
             assemble_full_field(spec, omega),
-            np.concatenate([x0, manifold(x0, 0.0, eps)]),
+            np.concatenate([x0, manifold(x0, 0.0, eps)]).tolist(),
             TimeGrid(t0=0.0, dt=t_f / n_steps, n_steps=n_steps),
         )
         rows = np.linspace(0, n_steps, 40).astype(int)

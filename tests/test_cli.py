@@ -152,6 +152,30 @@ _WHOLE_KEYS = [
     ("simulate", {"y0": [0.0, float("inf")], "t_f": 0.0}, "y0 must be finite, got [0.0, inf]"),
     ("simulate", {"p0": [1e160, 0.0, 0.0], "t_f": 0.5},
      "c(p0) must be finite, got -inf at p0 = [1e+160, 0.0, 0.0]"),
+    # float() would read true as 1.0, "1" as 1.0 and NaN as itself: a
+    # boolean threshold passed any slope <= 1, and t0 = NaN wrote a nan time
+    ("sweep", {"slope_max": True}, "error: slope_max must be a number, got True (bool)"),
+    ("sweep", {"slope_max": float("nan")}, "error: slope_max must be a number, got nan (float)"),
+    ("sweep", {"t_f": "1"}, "error: t_f must be a number, got '1' (str)"),
+    pytest.param("sweep", {"t_f": 10**400}, f"error: t_f must be a number, got {10**400!r} (int)",
+                 id="sweep-t_f-integer-beyond-float"),
+    ("simulate", {"t_f": 0.0, "t0": float("nan")}, "error: t0 must be a number, got nan (float)"),
+    ("simulate", {"t_f": 0.5, "t0": "0"}, "error: t0 must be a number, got '0' (str)"),
+    ("simulate", {"t_f": float("inf")}, "error: t_f must be a number, got inf (float)"),
+    ("simulate", {"t_f": True}, "error: t_f must be a number, got True (bool)"),
+    ("simulate", {"omega": "12", "t_f": 0.0}, "error: omega must be a number, got '12' (str)"),
+    ("average-check", {"tolerance": "1e-6"},
+     "error: tolerance must be a number, got '1e-6' (str)"),
+    ("bvp-check", {"tolerance": True}, "error: tolerance must be a number, got True (bool)"),
+    ("stability-probe", {"horizon": True}, "error: horizon must be a number, got True (bool)"),
+    ("stability-probe", {"dt": float("nan"), "horizon": 2},
+     "error: dt must be a number, got nan (float)"),
+    ("stability-probe", {"entry_radius": "0.1", "horizon": 2},
+     "error: entry_radius must be a number, got '0.1' (str)"),
+    ("stability-probe", {"system": "full", "eps_z": False, "horizon": 2},
+     "error: eps_z must be a number, got False (bool)"),
+    ("stability-probe", {"system": "full", "entry_deadline": True, "horizon": 2},
+     "error: entry_deadline must be a number, got True (bool)"),
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1

@@ -233,13 +233,29 @@ def test_sweep_rejects_bad_frequencies_before_any_run(monkeypatch):
                               avg_steps=avg_steps)
 
 
+def test_sweep_checks_its_step_count_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before steps_per_period was checked")
+
+    def averaged(t, x):
+        raise AssertionError("the averaged field was called before steps_per_period was checked")
+
+    monkeypatch.setattr(harness, "run_compare", no_run)
+    spec, _, x0, y0 = linear_system()
+    for steps in (4, 7, 0):
+        with pytest.raises(ConfigurationError, match=f"steps_per_period must be >= 8, got {steps}"):
+            sweep_convergence(spec, averaged, x0, y0, [8.0, 16.0, 32.0, 64.0], t_f=1.0,
+                              steps_per_period=steps, avg_steps=400000)
+
+
 def _per_rung_max_devs(spec, averaged, x0, y0, omegas, t_f, steps_per_period, avg_steps):
     """Oracle: every rung integrates the full system and, separately, its
     own copy of the averaged run, then takes the largest slow deviation."""
     devs = []
     for w in omegas:
         grid = TimeGrid.spanning(0.0, t_f, (spec.T / w) / steps_per_period)
-        times, states = integrate_rk4(assemble_full_field(spec, w), spec.pack(x0, y0), grid)
+        times, states = integrate_rk4(assemble_full_field(spec, w), spec.pack(x0, y0).tolist(),
+                                      grid)
         avg_times, avg_states = averaged_path(averaged, x0, t_f, avg_steps)
         x_avg = np.column_stack([np.interp(times, avg_times, avg_states[:, j])
                                  for j in range(spec.n)])

@@ -7,13 +7,18 @@ rotating-frame representations, the pure-roll solution in a flat field
 of the averaged loop.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from twoscale import harness
 from twoscale.averaging import build_bundle
+from twoscale.benchmarks import linear_benchmark
 from twoscale.errors import ConfigurationError, DimensionError, ManifoldError
+from twoscale.harness import sweep_convergence
 from twoscale.numkit import TimeGrid, integrate_rk4, jacobian_fd
 from twoscale.seeker import (
     FILTER_A,
@@ -75,6 +80,16 @@ def test_quadratic_field_reference_values():
     assert fld.kappa == 0.5
     deficit = fld.c(fld.p_star) - fld.c(p)
     assert abs(deficit - fld.kappa * float(fld.grad(p) @ fld.grad(p))) < 1e-14
+
+
+def test_quadratic_hessian_is_one_read_only_array():
+    # handed out without a copy, so no caller may write into it
+    fld = builtin_fields()["quadratic"]
+    H = fld.hessian(np.array([1.0, -2.0, 2.0]))
+    assert H is fld.hessian(np.zeros(3))
+    with pytest.raises(ValueError, match="read-only"):
+        H[0, 0] = 1.0
+    assert np.array_equal(fld.hessian(P_REF), -np.eye(3))
 
 
 def test_fields_have_critical_point_at_target():
@@ -636,7 +651,7 @@ def test_seeker_spec_truncation_shrinks_like_inverse_sqrt():
         s = np.concatenate([p, embed(Q), y])
         errs = []
         for w in (16.0 * np.pi, 32.0 * np.pi, 64.0 * np.pi):
-            full = assemble_full_field(spec, w)(0.0, s)
+            full = np.array(assemble_full_field(spec, w)(0.0, s.tolist()))
             exact = np.array(seeker_field(SeekerConfig(omega=w), fld)(0.0, s.tolist()))
             errs.append(float(np.max(np.abs(full - exact))))
         for k in range(len(errs) - 1):
@@ -800,9 +815,10 @@ def test_full_field_matches_reference_assembly(name):
     # side equals the four-call assembly of the reference fields bit for bit.
     # Every other draw adds states where the layer term y - phi0(x) has zero
     # entries, whose signs must survive too: y = phi0(x) exactly, yb = c(p)
-    # with ya < c(p), and p = 0 (where the quadratic gradient is -0.0); each
-    # also with a zero frame, where the dither axis vanishes and the sign of
-    # a zero layer entry reaches the output.
+    # with ya < c(p), and p = 0 (where the quadratic gradient is -0.0, and
+    # y pairs of signed zeros and subnormals); each also with a zero frame,
+    # where the dither axis vanishes and the sign of a zero layer entry
+    # reaches the output.
     fld = term_field(name)
     spec = as_system_spec(fld)
     ref = reference_phase_fields(fld)
@@ -817,11 +833,37 @@ def test_full_field_matches_reference_assembly(name):
         if k % 2 == 0:
             p = np.zeros(3) if k % 6 == 0 else x[0:3]
             c = float(fld.c(p))
+            fasts = [[c, c], [c - 0.1 - abs(y[0]), c], y]
+            if k % 6 == 0:
+                fasts += [[5e-324, -0.0], [-5e-324, 0.0], [0.0, -0.0], [-0.0, 0.0]]
             for frame in (x[3:12], np.zeros(9)):
-                for fast in ([c, c], [c - 0.1 - abs(y[0]), c], y):
+                for fast in fasts:
                     states.append(np.concatenate([p, frame, fast]))
         for v in states:
-            assert same_bits(got(t, v), want(t, v))
+            assert same_bits(got(t, v.tolist()), want(t, v))
+    # The built-in fields never read +0.0, so no layer entry above is -0.0.
+    # A field that reads +0.0, with gradient -0.0 and Hessian -I, at the
+    # origin with a zero frame and a phase whose cos and sin are positive,
+    # makes F1 and F2 add only -0.0 to the filter rows: those rows then are
+    # the layer term w A y itself, checked here over pairs of signed zeros,
+    # subnormals, extremes and random values.
+    zero = ScalarField(name="zero", c=lambda p: 0.0, grad=lambda p: np.full(3, -0.0),
+                       hess=lambda p: -np.eye(3), p_star=np.zeros(3))
+    zero_spec = as_system_spec(zero)
+    zero_ref = reference_phase_fields(zero)
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 1e308]
+    edges = [e * sign for e in edges for sign in (1.0, -1.0)]
+    edges += rng.standard_normal(8).tolist()
+    for w in omegas:
+        got = assemble_full_field(zero_spec, w)
+        want = reference_full_field(zero_spec, zero_ref, w)
+        t = 0.5 / w
+        for fast in itertools.product(edges, edges):
+            v = np.concatenate([np.zeros(12), fast])
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected, layer = want(t, v), w * (zero_spec.A @ v[12:14])
+            assert same_bits(expected[12:14], layer)
+            assert same_bits(got(t, v.tolist()), expected)
 
 
 def test_full_field_reads_the_field_value_once_per_call():
@@ -835,8 +877,89 @@ def test_full_field_reads_the_field_value_once_per_call():
     spec = as_system_spec(ScalarField(name="counted", c=counted_c, grad=fld.grad,
                                       hess=fld.hess, p_star=fld.p_star))
     rhs = assemble_full_field(spec, 16.0 * np.pi)
-    rhs(0.3, np.concatenate([P_REF, embed(np.eye(3)), [0.2, -0.1]]))
+    rhs(0.3, np.concatenate([P_REF, embed(np.eye(3)), [0.2, -0.1]]).tolist())
     assert len(calls) == 1
+
+
+def array_full_field(spec, fld, omega):
+    """The seeker spec's full(omega) as it was on arrays: F1 and F2 from one
+    terms call, the layer term one numpy product, one np.array returned."""
+    sqrt_w = float(np.sqrt(omega))
+
+    def rhs(t, v):
+        F1, F2 = (F.tolist() for F in spec.terms(v[0:12], v[12:14], omega * t))
+        la, lb = (omega * (spec.A @ (v[12:14] - float(fld.c(v[0:3]))))).tolist()
+        return np.array(
+            [sqrt_w * a + b for a, b in zip(F1[:12], F2[:12])]
+            + [(sqrt_w * F1[12] + la) + F2[12], (sqrt_w * F1[13] + lb) + F2[13]]
+        )
+
+    return rhs
+
+
+def array_assembled_field(spec, omega):
+    """assemble_full_field's generic assembly as it was on arrays."""
+    n = spec.n
+    sqrt_w = float(np.sqrt(omega))
+
+    def field(t, v):
+        x, y = v[:n], v[n:]
+        F1, F2 = spec.phase_terms(x, y, omega * t)
+        out = sqrt_w * F1
+        out[n:] += omega * (spec.A @ (y - spec.phi0(x)))
+        out += F2
+        return out
+
+    return field
+
+
+@pytest.mark.parametrize("name", TERM_FIELDS + ["linear"])
+def test_sweep_matches_the_array_reference_bit_for_bit(name, monkeypatch):
+    # every rung of a sweep steps its full run as a list through
+    # assemble_full_field; each must equal the array right-hand side the
+    # sweep used before, stepped as an array, and the report's deviations
+    # follow.  Quasi-steady and zero filter starts, the seeker also from a
+    # turned frame; the linear benchmark runs the generic assembly.
+    if name == "linear":
+        bench = linear_benchmark()
+        spec, averaged, starts = bench.spec, bench.averaged_field, [bench.x0]
+        oracle = functools.partial(array_assembled_field, spec)
+    else:
+        fld = term_field(name)
+        spec, averaged = as_system_spec(fld), averaged_seeker_field(fld)
+        frames = (np.eye(3), exp_so3(np.array([0.4, -1.2, 0.7])))
+        starts = [np.concatenate([P_REF, embed(R)]) for R in frames]
+        oracle = functools.partial(array_full_field, spec, fld)
+    runs = []
+
+    def recording(field, x0, grid, post_step=None):
+        times, states = integrate_rk4(field, x0, grid, post_step)
+        if isinstance(x0, list):
+            runs.append((x0, grid, times, states))
+        return times, states
+
+    monkeypatch.setattr(harness, "integrate_rk4", recording)
+    omegas = [8.0 * np.pi * 2.0**k for k in range(4)]
+    t_f, avg_steps = 1.0, 80
+    for x0 in starts:
+        avg_times, avg_states = integrate_rk4(
+            averaged, x0, TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
+        )
+        for y0 in (spec.phi0(x0), np.zeros(spec.m)):
+            runs.clear()
+            report = sweep_convergence(spec, averaged, x0, y0, omegas, t_f,
+                                       steps_per_period=16, avg_steps=avg_steps)
+            assert len(runs) == len(omegas)
+            devs = []
+            for w, (v0, grid, times, states) in zip(omegas, runs):
+                assert v0 == np.concatenate([x0, y0]).tolist()
+                ref_times, ref_states = integrate_rk4(oracle(w), np.array(v0), grid)
+                assert times.tobytes() == ref_times.tobytes()
+                assert states.tobytes() == ref_states.tobytes()
+                x_avg = np.column_stack([np.interp(times, avg_times, avg_states[:, j])
+                                         for j in range(spec.n)])
+                devs.append(float(np.max(np.abs(ref_states[:, : spec.n] - x_avg))))
+            assert report.max_devs == devs
 
 
 def test_anisotropic_g2_follows_the_dither_direction():
@@ -873,7 +996,7 @@ def test_array_phase_trig_cache_keeps_fresh_spec_bits():
         lambda s, x, y, tau: s.terms(x, y, tau, True),
         lambda s, x, y, tau: s.terms(x, y, tau, False)[:1],
         lambda s, x, y, tau: (s.f1(x, y, tau),),
-        lambda s, x, y, tau: (s.full(16.0 * np.pi)(0.3, np.concatenate([x, y])),),
+        lambda s, x, y, tau: (s.full(16.0 * np.pi)(0.3, np.concatenate([x, y]).tolist()),),
     ]
     cases = [
         (name, state, tau, call)

@@ -88,7 +88,7 @@ def test_assembled_field_matches_hand_arithmetic():
     field = assemble_full_field(spec, omega)
     t, x, y = 0.3, 0.7, -0.2
     tau = omega * t
-    dv = field(t, np.array([x, y]))
+    dv = field(t, [x, y])
     dx_expected = 2.0 * np.sin(tau) * (1.0 + x * x) + (-x + y)
     dy_expected = 4.0 * (-1.0) * (y - 0.5 * x) + 2.0 * np.cos(tau) + x * x
     assert abs(dv[0] - dx_expected) < 1e-14
@@ -103,7 +103,7 @@ def test_assembled_field_sqrt_scale_doubles_with_4x_frequency():
         g1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
     )
     x, y = 0.4, 0.2
-    v = np.array([x, y])
+    v = [x, y]
     f2_part = -x + y
     lo = assemble_full_field(spec, 1.0)(0.0, v)[0] - f2_part
     hi = assemble_full_field(spec, 4.0)(0.0, v)[0] - f2_part
@@ -117,7 +117,7 @@ def test_assembled_field_includes_remainder_terms():
     )
     base = scalar_spec()
     omega = 9.0
-    t, v = 0.2, np.array([0.5, 0.1])
+    t, v = 0.2, [0.5, 0.1]
     with_rem = assemble_full_field(spec, omega)(t, v)
     without = assemble_full_field(base, omega)(t, v)
     assert abs((with_rem[0] - without[0]) - 1.0 / 3.0) < 1e-14
@@ -147,7 +147,7 @@ def test_phase_terms_fall_back_to_the_fields_read_at_call_time():
         assert np.array_equal(F1, np.concatenate([spec.f1(x, y, phase), spec.g1(x, y, phase)], -1))
         assert np.array_equal(F2, np.concatenate([spec.f2(x, y, phase), spec.g2(x, y, phase)], -1))
     omega, t = 16.0, 0.3
-    v = np.concatenate([x, y])
+    v = np.concatenate([x, y]).tolist()
     field = assemble_full_field(spec, omega)
 
     def four_calls():
@@ -182,7 +182,7 @@ def test_full_field_makes_one_terms_call_per_evaluation():
 
     spec = scalar_spec(terms=terms, f1=unused, f2=unused, g1=unused, g2=unused,
                        f3=base.f3, g3=base.g3)
-    v = np.array([0.7, -0.2])
+    v = [0.7, -0.2]
     got = assemble_full_field(spec, 9.0)(0.2, v)
     assert len(calls) == 1
     assert np.array_equal(got, assemble_full_field(base, 9.0)(0.2, v))
@@ -194,7 +194,7 @@ def test_full_field_returns_the_specs_own_right_hand_side():
     made = []
 
     def rhs(t, v):
-        return np.array([t, -t])
+        return [t, -t]
 
     def full(omega):
         made.append(omega)
