@@ -75,16 +75,16 @@ def _order_one(spec, phi1, x, taus: np.ndarray):
 
 
 def values_at(fun, x, taus: np.ndarray) -> np.ndarray:
-    """Sample a phase-periodic map at many phases, fast path when available.
+    """Sample a phase-periodic map at a vector of K phases, (K, m).
 
-    fun is either a plain callable (x, tau) -> vector or an object
-    exposing values_at(x, taus); correctors and corrector sources do,
-    which is where the shared-grid speedups live.
+    fun is either a grid callable (x, taus) -> (K, m), under the spec's
+    phase-field contract, or an object exposing values_at(x, taus), as
+    correctors and corrector sources do.
     """
     taus = np.asarray(taus, dtype=float)
     if hasattr(fun, "values_at"):
         return fun.values_at(x, taus)
-    return np.stack([np.asarray(fun(x, t), dtype=float) for t in taus])
+    return np.asarray(fun(x, taus), dtype=float)
 
 
 def _phase_grid(T: float, n_panels: int) -> np.ndarray:
@@ -103,8 +103,8 @@ class CorrectorSolution:
     Methods in MATLAB, ch. 3): with w0 = 2 pi / T, the k-th Fourier mode
     of phi is (i k w0 I - A)^{-1} times that of b.  This is exact to
     rounding for a trigonometric-polynomial source of degree below
-    n_panels / 2.  The mode inverses are cached at construction; x is
-    passed through to b untouched.
+    n_panels / 2.  The mode inverses are cached at construction; b is
+    read through values_at, and x is passed through to it untouched.
     """
 
     def __init__(self, A: np.ndarray, b, T: float, n_panels: int = 256):
@@ -384,10 +384,11 @@ def build_bundle(spec: OscillatorySystemSpec, n_panels: int = 256) -> ReducedAve
 def residual_bvp(phi, A: np.ndarray, b, T: float, x=None, n_panels: int | None = None) -> float:
     """Defect of a claimed periodic corrector.
 
-    Max over a phase grid of ||d phi/d tau - A phi - b||_inf (phase
-    derivative by a fourth-order periodic stencil) plus the periodicity
-    gap ||phi(x, 0) - phi(x, T)||_inf.  Grid-limited accuracy is around
-    1e-8 at 256 panels, far below the 1e-6 verification threshold.
+    phi and b are read through values_at.  Max over a phase grid of
+    ||d phi/d tau - A phi - b||_inf (phase derivative by a fourth-order
+    periodic stencil) plus the periodicity gap ||phi(x, 0) - phi(x, T)||_inf.
+    Grid-limited accuracy is around 1e-8 at 256 panels, far below the 1e-6
+    verification threshold.
     """
     A = np.asarray(A, dtype=float)
     if n_panels is None:

@@ -153,8 +153,8 @@ def bracket_benchmark() -> BracketBenchmark:
 class BvpCase:
     """One corrector problem with a verifiable periodic solution.
 
-    The source b(x, tau) follows the spec's phase-field contract: (m,)
-    at a scalar tau, (K, m) at K phases.
+    The source b(x, taus) follows the spec's phase-field contract: (K, m)
+    at a vector of K phases.  exact(tau) takes one phase.
     """
 
     name: str

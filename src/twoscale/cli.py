@@ -141,22 +141,24 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _parse_rotation(value) -> np.ndarray:
-    if value == "identity":
+def _parse_rotation(cfg: dict) -> np.ndarray:
+    """The start frame: the identity, or three rows each read by _numbers."""
+    if cfg["R0"] == "identity":
         return np.eye(3)
-    R = np.asarray(value, dtype=float)
-    if R.shape != (3, 3):
+    rows = cfg["R0"] if isinstance(cfg["R0"], list) else []
+    R = [_numbers({"R0": row}, "R0") for row in rows]
+    if [len(row) for row in R] != [3, 3, 3]:
         raise ConfigurationError("R0 must be 'identity' or a 3x3 nested list")
-    return R
+    return np.array(R)
 
 
-def _parse_y0(value) -> np.ndarray | None:
+def _parse_y0(cfg: dict) -> np.ndarray | None:
     """The filter start: None for quasi-steady, else the pair to use."""
-    if value == "quasi-steady":
+    if cfg["y0"] == "quasi-steady":
         return None
-    if value == "zero":
+    if cfg["y0"] == "zero":
         return np.zeros(2)
-    y = np.asarray(value, dtype=float)
+    y = np.array(_numbers(cfg, "y0"))
     if y.shape != (2,):
         raise ConfigurationError("y0 must be 'quasi-steady', 'zero', or a pair")
     return y
@@ -223,11 +225,11 @@ def _random_seeker_state(rng: np.random.Generator) -> np.ndarray:
 def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
     fld = field_by_name(str(cfg["field"]))
     omega = _positive(cfg, "omega")
-    p0 = np.asarray(cfg["p0"], dtype=float)
+    p0 = np.array(_numbers(cfg, "p0"))
     if p0.shape != (3,):
         raise ConfigurationError("p0 must be a 3-vector")
-    R0 = _parse_rotation(cfg["R0"])
-    y0 = _parse_y0(cfg["y0"])
+    R0 = _parse_rotation(cfg)
+    y0 = _parse_y0(cfg)
     t_f = _number(cfg, "t_f")
     if not t_f >= 0.0:
         raise ConfigurationError(f"t_f must be >= 0, got {cfg['t_f']}")
@@ -327,7 +329,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
         raise ConfigurationError(f"y0 must be 'quasi-steady' or 'zero', got {y0_mode!r}")
     if system == "seeker":
         fld = field_by_name(str(cfg["field"]))
-        p0 = np.asarray(cfg["p0"], dtype=float)
+        p0 = np.array(_numbers(cfg, "p0"))
         if p0.shape != (3,) or not np.all(np.isfinite(p0)):
             raise ConfigurationError(f"p0 must be a finite 3-vector, got {cfg['p0']}")
         spec, averaged = as_system_spec(fld), averaged_seeker_field(fld)

@@ -218,6 +218,8 @@ def sweep_convergence(
         raise ConfigurationError(f"avg_steps must be >= 1, got {avg_steps}")
     if steps_per_period < 8:
         raise ConfigurationError(f"steps_per_period must be >= 8, got {steps_per_period}")
+    # the lowest rung takes the longest step, so its grid refuses a short t_f first
+    TimeGrid.spanning(0.0, t_f, (spec.T / omegas[0]) / steps_per_period)
 
     avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
     reference = integrate_rk4(averaged, np.asarray(x0, dtype=float), avg_grid)

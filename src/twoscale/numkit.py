@@ -71,10 +71,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * self.n_steps
-
 
 def _square_matrix(A: np.ndarray, name: str) -> np.ndarray:
     A = np.asarray(A, dtype=float)

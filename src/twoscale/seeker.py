@@ -51,7 +51,7 @@ FILTER_B = np.array([0.0, 1.0])
 FILTER_C = np.array([-1.0, 1.0])
 
 _E1 = np.array([1.0, 0.0, 0.0])
-_NEG_EYE3 = -np.eye(3)  # the quadratic field's Hessian: read-only, handed out uncopied
+_NEG_EYE3 = -np.eye(3)  # quadratic Hessian, handed out uncopied (read-only); log_hess's -I
 _NEG_EYE3.flags.writeable = False
 
 
@@ -92,7 +92,7 @@ def builtin_fields() -> dict[str, ScalarField]:
 
     def log_hess(p: np.ndarray) -> np.ndarray:
         s = 1.0 + 0.5 * float(p @ p)
-        return -np.eye(3) / s + np.outer(p, p) / (s * s)
+        return _NEG_EYE3 / s + np.outer(p, p) / (s * s)
 
     def quad_c(p: np.ndarray):
         return -0.5 * np.vecdot(p, p)
@@ -517,14 +517,11 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     trig_key = trig_val = None
 
     def phase_trig(tau, val: float):
-        """cos tau, sin tau and 2 cos(2 tau - val) at a phase tau and center
-        value val: floats through math for a float tau, arrays through numpy
-        otherwise.  The arrays of the last (phases, val) pair are kept: a
-        slow-state Jacobian evaluates one grid at one center value for 17
-        of its 18 frame-coordinate evaluations in a row."""
+        """cos tau, sin tau and 2 cos(2 tau - val) at a phase vector tau and
+        center value val.  The arrays of the last (phases, val) pair are
+        kept: a slow-state Jacobian evaluates one grid at one center value
+        for 17 of its 18 frame-coordinate evaluations in a row."""
         nonlocal trig_key, trig_val
-        if isinstance(tau, float):
-            return math.cos(tau), math.sin(tau), 2.0 * math.cos(2.0 * tau - val)
         tau = np.asarray(tau, dtype=float)
         key = (tau.shape, tau.tobytes(), val)
         if key != trig_key:
@@ -541,11 +538,9 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         """F1 = (f1, g1) and F2 = (f2, g2) (None unless order_one) as
         component lists, and the center value c(p).  p is the center as
         an array, q the frame columns q1, q2, q3 as 9 floats and gain the
-        filter output yb - ya.  Each component is one expression in tau,
-        so a float tau gives floats through float arithmetic and K phases
-        give (K,) arrays through the same expressions.  The center value,
-        gradient, trig values and dither axis are shared by all four
-        fields."""
+        filter output yb - ya.  Each component is a (K,) array over the K
+        phases tau.  The center value, gradient, trig values and dither
+        axis are shared by all four fields."""
         g = np.asarray(grad(p), dtype=float).tolist()
         val = float(c(p))
         ct, st, s1 = phase_trig(tau, val)
@@ -554,12 +549,11 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         F1 = f1_rows(q, gain, ct, st, s1) + [fb0 * u, fb1 * u]
         if not order_one:
             return F1, None, val
-        sin = math.sin if isinstance(tau, float) else np.sin
-        zero = 0.0 if isinstance(tau, float) else np.zeros(np.shape(tau))
+        zero = np.zeros(np.shape(tau))
         H = hessian(p).tolist()
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
-        s2 = 2.0 * u * sin(2.0 * tau - val)
+        s2 = 2.0 * u * np.sin(2.0 * tau - val)
         F2 = [s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [fb0 * v, fb1 * v]
         return F1, F2, val
 

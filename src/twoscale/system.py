@@ -2,15 +2,16 @@
 
 The slow state x and fast state y evolve as
 
-    dx/dt = sqrt(w) f1(x, y, w t) + f2(x, y, w t) + f3(...) / sqrt(w)
+    dx/dt = sqrt(w) f1(x, y, w t) + f2(x, y, w t)
     dy/dt = w A (y - phi0(x)) + sqrt(w) g1(x, y, w t) + g2(x, y, w t)
-            + g3(...) / sqrt(w)
 
 with all oscillatory fields T-periodic in the phase tau = w t, A Hurwitz,
 and phi0 the quasi-steady map the fast state tracks.  The standing
 assumptions (periodicity, zero phase-average of the sqrt(w)-scale terms,
-Hurwitz A) are checked numerically, not taken on faith.  A spec may
-supply this right-hand side whole (OscillatorySystemSpec.full).
+Hurwitz A) are checked numerically, not taken on faith.  Every phase
+field is evaluated on a vector of phases.  A spec may supply this
+right-hand side whole (OscillatorySystemSpec.full), and a spec with
+O(1/sqrt(w)) remainder terms must.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ __all__ = [
     "from_shifted",
 ]
 
-PhaseField = Callable[[np.ndarray, np.ndarray, float | np.ndarray], np.ndarray]
+PhaseField = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 PhaseTerms = Callable[
-    [np.ndarray, np.ndarray, float | np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]
+    [np.ndarray, np.ndarray, np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]
 ]
 FullField = Callable[[float], Callable[[float, list], list]]
 
@@ -47,39 +48,36 @@ FullField = Callable[[float], Callable[[float, list], list]]
 class OscillatorySystemSpec:
     """Problem data for one two-time-scale system.
 
-    f1, f2, g1, g2 take (x, y, tau) with tau the fast phase; f3 and g3
-    are optional remainder terms taking (x, y, tau, omega).  dphi0,
-    df1_dy and dg1_dy are optional analytic Jacobians; central
+    f1, f2, g1, g2 take (x, y, taus) with taus a vector of K fast phases.
+    dphi0, df1_dy and dg1_dy are optional analytic Jacobians; central
     differences are used when they are absent.
 
-    Phase-field contract: f1, f2, g1, g2, df1_dy and dg1_dy accept either
-    a scalar tau or a vector of K phases.  A scalar tau gives one value,
-    shape (dim,) for a field ((n,) or (m,)) and (rows, cols) for a
-    Jacobian; K phases give the K values stacked along a new first axis,
-    (K, dim) or (K, rows, cols), each equal to the scalar call at that
-    phase.  A field that ignores tau still returns the stacked shape, e.g.
-    np.zeros(np.shape(tau) + (dim,)).
+    Phase-field contract: f1, f2, g1, g2, df1_dy and dg1_dy return their
+    values at the K phases stacked along a new first axis, (K, dim) for a
+    field ((n,) or (m,) per phase) and (K, rows, cols) for a Jacobian.  A
+    field that ignores the phase still returns the stacked shape, e.g.
+    np.zeros(np.shape(taus) + (dim,)).
 
-    terms is optional: one callable (x, y, tau, order_one) -> (F1, F2)
+    terms is optional: one callable (x, y, taus, order_one) -> (F1, F2)
     that returns all four phase fields at once, F1 = (f1, g1) the
-    sqrt(w)-scale part and F2 = (f2, g2) the order-one part, each stacked
-    along the last axis: shape (n+m,) at a scalar tau and (K, n+m) at K
-    phases.  Its values must equal the four fields'.  order_one=False
-    means the caller uses F1 alone (the first corrector needs nothing
-    else), and terms may then return None for F2.  A spec supplies terms
-    when its fields share work (a trig value, a sensor reading, a
-    gradient), so that the full right-hand side and every averaging grid
-    make one spec call instead of up to four; the reduced f1 alone, which
-    fbar differences, is read from f1 itself.
+    sqrt(w)-scale part and F2 = (f2, g2) the order-one part, each of shape
+    (K, n+m), stacked along the last axis.  Its values must equal the four
+    fields'.  order_one=False means the caller uses F1 alone (the first
+    corrector needs nothing else), and terms may then return None for F2.
+    A spec supplies terms when its fields share work (a trig value, a
+    sensor reading, a gradient), so that the full right-hand side and
+    every averaging grid make one spec call instead of up to four; the
+    reduced f1 alone, which fbar differences, is read from f1 itself.
     Without it, phase_terms calls and stacks the fields, read from the
     spec at each call, so a field reassigned after construction is used.
 
     full is optional: full(omega) -> rhs, the whole right-hand side at
     frequency omega, mapping (t, packed state as a list of n + m floats)
-    to the packed derivative as such a list.  Its values must equal the
-    assembly from the fields, the remainders f3 and g3 included:
-    assemble_full_field returns it as it is when present.  A spec supplies
-    it when one float closure over the packed state beats the assembly.
+    to the packed derivative as such a list.  assemble_full_field returns
+    it as it is when present.  It is the only way to add terms beyond the
+    four fields, such as O(1/sqrt(w)) remainders; without those, its
+    values must equal the fields' assembly.  A spec also supplies it when
+    one float closure over the packed state beats the assembly.
     """
 
     n: int
@@ -91,8 +89,6 @@ class OscillatorySystemSpec:
     f2: PhaseField
     g1: PhaseField
     g2: PhaseField
-    f3: Callable | None = None
-    g3: Callable | None = None
     dphi0: Callable[[np.ndarray], np.ndarray] | None = None
     df1_dy: PhaseField | None = None
     dg1_dy: PhaseField | None = None
@@ -183,7 +179,8 @@ def assemble_full_field(
     The returned callable maps (t, packed state as a list of n + m floats)
     to the packed derivative as such a list, with the fast phase
     tau = omega * t.  It is spec.full(omega) when the spec supplies full,
-    else the fields' assembly below, on arrays inside its list boundary.
+    else the fields' assembly below: one phase_terms call on the one-phase
+    grid [tau], on arrays inside its list boundary.
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ConfigurationError(f"omega must be positive, got {omega}")
@@ -193,24 +190,18 @@ def assemble_full_field(
     sqrt_w = float(np.sqrt(omega))
     A = spec.A
     terms = spec.phase_terms
-    f3, g3 = spec.f3, spec.g3
     phi0 = spec.phi0
 
     def field(t: float, s: list) -> list:
         v = np.array(s)
         x = v[:n]
         y = v[n:]
-        tau = omega * t
-        F1, F2 = terms(x, y, tau)
+        F1, F2 = terms(x, y, np.array([omega * t]))
         # the same sums in the same order as sqrt(w) f1 + f2 and
         # (w A (y - phi0) + sqrt(w) g1) + g2, so every entry rounds alike
-        out = sqrt_w * F1
+        out = sqrt_w * F1[0]
         out[n:] += omega * (A @ (y - phi0(x)))
-        out += F2
-        if f3 is not None:
-            out[:n] += f3(x, y, tau, omega) / sqrt_w
-        if g3 is not None:
-            out[n:] += g3(x, y, tau, omega) / sqrt_w
+        out += F2[0]
         return out.tolist()
 
     return field
@@ -253,8 +244,9 @@ def check_assumption_A(spec: OscillatorySystemSpec) -> AssumptionReport:
     The average and periodicity checks sample 8 states (x, y) from the
     box [-2, 2] with seed 12345 and take grid means over 256 uniform
     phases, as AveragedSystem.fbar does; they certify the sampled states
-    only, which is the practical reading of the for-all quantifiers.  A
-    phase average passes below 1e-8, a one-period gap below 1e-10.
+    only, which is the practical reading of the for-all quantifiers.  The
+    periodicity gap compares F1 and F2 at every grid phase one period on.
+    A phase average passes below 1e-8, a one-period gap below 1e-10.
     """
     eigs = np.linalg.eigvals(spec.A)
     abscissa = float(np.max(eigs.real))
@@ -267,15 +259,11 @@ def check_assumption_A(spec: OscillatorySystemSpec) -> AssumptionReport:
     for _ in range(8):
         x = rng.uniform(-2.0, 2.0, spec.n)
         y = rng.uniform(-2.0, 2.0, spec.m)
-        F1, _ = grid_terms(spec, x, y, taus, order_one=False)
-        mean = np.mean(F1, axis=0)
-        max_mean = max(max_mean, float(np.max(np.abs(mean))))
-        tau = float(rng.uniform(0.0, spec.T))
-        for late, early in zip(
-            spec.phase_terms(x, y, tau + spec.T), spec.phase_terms(x, y, tau)
-        ):
-            gap = np.abs(np.asarray(late) - np.asarray(early))
-            max_period = max(max_period, float(np.max(gap)))
+        F1, F2 = grid_terms(spec, x, y, taus)
+        max_mean = max(max_mean, float(np.max(np.abs(np.mean(F1, axis=0)))))
+        L1, L2 = grid_terms(spec, x, y, taus + spec.T)
+        gap = max(np.max(np.abs(L1 - F1)), np.max(np.abs(L2 - F2)))
+        max_period = max(max_period, float(gap))
     return AssumptionReport(
         hurwitz=hurwitz,
         spectral_abscissa=abscissa,

@@ -124,7 +124,7 @@ def test_jordan_corrector_against_forward_integration():
     start = phi(None, 0.0)
 
     def field(tau, v):
-        return case.A @ v + case.b(None, tau)
+        return case.A @ v + case.b(None, np.array([tau]))[0]
 
     grid = TimeGrid(t0=0.0, dt=case.T / 4096, n_steps=4096)
     times, states = integrate_rk4(field, start, grid)
@@ -137,11 +137,12 @@ def test_jordan_corrector_against_forward_integration():
 
 
 def test_zero_source_gives_zero_corrector():
-    phi = solve_periodic_bvp(
-        np.array([[-1.0]]), lambda x, tau: np.zeros(1), TWO_PI, n_panels=64
-    )
+    def zero(x, taus):
+        return np.zeros(np.shape(taus) + (1,))
+
+    phi = solve_periodic_bvp(np.array([[-1.0]]), zero, TWO_PI, n_panels=64)
     assert np.max(np.abs(phi(None, 1.3))) == 0.0
-    assert residual_bvp(phi, np.array([[-1.0]]), lambda x, tau: np.zeros(1), TWO_PI) == 0.0
+    assert residual_bvp(phi, np.array([[-1.0]]), zero, TWO_PI) == 0.0
 
 
 def test_solver_rejects_resonant_layer_matrix():
@@ -286,8 +287,8 @@ def test_residual_flags_corrupted_candidate():
     case = bvp_cosine_case()
     phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=256)
 
-    def doubled(x, tau):
-        return 2.0 * phi(x, tau)
+    def doubled(x, taus):
+        return 2.0 * phi.values_at(x, taus)
 
     res = residual_bvp(doubled, case.A, case.b, case.T)
     assert res > 0.1
@@ -305,8 +306,8 @@ def test_residual_exact_solution_is_stencil_limited():
     # the fourth-order stencil error, which is visible but modest
     case = bvp_cosine_case()
 
-    def exact_phi(x, tau):
-        return case.exact(tau)
+    def exact_phi(x, taus):
+        return case.exact(taus).T
 
     fine = residual_bvp(exact_phi, case.A, case.b, case.T, n_panels=256)
     coarse = residual_bvp(exact_phi, case.A, case.b, case.T, n_panels=8)
@@ -325,7 +326,7 @@ def test_residual_panel_validation():
 
 def _two_point_residual(phi, A, b, T, x=None, n_panels=None):
     """residual_bvp as it was before its one-sweep form: the gap from two
-    point calls at 0 and T."""
+    one-phase samples at 0 and T."""
     A = np.asarray(A, dtype=float)
     if n_panels is None:
         n_panels = phi.n_panels if isinstance(phi, CorrectorSolution) else 256
@@ -341,11 +342,7 @@ def _two_point_residual(phi, A, b, T, x=None, n_panels=None):
     ) / (12.0 * h)
     defect = float(np.max(np.abs(dV - V @ A.T - B)))
     gap = float(
-        np.max(
-            np.abs(
-                np.asarray(phi(x, 0.0), dtype=float) - np.asarray(phi(x, float(T)), dtype=float)
-            )
-        )
+        np.max(np.abs(values_at(phi, x, np.array([0.0])) - values_at(phi, x, np.array([T]))))
     )
     return defect + gap
 
@@ -355,19 +352,19 @@ def _two_point_residual(phi, A, b, T, x=None, n_panels=None):
 )
 def test_residual_one_sweep_matches_two_point_formula_bit_for_bit(candidate):
     # (T / 100) * 100 != T at T = 2 pi, so the sweep's last phase must be T
-    # itself for a plain callable to see the same gap
+    # itself for a grid callable to see the same gap
     case = bvp_cosine_case()
     n_panels = None
     if candidate == "doubled":
         phi256 = solve_periodic_bvp(case.A, case.b, case.T, n_panels=256)
 
-        def phi(x, tau):
-            return 2.0 * phi256(x, tau)
+        def phi(x, taus):
+            return 2.0 * phi256.values_at(x, taus)
     elif candidate.startswith("exact"):
         n_panels = int(candidate.split("-")[1])
 
-        def phi(x, tau):
-            return case.exact(tau)
+        def phi(x, taus):
+            return case.exact(taus).T
     else:
         phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=100)
     new = residual_bvp(phi, case.A, case.b, case.T, n_panels=n_panels)

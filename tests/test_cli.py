@@ -176,6 +176,30 @@ _WHOLE_KEYS = [
      "error: eps_z must be a number, got False (bool)"),
     ("stability-probe", {"system": "full", "entry_deadline": True, "horizon": 2},
      "error: entry_deadline must be a number, got True (bool)"),
+    # vector settings are lists of JSON numbers too: np.asarray(..., float)
+    # read "6" as 6.0 and true as 1.0, and a ragged or string value died
+    # with numpy's own message
+    ("simulate", {"p0": ["6", 2, -2], "t_f": 0},
+     "error: p0 must be a list of numbers, got ['6', 2, -2]"),
+    ("simulate", {"p0": [True, 2, -2], "t_f": 0},
+     "error: p0 must be a list of numbers, got [True, 2, -2]"),
+    ("simulate", {"p0": "6", "t_f": 0}, "error: p0 must be a list of numbers, got '6'"),
+    ("simulate", {"p0": [6, 2], "t_f": 0}, "error: p0 must be a 3-vector"),
+    ("simulate", {"y0": [True, False], "t_f": 0},
+     "error: y0 must be a list of numbers, got [True, False]"),
+    ("simulate", {"y0": ["0", 0], "t_f": 0}, "error: y0 must be a list of numbers, got ['0', 0]"),
+    ("simulate", {"y0": "warm", "t_f": 0}, "error: y0 must be a list of numbers, got 'warm'"),
+    ("simulate", {"y0": [0, 0, 0], "t_f": 0},
+     "error: y0 must be 'quasi-steady', 'zero', or a pair"),
+    ("simulate", {"R0": [["1", 0, 0], [0, 1, 0], [0, 0, 1]], "t_f": 0},
+     "error: R0 must be a list of numbers, got ['1', 0, 0]"),
+    ("simulate", {"R0": [[1, 0, 0], [0, True, 0], [0, 0, 1]], "t_f": 0},
+     "error: R0 must be a list of numbers, got [0, True, 0]"),
+    ("simulate", {"R0": [[1, 0, 0], [0, 1], [0, 0, 1]], "t_f": 0},
+     "error: R0 must be 'identity' or a 3x3 nested list"),
+    ("simulate", {"R0": "eye", "t_f": 0}, "error: R0 must be 'identity' or a 3x3 nested list"),
+    ("sweep", {"p0": ["6", 2, -2]}, "error: p0 must be a list of numbers, got ['6', 2, -2]"),
+    ("sweep", {"p0": [6, True, -2]}, "error: p0 must be a list of numbers, got [6, True, -2]"),
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1

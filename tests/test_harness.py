@@ -246,6 +246,11 @@ def test_sweep_checks_its_step_count_before_any_run(monkeypatch):
         with pytest.raises(ConfigurationError, match=f"steps_per_period must be >= 8, got {steps}"):
             sweep_convergence(spec, averaged, x0, y0, [8.0, 16.0, 32.0, 64.0], t_f=1.0,
                               steps_per_period=steps, avg_steps=400000)
+    # a t_f under half a step of the lowest rung, whose step is the longest
+    dt = (spec.T / 8.0) / 16
+    with pytest.raises(ConfigurationError, match=f"exceed half a step of dt={dt:g}"):
+        sweep_convergence(spec, averaged, x0, y0, [8.0, 16.0, 32.0, 64.0], t_f=0.4 * dt,
+                          steps_per_period=16, avg_steps=400000)
 
 
 def _per_rung_max_devs(spec, averaged, x0, y0, omegas, t_f, steps_per_period, avg_steps):

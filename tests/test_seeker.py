@@ -92,6 +92,20 @@ def test_quadratic_hessian_is_one_read_only_array():
     assert np.array_equal(fld.hessian(P_REF), -np.eye(3))
 
 
+def test_log_hessian_matches_a_fresh_identity_bit_for_bit():
+    # the identity term divides the module's read-only -I; its bits must be
+    # those of -np.eye(3) / s + np.outer(p, p) / (s * s), built afresh
+    fld = builtin_fields()["log"]
+    rng = np.random.default_rng(83)
+    points = [np.zeros(3), -np.zeros(3), P_REF]
+    points += [rng.uniform(-8.0, 8.0, 3) for _ in range(300)]
+    points += [1e-3 * rng.standard_normal(3) for _ in range(100)]
+    for p in points:
+        s = 1.0 + 0.5 * float(p @ p)
+        want = -np.eye(3) / s + np.outer(p, p) / (s * s)
+        assert fld.hessian(p).tobytes() == want.tobytes(), p
+
+
 def test_fields_have_critical_point_at_target():
     for fld in builtin_fields().values():
         assert np.max(np.abs(fld.grad(fld.p_star))) < 1e-10
@@ -667,7 +681,7 @@ def test_seeker_spec_analytic_jacobians_match_differences():
     Q = exp_so3(rng.uniform(-1.0, 1.0, 3))
     x = np.concatenate([p, embed(Q)])
     y = np.array([0.2, -0.4])
-    tau = 1.3
+    tau = np.array([1.3])
     dphi0_fd = jacobian_fd(spec.phi0, x)
     assert np.max(np.abs(spec.dphi0(x) - dphi0_fd)) < 1e-6
     df1_fd = jacobian_fd(lambda w: spec.f1(x, w, tau), y)
@@ -789,8 +803,8 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("name", TERM_FIELDS)
 def test_terms_match_reference_fields_bit_for_bit(name):
-    # a float phase (math trig) and a 257-phase grid (numpy trig) both give
-    # the separate fields' bits; so do the spec's own f1..g2 views
+    # a one-phase and a 257-phase grid both give the separate fields' bits;
+    # so do the spec's own f1..g2 views
     fld = term_field(name)
     spec = as_system_spec(fld)
     ref = reference_phase_fields(fld)
@@ -799,7 +813,7 @@ def test_terms_match_reference_fields_bit_for_bit(name):
         x, y = random_spec_state(rng)
         tau = float(rng.uniform(-1e3, 1e3))
         taus = tau + (2.0 * np.pi / 256) * np.arange(257)
-        for phase in (tau, taus):
+        for phase in (np.array([tau]), taus):
             f1, f2, g1, g2 = (r(x, y, phase) for r in ref)
             F1, F2 = spec.terms(x, y, phase)
             assert same_bits(F1, np.concatenate([f1, g1], axis=-1))
@@ -967,14 +981,14 @@ def test_anisotropic_g2_follows_the_dither_direction():
     spec = as_system_spec(anisotropic_field())
     x = np.concatenate([P_REF, embed(np.eye(3))])
     for tau, dHd in ((0.0, -2.0), (0.5 * np.pi, -4.0)):
-        _, F2 = spec.terms(x, np.zeros(2), tau)
-        assert abs(F2[13] - 0.5 * dHd) < 1e-15
+        _, F2 = spec.terms(x, np.zeros(2), np.array([tau]))
+        assert abs(F2[0, 13] - 0.5 * dHd) < 1e-15
 
 
 def test_array_phase_trig_cache_keeps_fresh_spec_bits():
     # each spec keeps the trig values of its last (phase grid, center
     # value); grids of 256 and 512 phases and a shifted one, interleaved
-    # with float phases, two fields, and states that share the grid and
+    # with a one-phase grid, two fields, and states that share the grid and
     # center value but not the frame, must each give the bits of the same
     # call on a freshly built spec
     rng = np.random.default_rng(71)
@@ -983,7 +997,7 @@ def test_array_phase_trig_cache_keeps_fresh_spec_bits():
         (two_pi / 256) * np.arange(256),
         (two_pi / 512) * np.arange(512),
         0.37 + (two_pi / 256) * np.arange(256),
-        float(rng.uniform(0.0, two_pi)),
+        np.array([rng.uniform(0.0, two_pi)]),
     ]
     x, y = random_spec_state(rng)
     frame_moved = x.copy()

@@ -110,20 +110,6 @@ def test_assembled_field_sqrt_scale_doubles_with_4x_frequency():
     assert abs(hi - 2.0 * lo) < 1e-14
 
 
-def test_assembled_field_includes_remainder_terms():
-    spec = scalar_spec(
-        f3=lambda x, y, tau, w: np.array([1.0]),
-        g3=lambda x, y, tau, w: np.array([tau]),
-    )
-    base = scalar_spec()
-    omega = 9.0
-    t, v = 0.2, [0.5, 0.1]
-    with_rem = assemble_full_field(spec, omega)(t, v)
-    without = assemble_full_field(base, omega)(t, v)
-    assert abs((with_rem[0] - without[0]) - 1.0 / 3.0) < 1e-14
-    assert abs((with_rem[1] - without[1]) - (omega * t) / 3.0) < 1e-14
-
-
 def test_assembled_field_rejects_bad_omega():
     spec = scalar_spec()
     with pytest.raises(ConfigurationError):
@@ -167,10 +153,7 @@ def test_phase_terms_fall_back_to_the_fields_read_at_call_time():
 
 
 def test_full_field_makes_one_terms_call_per_evaluation():
-    base = scalar_spec(
-        f3=lambda x, y, tau, w: np.array([1.0]),
-        g3=lambda x, y, tau, w: np.array([tau]),
-    )
+    base = scalar_spec()
     calls = []
 
     def terms(x, y, tau, order_one=True):
@@ -180,8 +163,7 @@ def test_full_field_makes_one_terms_call_per_evaluation():
     def unused(x, y, tau):
         raise AssertionError("a phase field was called beside terms")
 
-    spec = scalar_spec(terms=terms, f1=unused, f2=unused, g1=unused, g2=unused,
-                       f3=base.f3, g3=base.g3)
+    spec = scalar_spec(terms=terms, f1=unused, f2=unused, g1=unused, g2=unused)
     v = [0.7, -0.2]
     got = assemble_full_field(spec, 9.0)(0.2, v)
     assert len(calls) == 1
@@ -189,8 +171,8 @@ def test_full_field_makes_one_terms_call_per_evaluation():
 
 
 def test_full_field_returns_the_specs_own_right_hand_side():
-    # a spec's full(omega) is returned as it is (f3 is not added to it),
-    # and a bad omega is refused before full is called
+    # a spec's full(omega) is returned as it is, and a bad omega is
+    # refused before full is called
     made = []
 
     def rhs(t, v):
@@ -200,7 +182,7 @@ def test_full_field_returns_the_specs_own_right_hand_side():
         made.append(omega)
         return rhs
 
-    spec = scalar_spec(full=full, f3=lambda x, y, tau, w: np.array([1.0]))
+    spec = scalar_spec(full=full)
     assert assemble_full_field(spec, 9.0) is rhs
     assert made == [9.0]
     for bad in (0.0, -2.0, float("nan")):
@@ -250,8 +232,7 @@ def test_frozen_layer_decays_at_closed_form_rate():
     field = frozen_layer_field(spec, omega, x)
     grid = TimeGrid(t0=0.0, dt=1e-3, n_steps=300)
     _, states = integrate_rk4(field, target + offset, grid)
-    t_end = grid.t_end
-    expected = target + offset * np.exp(np.array([-10.0, -20.0]) * t_end)
+    expected = target + offset * np.exp(np.array([-10.0, -20.0]) * grid.times()[-1])
     assert np.max(np.abs(states[-1] - expected)) < 1e-8
 
 
@@ -305,6 +286,20 @@ def test_assumptions_flag_aperiodic_field():
     assert not report.periodic
     assert abs(report.max_period_defect - 2.0 * np.pi) < 1e-12
     assert not report.ok
+
+
+def test_assumptions_flag_a_defect_in_a_narrow_phase_window():
+    # f2 is 1 higher on [3, 3.05) of the first period only: the 256-phase
+    # grid has two phases there, while eight phases drawn from seed 12345
+    # (as the check once did, one per state) all miss it
+    def f2(x, y, taus):
+        bump = np.where((taus >= 3.0) & (taus < 3.05), 1.0, 0.0)
+        return (bump + (-x[0] + y[0]))[:, None]
+
+    report = check_assumption_A(scalar_spec(f2=f2))
+    assert not report.periodic
+    assert abs(report.max_period_defect - 1.0) < 1e-12
+    assert report.zero_mean and not report.ok
 
 
 # ------------------------------------------------------- shifted coordinates
