@@ -281,14 +281,6 @@ class ReducedSystem:
     spec: OscillatorySystemSpec
     phi1: CorrectorSolution
 
-    @property
-    def T(self) -> float:
-        return self.spec.T
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
     def f1_tilde(self, x: np.ndarray, tau: float) -> np.ndarray:
         return self.f1_values(x, np.array([float(tau)]))[0]
 
@@ -328,27 +320,25 @@ class AveragedSystem:
     def __init__(self, reduced: ReducedSystem, n_panels: int = 256):
         self.reduced = reduced
         self.n_panels = int(n_panels)
-        self._taus = _phase_grid(reduced.T, n_panels)
+        T = reduced.spec.T
+        self._taus = _phase_grid(T, n_panels)
         N = self.n_panels
         k = np.arange(1, N // 2 + 1)
         c = np.where(k < N // 2, 2.0, 1.0)
-        self._weights = c * 2.0 / (k * (2.0 * np.pi / reduced.T) * N**2)
+        self._weights = c * 2.0 / (k * (2.0 * np.pi / T) * N**2)
 
     def fbar(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.reduced.n,):
-            raise DimensionError(f"x must have shape ({self.reduced.n},), got {x.shape}")
         red = self.reduced
+        n = red.spec.n
+        if x.shape != (n,):
+            raise DimensionError(f"x must have shape ({n},), got {x.shape}")
         taus = self._taus
         F1, H = _order_one(red.spec, red.phi1, x, taus)
-        G_hat = np.fft.rfft(F1[:, : red.n], axis=0)[1:]
+        G_hat = np.fft.rfft(F1[:, :n], axis=0)[1:]
         dG_hat = np.fft.rfft(jacobian_fd(lambda w: red.f1_values(w, taus), x), axis=0)[1:]
         bracket = -0.5 * (self._weights @ _contract(dG_hat, np.conj(G_hat)).imag)
-        return np.mean(H[:, : red.n], axis=0) + bracket
-
-    def field(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Autonomous right-hand side adapter for the integrators."""
-        return self.fbar(x)
+        return np.mean(H[:, :n], axis=0) + bracket
 
 
 def average(reduced: ReducedSystem, n_panels: int = 256) -> AveragedSystem:

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .numkit import mat_exp
 from .seeker import ScalarField, builtin_fields
 from .system import OscillatorySystemSpec
 
@@ -50,9 +49,6 @@ class LinearBenchmark:
 
     def averaged_field(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.Mbar @ x
-
-    def exact_average(self, t: float) -> np.ndarray:
-        return mat_exp(self.Mbar, t) @ self.x0
 
 
 def linear_benchmark() -> LinearBenchmark:

@@ -193,11 +193,14 @@ def _whole(cfg: dict, key: str) -> int:
 
 def _numbers(cfg: dict, key: str) -> list[float]:
     """A list setting: a JSON list of JSON numbers, read as floats (a
-    string would otherwise be read one character at a time, and float()
-    would take true as 1.0 and "6" as 6.0)."""
+    string would otherwise be read one character at a time, float()
+    would take true as 1.0 and "6" as 6.0, and an integer beyond the
+    float range would overflow).  NaN and infinities pass, for the
+    caller's own finiteness check."""
     v = cfg[key]
     if not isinstance(v, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in v
+        isinstance(x, bool) or not isinstance(x, (int, float))
+        or (isinstance(x, int) and abs(x) > sys.float_info.max) for x in v
     ):
         raise ConfigurationError(f"{key} must be a list of numbers, got {v!r}")
     return [float(x) for x in v]

@@ -8,7 +8,7 @@ as one block of states) so repeated invocations are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -173,16 +173,7 @@ class SweepReport:
     t_f: float
 
     def as_dict(self) -> dict:
-        return {
-            "omegas": [float(w) for w in self.omegas],
-            "max_devs": [float(e) for e in self.max_devs],
-            "slope": float(self.slope),
-            "intercept": float(self.intercept),
-            "strictly_decreasing": bool(self.strictly_decreasing),
-            "layer_rates": [None if r is None else float(r) for r in self.layer_rates],
-            "layer_gammas": [None if g is None else float(g) for g in self.layer_gammas],
-            "t_f": float(self.t_f),
-        }
+        return asdict(self)
 
 
 def sweep_convergence(
@@ -305,20 +296,6 @@ class ProbeRun:
     entry_time: float | None
     diverged: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "delta": float(self.delta),
-            "omega": float(self.omega),
-            "phase_index": self.phase_index,
-            "direction_index": self.direction_index,
-            "sup_dist": float(self.sup_dist),
-            "sup_z": float(self.sup_z),
-            "tail_dist": float(self.tail_dist),
-            "tail_z": float(self.tail_z),
-            "entry_time": None if self.entry_time is None else float(self.entry_time),
-            "diverged": bool(self.diverged),
-        }
-
 
 @dataclass
 class StabilityProbeReport:
@@ -342,24 +319,12 @@ class StabilityProbeReport:
     bounded_omega: dict[float, float | None]
 
     def as_dict(self) -> dict:
-        def grid_map(d: dict[float, float | None]) -> list:
-            return [
-                {"delta": float(k), "omega": None if v is None else float(v)}
-                for k, v in sorted(d.items())
-            ]
-
-        return {
-            "eps_x": float(self.eps_x),
-            "eps_z": float(self.eps_z),
-            "deltas": [float(d) for d in self.deltas],
-            "omegas": [float(w) for w in self.omegas],
-            "horizon": float(self.horizon),
-            "entry_deadline": float(self.entry_deadline),
-            "containment_omega": grid_map(self.containment_omega),
-            "entry_omega": grid_map(self.entry_omega),
-            "bounded_omega": grid_map(self.bounded_omega),
-            "runs": [r.as_dict() for r in self.runs],
-        }
+        """The fields as plain data; each verdict map becomes a list of
+        {"delta", "omega"} entries in radius order (JSON keys are strings)."""
+        out = asdict(self)
+        for key in ("containment_omega", "entry_omega", "bounded_omega"):
+            out[key] = [{"delta": k, "omega": v} for k, v in sorted(out[key].items())]
+        return out
 
 
 def _shell_radii(deltas: Sequence[float]) -> list[float]:
@@ -521,14 +486,7 @@ class AveragedProbeReport:
     max_vc_step_increase: float
 
     def as_dict(self) -> dict:
-        return {
-            "deltas": [float(d) for d in self.deltas],
-            "horizon": float(self.horizon),
-            "entry_radius": float(self.entry_radius),
-            "all_entered": bool(self.all_entered),
-            "max_vc_step_increase": float(self.max_vc_step_increase),
-            "runs": self.runs,
-        }
+        return asdict(self)
 
 
 def probe_averaged_stability(

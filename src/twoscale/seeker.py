@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, ManifoldError
-from .numkit import TimeGrid, integrate_rk4, jacobian_fd
+from .numkit import TimeGrid, integrate_rk4
 from .so3 import cross3, embed, exp_so3, extract, manifold_residual, project_so3
 from .system import OscillatorySystemSpec
 
@@ -61,7 +61,8 @@ class ScalarField:
 
     c and grad take a point (3,) or a block (B, 3) of points, one per row;
     the built-in fields do both through one np.vecdot(p, p) formula, equal
-    bit for bit per row.  hess takes one point.
+    bit for bit per row.  hess, which is required, takes one point and
+    returns the (3, 3) Hessian as an array.
 
     kappa, when set, is a global quadratic-growth constant:
     c(p_star) - c(p) <= kappa * ||grad c(p)||^2 everywhere.  None means
@@ -72,13 +73,8 @@ class ScalarField:
     c: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     p_star: np.ndarray
-    hess: Callable[[np.ndarray], np.ndarray] | None = None
+    hess: Callable[[np.ndarray], np.ndarray]
     kappa: float | None = None
-
-    def hessian(self, p: np.ndarray) -> np.ndarray:
-        if self.hess is not None:
-            return np.asarray(self.hess(p), dtype=float)
-        return jacobian_fd(self.grad, p)
 
 
 def builtin_fields() -> dict[str, ScalarField]:
@@ -152,10 +148,6 @@ class SeekerConfig:
         return 1.0 / float(np.sqrt(self.omega))
 
     @property
-    def sensor_radius(self) -> float:
-        return self.eps
-
-    @property
     def dt(self) -> float:
         return (np.pi / self.omega) / self.steps_per_fast_period
 
@@ -224,7 +216,7 @@ def seeker_field(
     """
     w = config.omega
     sqw = float(np.sqrt(w))
-    radius = config.sensor_radius
+    radius = config.eps
     amp = 2.0 * sqw
     c = fld.c
 
@@ -272,7 +264,7 @@ def raw_kinematics_field(
     """
     w = config.omega
     sqw = float(np.sqrt(w))
-    radius = config.sensor_radius
+    radius = config.eps
     amp = 2.0 * sqw
     c = fld.c
 
@@ -499,7 +491,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     """
     grad = fld.grad
     c = fld.c
-    hessian = fld.hessian
+    hess = fld.hess
     A = FILTER_A.copy()
     fb0, fb1 = FILTER_B.tolist()
 
@@ -550,7 +542,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         if not order_one:
             return F1, None, val
         zero = np.zeros(np.shape(tau))
-        H = hessian(p).tolist()
+        H = hess(p).tolist()
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
         s2 = 2.0 * u * np.sin(2.0 * tau - val)
@@ -584,7 +576,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
             d0, d1, d2 = ct * b0 + st * c0, ct * b1 + st * c1, ct * b2 + st * c2
             v0, v1, v2 = ct * c0 - st * b0, ct * c1 - st * b1, ct * c2 - st * b2
             u = g0 * d0 + g1 * d1 + g2 * d2
-            e0, e1, e2 = [h0 * d0 + h1 * d1 + h2 * d2 for h0, h1, h2 in hessian(center).tolist()]
+            e0, e1, e2 = [h0 * d0 + h1 * d1 + h2 * d2 for h0, h1, h2 in hess(center).tolist()]
             hv = 0.5 * (d0 * e0 + d1 * e1 + d2 * e2)
             s2 = 2.0 * u * math.sin(2.0 * tau - val)
             gain = yb - ya

@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 _SMALL_ANGLE = 1e-6
+# project_so3 stops once ||Q^T Q - I||_F is at most _PROJECT_TOL, and gives
+# up after _PROJECT_MAX_ITER Newton-Schulz steps
+_PROJECT_TOL = 1e-14
+_PROJECT_MAX_ITER = 25
 _EYE3 = np.eye(3)
 _EYE3_THREE_HALVES = 1.5 * _EYE3
 
@@ -129,7 +133,7 @@ def manifold_residual(q: np.ndarray) -> float | np.ndarray:
     return np.max(np.abs(terms), axis=0)
 
 
-def project_so3(M: np.ndarray, tol: float = 1e-14, max_iter: int = 25) -> np.ndarray:
+def project_so3(M: np.ndarray) -> np.ndarray:
     """Nearest rotation to a near-rotation matrix M.
 
     Newton-Schulz iteration Q <- Q (3I - Q^T Q) / 2, which converges
@@ -152,8 +156,8 @@ def project_so3(M: np.ndarray, tol: float = 1e-14, max_iter: int = 25) -> np.nda
     if a1 * (b2 * c3 - b3 * c2) + a2 * (b3 * c1 - b1 * c3) + a3 * (b1 * c2 - b2 * c1) <= 0.0:
         raise ManifoldError("input has non-positive determinant, no nearby rotation")
     Q = M
-    for _ in range(max_iter):
-        if gram_defect <= tol:
+    for _ in range(_PROJECT_MAX_ITER):
+        if gram_defect <= _PROJECT_TOL:
             return Q
         Q = Q @ (_EYE3_THREE_HALVES - 0.5 * G)
         G = Q.T @ Q

@@ -254,16 +254,17 @@ def check_assumption_A(spec: OscillatorySystemSpec) -> AssumptionReport:
 
     rng = np.random.default_rng(12345)
     taus = (spec.T / 256) * np.arange(256)
-    max_mean = 0.0
-    max_period = 0.0
+    means, gaps = [], []
     for _ in range(8):
         x = rng.uniform(-2.0, 2.0, spec.n)
         y = rng.uniform(-2.0, 2.0, spec.m)
         F1, F2 = grid_terms(spec, x, y, taus)
-        max_mean = max(max_mean, float(np.max(np.abs(np.mean(F1, axis=0)))))
+        means.append(np.max(np.abs(np.mean(F1, axis=0))))
         L1, L2 = grid_terms(spec, x, y, taus + spec.T)
-        gap = max(np.max(np.abs(L1 - F1)), np.max(np.abs(L2 - F2)))
-        max_period = max(max_period, float(gap))
+        gaps += [np.max(np.abs(L1 - F1)), np.max(np.abs(L2 - F2))]
+    # np.max, not max: a NaN on any state must reach the verdict
+    max_mean = float(np.max(means))
+    max_period = float(np.max(gaps))
     return AssumptionReport(
         hurwitz=hurwitz,
         spectral_abscissa=abscissa,

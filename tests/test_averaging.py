@@ -568,8 +568,8 @@ _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 def _loop_fbar(averaged, x):
     red = averaged.reduced
-    N, n = averaged.n_panels, red.n
-    taus = (red.T / N) * np.arange(N)
+    N, n = averaged.n_panels, red.spec.n
+    taus = (red.spec.T / N) * np.arange(N)
     # a C-ordered copy of the column-major f1 grid: fbar's bits must not
     # depend on the grid's memory layout
     G = np.ascontiguousarray(red.f1_values(x, taus))
@@ -582,7 +582,7 @@ def _loop_fbar(averaged, x):
         xm[j] -= hj
         dG[:, :, j] = (red.f1_values(xp, taus) - red.f1_values(xm, taus)) / (2.0 * hj)
     k = np.arange(1, N // 2 + 1)
-    w = np.where(k < N // 2, 2.0, 1.0) * 2.0 / (k * (TWO_PI / red.T) * N**2)
+    w = np.where(k < N // 2, 2.0, 1.0) * 2.0 / (k * (TWO_PI / red.spec.T) * N**2)
     modes = _contract(np.fft.rfft(dG, axis=0)[1:], np.conj(np.fft.rfft(G, axis=0)[1:]))
     return np.mean(red.f2_values(x, taus), axis=0) - 0.5 * (w @ modes.imag)
 
@@ -763,15 +763,6 @@ def test_average_quadrature_panel_stability():
     fine = average(reduced, n_panels=512)
     x = np.array([0.8, -1.1])
     assert np.max(np.abs(coarse.fbar(x) - fine.fbar(x))) < 5e-8
-
-
-def test_averaged_field_interface_ignores_time():
-    bench = bracket_benchmark()
-    bundle = build_bundle(bench.spec, n_panels=64)
-    x = np.array([0.3, 0.9])
-    a = bundle.averaged.field(0.0, x)
-    b = bundle.averaged.field(17.3, x)
-    assert np.array_equal(a, b)
 
 
 def test_bundle_wires_the_pipeline_together():

@@ -200,6 +200,22 @@ _WHOLE_KEYS = [
     ("simulate", {"R0": "eye", "t_f": 0}, "error: R0 must be 'identity' or a 3x3 nested list"),
     ("sweep", {"p0": ["6", 2, -2]}, "error: p0 must be a list of numbers, got ['6', 2, -2]"),
     ("sweep", {"p0": [6, True, -2]}, "error: p0 must be a list of numbers, got [6, True, -2]"),
+    # an integer beyond the float range passed the type check and then
+    # ended in an OverflowError traceback from float(); R0 names its bad row
+    *[pytest.param(command, {**base, key: value}, "error: {} must be a list of numbers, got {!r}"
+                   .format(key, value[2] if key == "R0" else value), id=name)
+      for name, command, base, key, value in [
+          ("sweep-omegas-integer-beyond-float", "sweep", {}, "omegas", [12, 25, 50, 10**400]),
+          ("sweep-p0-integer-beyond-float", "sweep", {}, "p0", [6, 2, -10**400]),
+          ("probe-deltas-integer-beyond-float", "stability-probe", {"horizon": 2}, "deltas",
+           [10**400]),
+          ("probe-omegas-integer-beyond-float", "stability-probe",
+           {"system": "full", "horizon": 2}, "omegas", [10**400]),
+          ("simulate-p0-integer-beyond-float", "simulate", {"t_f": 0}, "p0", [10**400, 0, 0]),
+          ("simulate-y0-integer-beyond-float", "simulate", {"t_f": 0}, "y0", [0, 10**400]),
+          ("simulate-R0-integer-beyond-float", "simulate", {"t_f": 0}, "R0",
+           [[1, 0, 0], [0, 1, 0], [0, 0, 10**400]]),
+      ]],
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1

@@ -75,7 +75,7 @@ def test_quadratic_field_reference_values():
     p = np.array([1.0, -2.0, 2.0])
     assert fld.c(p) == -4.5
     assert np.array_equal(fld.grad(p), -p)
-    assert np.array_equal(fld.hessian(p), -np.eye(3))
+    assert np.array_equal(fld.hess(p), -np.eye(3))
     # the quadratic-growth constant is sharp: c(p*) - c(p) = kappa |grad|^2
     assert fld.kappa == 0.5
     deficit = fld.c(fld.p_star) - fld.c(p)
@@ -85,11 +85,11 @@ def test_quadratic_field_reference_values():
 def test_quadratic_hessian_is_one_read_only_array():
     # handed out without a copy, so no caller may write into it
     fld = builtin_fields()["quadratic"]
-    H = fld.hessian(np.array([1.0, -2.0, 2.0]))
-    assert H is fld.hessian(np.zeros(3))
+    H = fld.hess(np.array([1.0, -2.0, 2.0]))
+    assert H is fld.hess(np.zeros(3))
     with pytest.raises(ValueError, match="read-only"):
         H[0, 0] = 1.0
-    assert np.array_equal(fld.hessian(P_REF), -np.eye(3))
+    assert np.array_equal(fld.hess(P_REF), -np.eye(3))
 
 
 def test_log_hessian_matches_a_fresh_identity_bit_for_bit():
@@ -103,7 +103,7 @@ def test_log_hessian_matches_a_fresh_identity_bit_for_bit():
     for p in points:
         s = 1.0 + 0.5 * float(p @ p)
         want = -np.eye(3) / s + np.outer(p, p) / (s * s)
-        assert fld.hessian(p).tobytes() == want.tobytes(), p
+        assert fld.hess(p).tobytes() == want.tobytes(), p
 
 
 def test_fields_have_critical_point_at_target():
@@ -119,13 +119,7 @@ def test_field_derivatives_match_finite_differences():
             g_fd = jacobian_fd(lambda q: np.array([fld.c(q)]), p)[0]
             assert np.max(np.abs(fld.grad(p) - g_fd)) < 1e-6
             H_fd = jacobian_fd(fld.grad, p)
-            assert np.max(np.abs(fld.hessian(p) - H_fd)) < 1e-6
-
-
-def test_field_hessian_falls_back_to_differences():
-    fld = builtin_fields()["quadratic"]
-    bare = ScalarField(name="bare", c=fld.c, grad=fld.grad, p_star=fld.p_star)
-    assert np.max(np.abs(bare.hessian(np.array([0.5, 1.0, -2.0])) + np.eye(3))) < 1e-6
+            assert np.max(np.abs(fld.hess(p) - H_fd)) < 1e-6
 
 
 # point formulas with |p|^2 as a Python float, the oracle for the fields'
@@ -164,7 +158,6 @@ def test_field_blocks_match_point_calls_bit_for_bit(name):
 def test_config_derived_scales():
     cfg = SeekerConfig(omega=16.0)
     assert cfg.eps == 0.25
-    assert cfg.sensor_radius == 0.25
     assert abs(cfg.dt - (np.pi / 16.0) / 200.0) < 1e-18
 
 
@@ -251,7 +244,7 @@ def test_seeker_field_at_crafted_state():
     fld = builtin_fields()["log"]
     w = 16.0
     cfg = SeekerConfig(omega=w)
-    r = cfg.sensor_radius
+    r = cfg.eps
     s = np.concatenate([-r * E2, embed(np.eye(3)), np.zeros(2)])
     ds = np.array(seeker_field(cfg, fld)(0.0, s.tolist()))
     expected = np.zeros(14)
@@ -265,7 +258,7 @@ def test_seeker_field_filter_drives_frame():
     fld = builtin_fields()["log"]
     w = 16.0
     cfg = SeekerConfig(omega=w)
-    r = cfg.sensor_radius
+    r = cfg.eps
     s = np.concatenate([-r * E2, embed(np.eye(3)), np.array([0.0, 1.0])])
     ds = np.array(seeker_field(cfg, fld)(0.0, s.tolist()))
     sqw = np.sqrt(w)
@@ -286,7 +279,7 @@ def test_seeker_field_filter_tracks_sensor_reading():
     t = 0.37
     s = np.concatenate([P_REF, embed(Q), y])
     ds = np.array(seeker_field(cfg, fld)(t, s.tolist()))
-    ps = sensor_position(P_REF, embed(Q), w * t, cfg.sensor_radius)
+    ps = sensor_position(P_REF, embed(Q), w * t, cfg.eps)
     expected_dy = w * (FILTER_A @ y + FILTER_B * fld.c(ps))
     assert np.max(np.abs(ds[12:14] - expected_dy)) < 1e-12
 
@@ -296,7 +289,7 @@ def reference_seeker_field(config, fld):
     steering axis into each frame column, joined by concatenate."""
     w = config.omega
     sqw = float(np.sqrt(w))
-    radius = config.sensor_radius
+    radius = config.eps
     amp = 2.0 * sqw
 
     def rhs(t, s):
@@ -431,7 +424,7 @@ def array_seeker_field(config, fld):
     dither axis and frame turn formed as lists, one np.array returned."""
     w = config.omega
     sqw = float(np.sqrt(w))
-    radius = config.sensor_radius
+    radius = config.eps
     amp = 2.0 * sqw
 
     def rhs(t, s):
@@ -740,7 +733,7 @@ def reference_phase_fields(fld):
         return _ref_filter_drive(g[0] * d[0] + g[1] * d[1] + g[2] * d[2])
 
     def g2(x, y, tau):
-        H = fld.hessian(x[0:3]).tolist()
+        H = fld.hess(x[0:3]).tolist()
         d = _ref_dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         return _ref_filter_drive(0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2]))

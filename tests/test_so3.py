@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from twoscale import so3
 from twoscale.errors import DimensionError, ManifoldError
 from twoscale.so3 import embed, exp_so3, extract, hat, manifold_residual, project_so3
 
@@ -338,11 +339,12 @@ def test_project_so3_rejects_reflection_with_small_gram_defect():
             project_so3(M)
 
 
-def test_project_so3_iteration_cap():
+def test_project_so3_iteration_cap(monkeypatch):
     M = random_rotation(np.random.default_rng(53)) + 1e-3 * np.ones((3, 3))
-    with pytest.raises(ManifoldError, match="did not converge"):
-        project_so3(M, max_iter=1)
     assert manifold_residual(embed(project_so3(M))) < 1e-14
+    monkeypatch.setattr(so3, "_PROJECT_MAX_ITER", 1)
+    with pytest.raises(ManifoldError, match="did not converge"):
+        project_so3(M)
 
 
 def test_project_so3_rejects_bad_shape():

@@ -302,6 +302,24 @@ def test_assumptions_flag_a_defect_in_a_narrow_phase_window():
     assert report.zero_mean and not report.ok
 
 
+def _nan_field(x, y, taus):
+    return np.full(np.shape(taus) + (1,), np.nan)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(f1=_nan_field, f2=_nan_field, g1=_nan_field, g2=_nan_field),
+    dict(f2=_nan_field),
+], ids=["all-fields", "f2-only"])
+def test_assumptions_flag_nan_fields(fields):
+    # Python's max keeps a finite first operand against a NaN, so running
+    # maxima once reported such a spec as zero-mean and periodic, defect 0.0
+    report = check_assumption_A(scalar_spec(**fields))
+    assert np.isnan(report.max_period_defect) and not report.periodic
+    assert np.isnan(report.max_mean_defect) == ("f1" in fields)
+    assert report.zero_mean != ("f1" in fields)
+    assert not report.ok
+
+
 # ------------------------------------------------------- shifted coordinates
 
 
