@@ -191,6 +191,18 @@ def _whole(cfg: dict, key: str) -> int:
     return int(v)
 
 
+def _sampling(cfg: dict, least_panels: int) -> tuple[int, int, int]:
+    """n_states >= 1, seed >= 0 and even panels >= least_panels, before any work."""
+    n_states, seed, panels = (_whole(cfg, key) for key in ("n_states", "seed", "panels"))
+    if n_states < 1:
+        raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if panels < least_panels or panels % 2:
+        raise ConfigurationError(f"panels must be even and >= {least_panels}, got {panels}")
+    return n_states, seed, panels
+
+
 def _numbers(cfg: dict, key: str) -> list[float]:
     """A list setting: a JSON list of JSON numbers, read as floats (a
     string would otherwise be read one character at a time, float()
@@ -285,17 +297,14 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 def cmd_average_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
     fld = field_by_name(str(cfg["field"]))
-    n_states = _whole(cfg, "n_states")
-    if n_states < 1:
-        raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
+    n_states, seed, panels = _sampling(cfg, 2)
     tol = _tolerance(cfg)
-    panels = _whole(cfg, "panels")
 
     spec = as_system_spec(fld)
     bundle = build_bundle(spec, n_panels=panels)
     closed = averaged_seeker_field(fld)
 
-    rng = np.random.default_rng(_whole(cfg, "seed"))
+    rng = np.random.default_rng(seed)
     errors = []
     for _ in range(n_states):
         x = _random_seeker_state(rng)
@@ -411,11 +420,8 @@ def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    panels = _whole(cfg, "panels")
+    n_states, seed, panels = _sampling(cfg, 8)  # residual_bvp's stencil needs 8 panels
     tol = _tolerance(cfg)
-    n_states = _whole(cfg, "n_states")
-    if n_states < 1:
-        raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
     case_names = cfg["cases"]
     if not isinstance(case_names, list) or not case_names:
         raise ConfigurationError(f"cases must be a non-empty list of names, got {case_names!r}")
@@ -437,7 +443,7 @@ def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
             bundle = build_bundle(spec, n_panels=panels)
             b1 = bundle.phi1.b
             b2 = bundle.phi2.b
-            rng = np.random.default_rng(_whole(cfg, "seed"))
+            rng = np.random.default_rng(seed)
             residuals = []
             for _ in range(n_states):
                 x = _random_seeker_state(rng)

@@ -482,12 +482,17 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     split as straight-line float code over the 14 state floats.  c, grad
     and the Hessian read one array of the center (numpy's vecdot and log1p
     round differently from float code), and every entry is the same
-    products and sums in the same order as split and the generic assembly,
+    products and sums in the same order as terms and the generic assembly,
     sqrt(w) f1 + f2 and (sqrt(w) g1 + w A (y - phi0)) + g2, F2's zeros and
     the products with B's zero entry included, so the two agree bit for
     bit.  The layer term w A z is w (0.0 + (z1 - z0)) and w (0.0 - z1):
     numpy's 2x2 product sums each row onto +0.0, so these give its bits,
     signed zeros included, where -z0 + z1 and 0 z0 - z1 do not.
+
+    On y = phi0(x), where every averaging grid reads f1, the gain is +0.0
+    and f1's frame rows are +0.0, the turn unformed.  +0.0 (w x q_j) would
+    be a zero of either sign, but no output could see it: each path to one
+    passes a numpy matmul or einsum sum, which starts from +0.0.
     """
     grad = fld.grad
     c = fld.c
@@ -523,42 +528,41 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
 
     def f1_rows(q: list, gain, ct, st, s1) -> list:
         """The 12 components of f1: the dithered surge s1 q1 and the
-        filter-gain turn of the frame."""
-        return [s1 * q[0], s1 * q[1], s1 * q[2]] + [gain * r for r in _frame_turn(q, ct, st)]
+        filter-gain turn of the frame.  On y = phi0(x) the gain is +0.0 and
+        the turn is not formed: its nine rows are one shared +0.0 array."""
+        surge = [s1 * q[0], s1 * q[1], s1 * q[2]]
+        if gain == 0.0:
+            return surge + [np.zeros(np.shape(s1))] * 9
+        return surge + [gain * r for r in _frame_turn(q, ct, st)]
 
-    def split(p: np.ndarray, q: list, gain, tau, order_one: bool):
-        """F1 = (f1, g1) and F2 = (f2, g2) (None unless order_one) as
-        component lists, and the center value c(p).  p is the center as
-        an array, q the frame columns q1, q2, q3 as 9 floats and gain the
-        filter output yb - ya.  Each component is a (K,) array over the K
-        phases tau.  The center value, gradient, trig values and dither
-        axis are shared by all four fields."""
+    def terms(x: np.ndarray, y: np.ndarray, tau, order_one: bool = True):
+        """F1 = (f1, g1) and F2 = (f2, g2) (None unless order_one), each
+        component a (K,) array over the K phases tau.  The filter gain
+        yb - ya is +0.0 on y = phi0(x), where F1's frame rows are +0.0 as
+        F2's are.  All four fields share c(p), grad, trig and dither axis."""
+        p, q = x[0:3], x[3:12].tolist()
+        ya, yb = y.tolist()
         g = np.asarray(grad(p), dtype=float).tolist()
         val = float(c(p))
         ct, st, s1 = phase_trig(tau, val)
         d = _dither_axis(q, ct, st)
         u = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]
-        F1 = f1_rows(q, gain, ct, st, s1) + [fb0 * u, fb1 * u]
+        F1 = np.array(f1_rows(q, yb - ya, ct, st, s1) + [fb0 * u, fb1 * u]).T
         if not order_one:
-            return F1, None, val
+            return F1, None
         zero = np.zeros(np.shape(tau))
         H = hess(p).tolist()
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
         s2 = 2.0 * u * np.sin(2.0 * tau - val)
         F2 = [s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [fb0 * v, fb1 * v]
-        return F1, F2, val
+        return F1, np.array(F2).T
 
     def f1(x: np.ndarray, y: np.ndarray, tau):
         """terms' f1 columns alone: no gradient, dither axis or g1."""
         ya, yb = y.tolist()
         ct, st, s1 = phase_trig(tau, float(c(x[0:3])))
         return np.array(f1_rows(x[3:12].tolist(), yb - ya, ct, st, s1)).T
-
-    def terms(x: np.ndarray, y: np.ndarray, tau, order_one: bool = True):
-        ya, yb = y.tolist()
-        F1, F2, _ = split(x[0:3], x[3:12].tolist(), yb - ya, tau, order_one)
-        return np.array(F1).T, (np.array(F2).T if order_one else None)
 
     def full(omega: float) -> Callable[[float, list], list]:
         sqrt_w = float(np.sqrt(omega))

@@ -216,6 +216,28 @@ _WHOLE_KEYS = [
           ("simulate-R0-integer-beyond-float", "simulate", {"t_f": 0}, "R0",
            [[1, 0, 0], [0, 1, 0], [0, 0, 10**400]]),
       ]],
+    # seed and panels are read before any case runs, each under its own
+    # name: numpy would refuse a negative seed unnamed, after the other
+    # cases, a bvp-check without seeker-log would never read its seed, and
+    # the corrector grid and the residual stencil name n_panels with two
+    # different lower bounds
+    *[pytest.param(command, bad, message, id=name) for name, command, bad, message in [
+        ("bvp-check-seed-string-unread-case", "bvp-check", {"cases": ["cosine-1d"], "seed": "x"},
+         "error: seed must be a whole number, got 'x'"),
+        ("bvp-check-seed-negative-unread-case", "bvp-check", {"cases": ["cosine-1d"], "seed": -5},
+         "error: seed must be >= 0, got -5"),
+        ("bvp-check-seed-negative", "bvp-check", {"seed": -5}, "error: seed must be >= 0, got -5"),
+        ("average-check-seed-negative", "average-check", {"seed": -1},
+         "error: seed must be >= 0, got -1"),
+        ("bvp-check-panels-6", "bvp-check", {"cases": ["cosine-1d"], "panels": 6},
+         "error: panels must be even and >= 8, got 6"),
+        ("bvp-check-panels-7", "bvp-check", {"cases": ["cosine-1d"], "panels": 7},
+         "error: panels must be even and >= 8, got 7"),
+        ("average-check-panels-7", "average-check", {"panels": 7},
+         "error: panels must be even and >= 2, got 7"),
+        ("average-check-panels-0", "average-check", {"panels": 0},
+         "error: panels must be even and >= 2, got 0"),
+    ]],
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1

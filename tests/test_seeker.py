@@ -7,6 +7,7 @@ rotating-frame representations, the pure-roll solution in a flat field
 of the averaged loop.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from twoscale import harness
-from twoscale.averaging import build_bundle
+from twoscale.averaging import build_bundle, residual_bvp
 from twoscale.benchmarks import linear_benchmark
 from twoscale.errors import ConfigurationError, DimensionError, ManifoldError
 from twoscale.harness import sweep_convergence
@@ -1030,3 +1031,77 @@ def test_fbar_matches_the_averaged_loop_on_an_anisotropic_field():
         numeric = bundle.averaged.fbar(x)
         reference = closed(0.0, x)
         assert np.linalg.norm(numeric - reference) < 1e-6 * np.linalg.norm(reference)
+
+
+def frame_product_spec(fld):
+    """The seeker spec, and a copy whose f1 frame rows are formed as
+    gain * (w x q_j) at every state, +0.0 gain included, in the spec's own
+    memory layout: the oracle for the rows the spec skips on y = phi0(x)."""
+    spec = as_system_spec(fld)
+    f1 = reference_phase_fields(fld)[0]
+
+    def terms(x, y, tau, order_one=True):
+        F1, F2 = spec.terms(x, y, tau, order_one)
+        return np.asfortranarray(np.concatenate([f1(x, y, tau), F1[:, 12:]], axis=1)), F2
+
+    return spec, dataclasses.replace(spec, f1=f1, terms=terms)
+
+
+def manifold_oracle_states(fld, rng):
+    """Random states, p = p_star = 0 (where the gradient is -0.0) and frames
+    whose surge axis is the gradient (where the averaged turn is zero)."""
+    states = [random_spec_state(rng)[0] for _ in range(3)]
+    states += [np.concatenate([np.zeros(3), q]) for q in (embed(np.eye(3)), states[0][3:12])]
+    states.append(np.concatenate([[-3.0, 0.0, 0.0], embed(np.eye(3))]))
+    p = rng.uniform(-4.0, 4.0, size=3)
+    q1 = fld.grad(p) / np.linalg.norm(fld.grad(p))
+    q2 = np.cross(q1, [0.3, -0.5, 0.8])
+    q2 /= np.linalg.norm(q2)
+    states.append(np.concatenate([p, q1, q2, np.cross(q1, q2)]))
+    return states
+
+
+@pytest.mark.parametrize("n_panels", [16, 256])
+@pytest.mark.parametrize("name", TERM_FIELDS)
+def test_skipped_frame_turn_rows_keep_every_averaging_bit(name, n_panels):
+    # On y = phi0(x) the filter gain is +0.0, and f1's nine frame rows are
+    # +0.0 without the turn being formed, where +0.0 * (w x q_j) is a zero
+    # with the sign of w x q_j.  fbar, the b2 source, both correctors on
+    # their grid and both residuals must keep the oracle's bits, also where
+    # every sum those zeros enter is zero (p = 0, frames along the gradient)
+    fld = term_field(name)
+    spec, ref = frame_product_spec(fld)
+    bundles = [build_bundle(s, n_panels=n_panels) for s in (spec, ref)]
+    grid = (spec.T / n_panels) * np.arange(n_panels)
+    rng = np.random.default_rng(79)
+    for x in manifold_oracle_states(fld, rng):
+        y = spec.phi0(x)
+        F1 = spec.terms(x, y, grid, False)[0]
+        assert same_bits(F1[:, 3:12], np.zeros((n_panels, 9)))
+        assert np.array_equal(F1[:, 3:12], ref.terms(x, y, grid, False)[0][:, 3:12])
+        # off the manifold the turn is formed as before
+        y_off = y + np.array([0.0, 0.25])
+        assert same_bits(spec.f1(x, y_off, grid), ref.f1(x, y_off, grid))
+        got, want = (
+            [b.averaged.fbar(x), b.phi2.b.values_at(x, grid), b.phi1.values_on_grid(x),
+             b.phi2.values_on_grid(x),
+             np.array([residual_bvp(phi, spec.A, phi.b, spec.T, x=x) for phi in (b.phi1, b.phi2)])]
+            for b in bundles
+        )
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("entry", [1, 7])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frame_entries_give_non_finite_averages(bad, entry):
+    # on y = phi0(x) f1's frame-turn rows are +0.0 even here, where
+    # +0.0 * (w x q_j) is NaN; the entry still reaches fbar and phi2, q1's
+    # through the surge rows s1 q1 and q3's through the dither axis (g1 and
+    # F2's surge rows) and df1_dy's turn
+    bundle = build_bundle(as_system_spec(builtin_fields()["log"]), n_panels=64)
+    x = np.concatenate([P_REF, embed(np.eye(3))])
+    x[3 + entry] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not np.all(np.isfinite(bundle.averaged.fbar(x)))
+        assert not np.all(np.isfinite(bundle.phi2.values_on_grid(x)))
