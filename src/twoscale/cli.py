@@ -1,9 +1,10 @@
 """Command line: simulate, average-check, sweep, stability-probe, bvp-check.
 
-Each command reads an optional JSON config (unknown keys are rejected),
-writes its artifacts under --out-dir, and prints a one-line summary.
-Outputs are deterministic: rerunning a command with the same config
-produces byte-identical files.
+Each command reads an optional JSON config (unknown keys are rejected)
+and passes every key, given or default, through its reader before any
+work; it then writes its artifacts under --out-dir and prints a one-line
+summary.  Outputs are deterministic: rerunning a command with the same
+config produces byte-identical files.
 
 Exit codes: 0 success, 1 invalid config or input, 2 trajectory
 divergence, 3 a verified quantity missed its threshold.
@@ -39,89 +40,221 @@ EXIT_CRITERION = 3
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_OMEGAS = [4.0 * np.pi * 2.0**k for k in range(5)]
+# Readers: each takes (key, value), returns the typed setting, or raises
+# ConfigurationError naming the key.
 
-DEFAULTS = {
+
+def _number(key: str, v) -> float:
+    """A scalar setting: a finite JSON number, read as a float (float()
+    would take true, "1" and NaN, and overflow beyond the float range)."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not (number and abs(v) <= sys.float_info.max):
+        raise ConfigurationError(f"{key} must be a number, got {v!r} ({type(v).__name__})")
+    return float(v)
+
+
+def _positive(key: str, v) -> float:
+    if not _number(key, v) > 0.0:
+        raise ConfigurationError(f"{key} must be positive, got {v}")
+    return float(v)
+
+
+def _whole(key: str, v) -> int:
+    """An integer setting: a JSON integer, or a float with no fraction."""
+    if isinstance(v, bool) or not (
+        isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    ):
+        raise ConfigurationError(f"{key} must be a whole number, got {v!r}")
+    return int(v)
+
+
+def _at_least(read, low: int):
+    """A reader of settings >= low.  A zero tolerance is legal (if
+    unsatisfiable): the check then reports a criterion failure."""
+    def reader(key: str, v):
+        x = read(key, v)
+        if not x >= low:
+            raise ConfigurationError(f"{key} must be >= {low}, got {v}")
+        return x
+    return reader
+
+
+def _panels(least: int):
+    """A reader of even panel counts >= least, the grid's or the stencil's."""
+    def reader(key: str, v) -> int:
+        n = _whole(key, v)
+        if n < least or n % 2:
+            raise ConfigurationError(f"{key} must be even and >= {least}, got {n}")
+        return n
+    return reader
+
+
+def _numbers(key: str, v) -> list[float]:
+    """A list setting: a JSON list of JSON numbers, read as floats (a
+    string would otherwise be read one character at a time, float()
+    would take true as 1.0 and "6" as 6.0, and an integer beyond the
+    float range would overflow).  NaN and infinities pass, for the
+    caller's own finiteness check."""
+    if not isinstance(v, list) or any(
+        isinstance(x, bool) or not isinstance(x, (int, float))
+        or (isinstance(x, int) and abs(x) > sys.float_info.max) for x in v
+    ):
+        raise ConfigurationError(f"{key} must be a list of numbers, got {v!r}")
+    return [float(x) for x in v]
+
+
+def _point(key: str, v) -> np.ndarray:
+    p = np.array(_numbers(key, v))
+    if p.shape != (3,):
+        raise ConfigurationError(f"{key} must be a 3-vector")
+    if not np.all(np.isfinite(p)):
+        raise ConfigurationError(f"{key} must be finite, got {p.tolist()}")
+    return p
+
+
+def _rotation(key: str, v) -> np.ndarray:
+    """The start frame: the identity, or three rows each read by _numbers."""
+    if v == "identity":
+        return np.eye(3)
+    R = [_numbers(key, row) for row in (v if isinstance(v, list) else [])]
+    if [len(row) for row in R] != [3, 3, 3]:
+        raise ConfigurationError(f"{key} must be 'identity' or a 3x3 nested list")
+    return np.array(R)
+
+
+def _filter_start(key: str, v) -> np.ndarray | None:
+    """The filter start: None for quasi-steady, else the pair to use."""
+    if v == "quasi-steady":
+        return None
+    if v == "zero":
+        return np.zeros(2)
+    y = np.array(_numbers(key, v))
+    if y.shape != (2,):
+        raise ConfigurationError(f"{key} must be 'quasi-steady', 'zero', or a pair")
+    return y
+
+
+def _choice(*names: str):
+    def reader(key: str, v) -> str:
+        if v not in names:
+            raise ConfigurationError(f"{key} must be {' or '.join(map(repr, names))}, got {v!r}")
+        return v
+    return reader
+
+
+def _flag(key: str, v) -> bool:
+    # bool("false") is True: a string would silently switch the flag on
+    if not isinstance(v, bool):
+        raise ConfigurationError(f"{key} must be true or false, got {v!r}")
+    return v
+
+
+def _text(key: str, v) -> str:
+    if not (isinstance(v, str) and v):
+        raise ConfigurationError(f"{key} must be a non-empty string, got {v!r}")
+    return v
+
+
+def _field(key: str, v):
+    return field_by_name(_text(key, v))
+
+
+def _cases(key: str, v) -> list[str]:
+    if not isinstance(v, list) or not v:
+        raise ConfigurationError(f"{key} must be a non-empty list of names, got {v!r}")
+    bad = sorted({str(name) for name in v} - set(_BVP_CASES))
+    if bad:
+        raise ConfigurationError(f"unknown bvp cases: {', '.join(bad)}")
+    return v
+
+
+_SETTINGS = {
     "simulate": {
-        "field": "log",
-        "omega": 4.0 * np.pi,
-        "p0": [6.0, 2.0, -2.0],
-        "R0": "identity",
-        "y0": "quasi-steady",
-        "t_f": 100.0,
-        "steps_per_fast_period": 200,
-        "projection": True,
-        "stride": 1,
-        "t0": 0.0,
-        "output": "trajectory.csv",
+        "field": ("log", _field),
+        "omega": (4.0 * np.pi, _positive),
+        "p0": ([6.0, 2.0, -2.0], _point),
+        "R0": ("identity", _rotation),
+        "y0": ("quasi-steady", _filter_start),
+        "t_f": (100.0, _at_least(_number, 0)),
+        "steps_per_fast_period": (200, _whole),
+        "projection": (True, _flag),
+        "stride": (1, _at_least(_whole, 1)),
+        "t0": (0.0, _number),
+        "output": ("trajectory.csv", _text),
     },
     "average-check": {
-        "field": "log",
-        "n_states": 20,
-        "tolerance": 1e-6,
-        "seed": 7,
-        "panels": 256,
-        "output": "average_check.json",
+        "field": ("log", _field),
+        "n_states": (20, _at_least(_whole, 1)),
+        "tolerance": (1e-6, _at_least(_number, 0)),
+        "seed": (7, _at_least(_whole, 0)),
+        "panels": (256, _panels(2)),
+        "output": ("average_check.json", _text),
     },
     "sweep": {
-        "system": "seeker",
-        "field": "quadratic",
-        "p0": [6.0, 2.0, -2.0],
-        "y0": "quasi-steady",
-        "omegas": _DEFAULT_OMEGAS,
-        "t_f": 5.0,
-        "steps_per_period": 400,
-        "avg_steps": 4000,
-        "slope_max": -0.4,
-        "output": "sweep_report.json",
+        "system": ("seeker", _choice("seeker", "linear")),
+        "field": ("quadratic", _field),
+        "p0": ([6.0, 2.0, -2.0], _point),
+        "y0": ("quasi-steady", _choice("quasi-steady", "zero")),
+        "omegas": ([4.0 * np.pi * 2.0**k for k in range(5)], _numbers),
+        "t_f": (5.0, _positive),
+        "steps_per_period": (400, _whole),
+        "avg_steps": (4000, _whole),
+        "slope_max": (-0.4, _number),
+        "output": ("sweep_report.json", _text),
     },
     "stability-probe": {
-        "system": "averaged",
-        "field": "quadratic",
-        "deltas": [6.0],
-        "omegas": [4.0 * np.pi],
-        "horizon": 200.0,
-        "entry_radius": 0.1,
-        "dt": 0.01,
-        "eps_x": 1.0,
-        "eps_z": 1.0,
-        "entry_deadline": None,
-        "steps_per_fast_period": 100,
-        "output": "stability_report.json",
+        "system": ("averaged", _choice("averaged", "full")),
+        "field": ("quadratic", _field),
+        "deltas": ([6.0], _numbers),
+        "omegas": ([4.0 * np.pi], _numbers),
+        "horizon": (200.0, _positive),
+        "entry_radius": (0.1, _positive),
+        "dt": (0.01, _positive),
+        "eps_x": (1.0, _positive),
+        "eps_z": (1.0, _positive),
+        "entry_deadline": (None, lambda key, v: None if v is None else _number(key, v)),
+        "steps_per_fast_period": (100, _whole),
+        "output": ("stability_report.json", _text),
     },
     "bvp-check": {
-        "cases": ["cosine-1d", "jordan-2d", "seeker-log"],
-        "panels": 512,
-        "tolerance": 1e-6,
-        "n_states": 5,
-        "seed": 11,
-        "output": "bvp_report.json",
+        "cases": (["cosine-1d", "jordan-2d", "seeker-log"], _cases),
+        # residual_bvp's stencil needs 8 panels
+        "panels": (512, _panels(8)),
+        "tolerance": (1e-6, _at_least(_number, 0)),
+        "n_states": (5, _at_least(_whole, 1)),
+        "seed": (11, _at_least(_whole, 0)),
+        "output": ("bvp_report.json", _text),
     },
+}
+
+DEFAULTS = {
+    command: {key: default for key, (default, _) in table.items()}
+    for command, table in _SETTINGS.items()
 }
 
 
 def _load_config(path: str | None, command: str) -> dict:
-    """Merge a JSON config over the command defaults, rejecting unknown keys."""
+    """Merge a JSON config over the command defaults, rejecting unknown
+    keys, and read every key, given or default, in table order."""
     merged = dict(DEFAULTS[command])
-    if path is None:
-        return merged
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ConfigurationError(f"cannot read config {path}: {err}") from err
-    try:
-        user = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"config {path} is not valid JSON: {err}") from err
-    if not isinstance(user, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(user) - set(merged))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown config keys for {command}: {', '.join(unknown)}"
-        )
-    merged.update(user)
-    return merged
+    if path is not None:
+        try:
+            text = Path(path).read_text()
+        except OSError as err:
+            raise ConfigurationError(f"cannot read config {path}: {err}") from err
+        try:
+            user = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigurationError(f"config {path} is not valid JSON: {err}") from err
+        if not isinstance(user, dict):
+            raise ConfigurationError(f"config {path} must hold a JSON object")
+        unknown = sorted(set(user) - set(merged))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown config keys for {command}: {', '.join(unknown)}"
+            )
+        merged.update(user)
+    return {key: read(key, merged[key]) for key, (_, read) in _SETTINGS[command].items()}
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -141,92 +274,6 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _parse_rotation(cfg: dict) -> np.ndarray:
-    """The start frame: the identity, or three rows each read by _numbers."""
-    if cfg["R0"] == "identity":
-        return np.eye(3)
-    rows = cfg["R0"] if isinstance(cfg["R0"], list) else []
-    R = [_numbers({"R0": row}, "R0") for row in rows]
-    if [len(row) for row in R] != [3, 3, 3]:
-        raise ConfigurationError("R0 must be 'identity' or a 3x3 nested list")
-    return np.array(R)
-
-
-def _parse_y0(cfg: dict) -> np.ndarray | None:
-    """The filter start: None for quasi-steady, else the pair to use."""
-    if cfg["y0"] == "quasi-steady":
-        return None
-    if cfg["y0"] == "zero":
-        return np.zeros(2)
-    y = np.array(_numbers(cfg, "y0"))
-    if y.shape != (2,):
-        raise ConfigurationError("y0 must be 'quasi-steady', 'zero', or a pair")
-    return y
-
-
-def _number(cfg: dict, key: str) -> float:
-    """A scalar setting: a finite JSON number, read as a float (float()
-    would take true, "1" and NaN, and overflow beyond the float range)."""
-    v = cfg[key]
-    number = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if not (number and abs(v) <= sys.float_info.max):
-        raise ConfigurationError(f"{key} must be a number, got {v!r} ({type(v).__name__})")
-    return float(v)
-
-
-def _positive(cfg: dict, key: str) -> float:
-    v = _number(cfg, key)
-    if not v > 0.0:
-        raise ConfigurationError(f"{key} must be positive, got {cfg[key]}")
-    return v
-
-
-def _whole(cfg: dict, key: str) -> int:
-    """An integer setting: a JSON integer, or a float with no fraction."""
-    v = cfg[key]
-    if isinstance(v, bool) or not (
-        isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-    ):
-        raise ConfigurationError(f"{key} must be a whole number, got {v!r}")
-    return int(v)
-
-
-def _sampling(cfg: dict, least_panels: int) -> tuple[int, int, int]:
-    """n_states >= 1, seed >= 0 and even panels >= least_panels, before any work."""
-    n_states, seed, panels = (_whole(cfg, key) for key in ("n_states", "seed", "panels"))
-    if n_states < 1:
-        raise ConfigurationError(f"n_states must be >= 1, got {n_states}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    if panels < least_panels or panels % 2:
-        raise ConfigurationError(f"panels must be even and >= {least_panels}, got {panels}")
-    return n_states, seed, panels
-
-
-def _numbers(cfg: dict, key: str) -> list[float]:
-    """A list setting: a JSON list of JSON numbers, read as floats (a
-    string would otherwise be read one character at a time, float()
-    would take true as 1.0 and "6" as 6.0, and an integer beyond the
-    float range would overflow).  NaN and infinities pass, for the
-    caller's own finiteness check."""
-    v = cfg[key]
-    if not isinstance(v, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float))
-        or (isinstance(x, int) and abs(x) > sys.float_info.max) for x in v
-    ):
-        raise ConfigurationError(f"{key} must be a list of numbers, got {v!r}")
-    return [float(x) for x in v]
-
-
-def _tolerance(cfg: dict) -> float:
-    # zero is a legal (if unsatisfiable) threshold: the check then reports
-    # a criterion failure rather than a config error
-    v = _number(cfg, "tolerance")
-    if not v >= 0.0:
-        raise ConfigurationError(f"tolerance must be >= 0, got {cfg['tolerance']}")
-    return v
-
-
 def _random_seeker_state(rng: np.random.Generator) -> np.ndarray:
     """A seeded seeker slow state (p, q): a random direction, a radius
     uniform in [1.5, 5] and a random frame, drawn in that order."""
@@ -238,28 +285,9 @@ def _random_seeker_state(rng: np.random.Generator) -> np.ndarray:
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    fld = field_by_name(str(cfg["field"]))
-    omega = _positive(cfg, "omega")
-    p0 = np.array(_numbers(cfg, "p0"))
-    if p0.shape != (3,):
-        raise ConfigurationError("p0 must be a 3-vector")
-    R0 = _parse_rotation(cfg)
-    y0 = _parse_y0(cfg)
-    t_f = _number(cfg, "t_f")
-    if not t_f >= 0.0:
-        raise ConfigurationError(f"t_f must be >= 0, got {cfg['t_f']}")
-    t0 = _number(cfg, "t0")
-    # checked here because the t_f = 0 row never reaches simulate_seeker
-    stride = _whole(cfg, "stride")
-    if stride < 1:
-        raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    if not isinstance(cfg["projection"], bool):
-        raise ConfigurationError(f"projection must be true or false, got {cfg['projection']!r}")
-    config = SeekerConfig(
-        omega=omega,
-        steps_per_fast_period=_whole(cfg, "steps_per_fast_period"),
-        projection=cfg["projection"],
-    )
+    fld, p0, R0, y0, t0 = (cfg[key] for key in ("field", "p0", "R0", "y0", "t0"))
+    config = SeekerConfig(omega=cfg["omega"], steps_per_fast_period=cfg["steps_per_fast_period"],
+                          projection=cfg["projection"])
 
     header = (
         ["t", "px", "py", "pz"]
@@ -267,21 +295,21 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
         + ["y1", "y2", "c_center", "v_c", "frame_residual"]
     )
 
-    if t_f == 0.0:
+    if cfg["t_f"] == 0.0:
         traj = SeekerTrajectory(
             times=np.array([t0]),
             states=initial_state(fld, p0, R0, y0=y0)[None, :],
-            omega=omega,
+            omega=config.omega,
             field_name=fld.name,
         )
     else:
-        traj = simulate_seeker(config, fld, p0, R0, t_f, y0=y0, stride=stride, t0=t0)
+        traj = simulate_seeker(config, fld, p0, R0, cfg["t_f"], y0=y0, stride=cfg["stride"], t0=t0)
     c_center = traj.center_values(fld)
     residuals = traj.frame_residuals()
     rows = np.column_stack(
         [traj.times, traj.states, c_center, traj.lyapunov_values(fld, c_center), residuals]
     )
-    out_path = out_dir / str(cfg["output"])
+    out_path = out_dir / cfg["output"]
     _write_csv(out_path, header, rows)
     p_end = traj.states[-1, 0:3]
     c_end = float(c_center[-1])
@@ -296,15 +324,11 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_average_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    fld = field_by_name(str(cfg["field"]))
-    n_states, seed, panels = _sampling(cfg, 2)
-    tol = _tolerance(cfg)
-
-    spec = as_system_spec(fld)
-    bundle = build_bundle(spec, n_panels=panels)
+    fld, n_states, panels, tol = (cfg[key] for key in ("field", "n_states", "panels", "tolerance"))
+    bundle = build_bundle(as_system_spec(fld), n_panels=panels)
     closed = averaged_seeker_field(fld)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
     errors = []
     for _ in range(n_states):
         x = _random_seeker_state(rng)
@@ -316,7 +340,7 @@ def cmd_average_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
     max_err = float(np.max(errors))
     passed = max_err < tol
 
-    _write_report(out_dir / str(cfg["output"]), {
+    _write_report(out_dir / cfg["output"], {
         "field": fld.name,
         "n_states": n_states,
         "panels": panels,
@@ -331,43 +355,28 @@ def cmd_average_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    system = str(cfg["system"])
-    omegas = _numbers(cfg, "omegas")
-    t_f = _positive(cfg, "t_f")
-    slope_max = _number(cfg, "slope_max")
-
-    y0_mode = str(cfg["y0"])
-    if y0_mode not in ("quasi-steady", "zero"):
-        raise ConfigurationError(f"y0 must be 'quasi-steady' or 'zero', got {y0_mode!r}")
-    if system == "seeker":
-        fld = field_by_name(str(cfg["field"]))
-        p0 = np.array(_numbers(cfg, "p0"))
-        if p0.shape != (3,) or not np.all(np.isfinite(p0)):
-            raise ConfigurationError(f"p0 must be a finite 3-vector, got {cfg['p0']}")
+    if cfg["system"] == "seeker":
+        fld = cfg["field"]
         spec, averaged = as_system_spec(fld), averaged_seeker_field(fld)
-        x0 = np.concatenate([p0, embed(np.eye(3))])
-    elif system == "linear":
+        x0 = np.concatenate([cfg["p0"], embed(np.eye(3))])
+    else:
         bench = linear_benchmark()
         spec, averaged, x0 = bench.spec, bench.averaged_field, bench.x0
-    else:
-        raise ConfigurationError(f"unknown sweep system {system!r} (seeker or linear)")
-    y0 = spec.phi0(x0) if y0_mode == "quasi-steady" else np.zeros(spec.m)
+    y0 = spec.phi0(x0) if cfg["y0"] == "quasi-steady" else np.zeros(spec.m)
 
-    report = sweep_convergence(
-        spec, averaged, x0, y0, omegas, t_f,
-        steps_per_period=_whole(cfg, "steps_per_period"),
-        avg_steps=_whole(cfg, "avg_steps"),
-    )
+    report = sweep_convergence(spec, averaged, x0, y0, cfg["omegas"], cfg["t_f"],
+                               steps_per_period=cfg["steps_per_period"], avg_steps=cfg["avg_steps"])
+    slope_max = cfg["slope_max"]
     diverged = any(not np.isfinite(e) for e in report.max_devs)
     slope_ok = report.slope <= slope_max
     payload = report.as_dict()
     payload.update({
-        "system": system,
+        "system": cfg["system"],
         "slope_max": slope_max,
         "slope_ok": slope_ok,
         "pass": bool(slope_ok and report.strictly_decreasing and not diverged),
     })
-    _write_report(out_dir / str(cfg["output"]), payload)
+    _write_report(out_dir / cfg["output"], payload)
     _say(quiet, f"sweep: slope {report.slope:.3f} (threshold {slope_max}), "
                 f"decreasing={report.strictly_decreasing}, "
                 f"{'pass' if payload['pass'] else 'FAIL'}")
@@ -377,85 +386,67 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    system = str(cfg["system"])
-    fld = field_by_name(str(cfg["field"]))
-    deltas = _numbers(cfg, "deltas")
-    horizon = _positive(cfg, "horizon")
-
+    fld, system = cfg["field"], cfg["system"]
     if system == "averaged":
         report = probe_averaged_stability(
-            fld, deltas, horizon,
-            entry_radius=_positive(cfg, "entry_radius"),
-            dt=_positive(cfg, "dt"),
+            fld, cfg["deltas"], cfg["horizon"], entry_radius=cfg["entry_radius"], dt=cfg["dt"],
         )
-        payload = report.as_dict()
-        payload["system"] = system
-        payload["field"] = fld.name
-        _write_report(out_dir / str(cfg["output"]), payload)
-        _say(quiet, f"stability-probe (averaged): all_entered={report.all_entered}, "
-                    f"max V_c step increase {report.max_vc_step_increase:.3g}")
-        return EXIT_OK if report.all_entered else EXIT_CRITERION
-
-    if system == "full":
-        deadline = cfg["entry_deadline"]
+        summary = (f"all_entered={report.all_entered}, "
+                   f"max V_c step increase {report.max_vc_step_increase:.3g}")
+        code = EXIT_OK if report.all_entered else EXIT_CRITERION
+    else:
         report = probe_seeker_stability(
-            fld,
-            eps_x=_positive(cfg, "eps_x"),
-            eps_z=_positive(cfg, "eps_z"),
-            deltas=deltas,
-            omegas=_numbers(cfg, "omegas"),
-            horizon=horizon,
-            entry_deadline=None if deadline is None else _number(cfg, "entry_deadline"),
-            steps_per_fast_period=_whole(cfg, "steps_per_fast_period"),
+            fld, cfg["eps_x"], cfg["eps_z"], cfg["deltas"], cfg["omegas"], cfg["horizon"],
+            entry_deadline=cfg["entry_deadline"],
+            steps_per_fast_period=cfg["steps_per_fast_period"],
         )
-        payload = report.as_dict()
-        payload["system"] = system
-        payload["field"] = fld.name
-        _write_report(out_dir / str(cfg["output"]), payload)
-        found = {d: w for d, w in report.entry_omega.items()}
-        _say(quiet, f"stability-probe (full): entry frequencies {found}")
-        return EXIT_OK
+        summary, code = f"entry frequencies {report.entry_omega}", EXIT_OK
+    payload = {**report.as_dict(), "system": system, "field": fld.name}
+    _write_report(out_dir / cfg["output"], payload)
+    _say(quiet, f"stability-probe ({system}): {summary}")
+    return code
 
-    raise ConfigurationError(f"unknown probe system {system!r} (averaged or full)")
+
+def _exact_case(make_case):
+    """A bvp-check case with a known solution: one residual on the panel grid."""
+    def residuals(panels: int, n_states: int, seed: int) -> list[float]:
+        case = make_case()
+        phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=panels)
+        return [residual_bvp(phi, case.A, case.b, case.T)]
+    return residuals
+
+
+def _seeker_log_case(panels: int, n_states: int, seed: int) -> list[float]:
+    """Both log-seeker correctors' residuals at n_states seeded states."""
+    spec = as_system_spec(field_by_name("log"))
+    bundle = build_bundle(spec, n_panels=panels)
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for _ in range(n_states):
+        x = _random_seeker_state(rng)
+        residuals += [residual_bvp(phi, spec.A, phi.b, spec.T, x=x)
+                      for phi in (bundle.phi1, bundle.phi2)]
+    return residuals
+
+
+_BVP_CASES = {
+    "cosine-1d": _exact_case(bvp_cosine_case),
+    "jordan-2d": _exact_case(bvp_jordan_case),
+    "seeker-log": _seeker_log_case,
+}
 
 
 def cmd_bvp_check(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    n_states, seed, panels = _sampling(cfg, 8)  # residual_bvp's stencil needs 8 panels
-    tol = _tolerance(cfg)
-    case_names = cfg["cases"]
-    if not isinstance(case_names, list) or not case_names:
-        raise ConfigurationError(f"cases must be a non-empty list of names, got {case_names!r}")
-    known = ("cosine-1d", "jordan-2d", "seeker-log")
-    bad = sorted({str(name) for name in case_names if name not in known})
-    if bad:
-        raise ConfigurationError(f"unknown bvp cases: {', '.join(bad)}")
-
-    results = []
-    for name in case_names:
-        if name in ("cosine-1d", "jordan-2d"):
-            case = bvp_cosine_case() if name == "cosine-1d" else bvp_jordan_case()
-            phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=panels)
-            res = residual_bvp(phi, case.A, case.b, case.T)
-            results.append({"case": name, "residuals": [res]})
-        else:
-            fld = field_by_name("log")
-            spec = as_system_spec(fld)
-            bundle = build_bundle(spec, n_panels=panels)
-            b1 = bundle.phi1.b
-            b2 = bundle.phi2.b
-            rng = np.random.default_rng(seed)
-            residuals = []
-            for _ in range(n_states):
-                x = _random_seeker_state(rng)
-                r1 = residual_bvp(bundle.phi1, spec.A, b1, spec.T, x=x)
-                r2 = residual_bvp(bundle.phi2, spec.A, b2, spec.T, x=x)
-                residuals.extend([r1, r2])
-            results.append({"case": name, "residuals": residuals})
+    panels, tol = cfg["panels"], cfg["tolerance"]
+    results = [
+        {"case": name, "residuals": _BVP_CASES[name](panels, cfg["n_states"], cfg["seed"])}
+        for name in cfg["cases"]
+    ]
 
     # np.max, not max: a NaN residual must reach the verdict
     worst = float(np.max([r for entry in results for r in entry["residuals"]]))
     passed = worst < tol
-    _write_report(out_dir / str(cfg["output"]), {
+    _write_report(out_dir / cfg["output"], {
         "cases": results,
         "panels": panels,
         "tolerance": tol,

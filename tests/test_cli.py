@@ -238,6 +238,19 @@ _WHOLE_KEYS = [
         ("average-check-panels-0", "average-check", {"panels": 0},
          "error: panels must be even and >= 2, got 0"),
     ]],
+    # output and field are non-empty JSON strings: 5 wrote a file named
+    # 5, "" ran the whole check and then failed on the directory, and a
+    # list was looked up by its repr
+    *[pytest.param(command, bad, message, id=name) for name, command, bad, message in [
+        ("average-check-output-number", "average-check", {"output": 5},
+         "error: output must be a non-empty string, got 5"),
+        ("average-check-output-empty", "average-check", {"output": ""},
+         "error: output must be a non-empty string, got ''"),
+        ("simulate-field-list", "simulate", {"field": ["log"], "t_f": 0},
+         "error: field must be a non-empty string, got ['log']"),
+        ("sweep-linear-field-empty", "sweep", {"system": "linear", "field": ""},
+         "error: field must be a non-empty string, got ''"),
+    ]],
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1
@@ -245,6 +258,33 @@ def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
     assert not (tmp_path / "out" / DEFAULTS[command]["output"]).exists()
+
+
+# a base config per command and system that keeps any run short
+_QUICK = [
+    ("simulate", {"t_f": 0.05}),
+    ("average-check", {"n_states": 1, "panels": 8}),
+    ("bvp-check", {"n_states": 1, "panels": 8}),
+    *[("sweep", {"system": system, "t_f": 0.05, "steps_per_period": 8, "avg_steps": 2})
+      for system in ("seeker", "linear")],
+    ("stability-probe", {"system": "averaged", "horizon": 0.05}),
+    ("stability-probe", {"system": "full", "horizon": 0.05, "deltas": [1.0]}),
+]
+
+
+@pytest.mark.parametrize("command,base,key", [
+    pytest.param(command, base, key, id="-".join(filter(None, [command, base.get("system"), key])))
+    for command, base in _QUICK for key in DEFAULTS[command]
+])
+def test_every_setting_is_read_before_any_work(tmp_path, capsys, command, base, key):
+    # {} is never a valid setting, so every key, given or default, must be
+    # refused on every branch: a branch that leaves a key unread runs and
+    # exits 0 with the bad value in the config
+    assert run_cmd(command, tmp_path, {**base, key: {}}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_integer_keys_accept_whole_floats(tmp_path):

@@ -411,6 +411,35 @@ def test_averaged_probe_batch_matches_runs_integrated_alone():
     assert [r["entry_time"] is None for r in report.runs] == [True] * 8 + [False] * 8
 
 
+@pytest.mark.parametrize("name", ["quadratic", "log"])
+def test_averaged_flow_steers_misaligned_headings_without_raising_vc(name):
+    # the probe's aligned starts make the averaged flow radial, so its
+    # frame never turns; heading 90, 135 and 174 degrees off the gradient
+    # (about q3) exercise the turn, and V_c must still fall at every step
+    fld = builtin_fields()[name]
+    angles = np.radians([0.0, 90.0, 135.0, 174.0])
+    starts = []
+    for a in angles:
+        turn = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0, 0, 1.0]])
+        for delta in (6.0, 2.0):
+            for d in shell_directions():
+                p0 = fld.p_star + delta * d
+                starts.append(np.concatenate([p0, embed(aligned_frame(fld.grad(p0)) @ turn)]))
+    s0 = np.array(starts)
+    grid = TimeGrid(t0=0.0, dt=0.01, n_steps=2000)  # horizon 20, as one block
+    _, states = integrate_rk4(averaged_seeker_field(fld), s0, grid)
+    positions = states[:, :, 0:3]
+    vc = float(fld.c(fld.p_star)) - fld.c(positions.reshape(-1, 3)).reshape(positions.shape[:2])
+    max_step = np.max(np.diff(vc, axis=0), axis=0).reshape(len(angles), 16)
+    moved = np.max(np.abs(states[-1, :, 3:12] - s0[:, 3:12]), axis=1).reshape(len(angles), 16)
+    # measured: aligned frames move by exactly 0.0; turned ones by 0.557
+    # at least (quadratic, 135 degrees), and the largest V_c step is
+    # -6.8e-11 (quadratic, 174 degrees) and -1.4e-10 on log
+    assert np.all(moved[0] == 0.0)
+    assert np.min(moved[1:]) >= 0.5
+    assert np.max(max_step[1:]) <= -5e-11
+
+
 def test_averaged_probe_validation():
     fld = builtin_fields()["quadratic"]
     with pytest.raises(ConfigurationError):

@@ -1,0 +1,132 @@
+"""Which src/ functions the CLI reaches.
+
+All five commands run on configs a few steps long under sys.setprofile.
+Every function in the package, closures included, must be entered by one
+of them or be listed in _UNREACHED with the reason it stays.  A function
+whose closure is entered counts as entered: the closure cannot exist
+unless it ran (this covers the factories that run at import).  Functions
+are told apart by file, first line and name, so two lambdas on one line
+count as one.
+"""
+
+import inspect
+import json
+import sys
+
+from twoscale import averaging, benchmarks, cli, errors, harness, numkit, seeker, so3, system
+
+MODULES = (averaging, benchmarks, cli, errors, harness, numkit, seeker, so3, system)
+
+_TEST_ONLY = "test-only API pinned by perfbench/tracer.py; ROADMAP lists it for deletion"
+_HELPER = "serves only a test-only API pinned by perfbench/tracer.py"
+_CROSS_CHECK = "acceptance criterion 7's oracle: the raw-kinematics representation"
+_ORACLE = "a test oracle"
+_ASSUMPTION = "the standing-assumption check, which only tests run so far"
+
+_UNREACHED = {
+    "averaging.CorrectorSolution.__call__": "the README's bundle.phi1(x, 0.0)",
+    "averaging.ReducedSystem.f1_tilde": _TEST_ONLY,
+    "averaging.ReducedSystem.f2_tilde": _TEST_ONLY,
+    "averaging.ReducedSystem.f2_values": _HELPER,
+    "averaging._FirstCorrectorSource.__call__": _TEST_ONLY,
+    "averaging._SecondCorrectorSource.__call__": _TEST_ONLY,
+    "numkit.mat_exp": _TEST_ONLY,
+    "numkit._square_matrix": _HELPER,
+    "numkit.simpson_rule": _TEST_ONLY,
+    "numkit.quad_periodic": _TEST_ONLY,
+    "numkit.cumulative_simpson": _TEST_ONLY,
+    "seeker.sensor_position": _TEST_ONLY,
+    "seeker.lyapunov_value_and_rate": _TEST_ONLY,
+    "system.OscillatorySystemSpec.unpack": _TEST_ONLY,
+    "system.frozen_layer_field": _TEST_ONLY,
+    "system.frozen_layer_field.<locals>.field": _HELPER,
+    "system.to_shifted": _TEST_ONLY,
+    "system.from_shifted": _TEST_ONLY,
+    "system.ShiftedState.__post_init__": _HELPER,
+    "system._corrector_terms": _HELPER,
+    "seeker.raw_kinematics_field": _CROSS_CHECK,
+    "seeker.raw_kinematics_field.<locals>.rhs": _CROSS_CHECK,
+    "seeker.cross_check": _CROSS_CHECK,
+    "so3.extract": _CROSS_CHECK,
+    "benchmarks.bracket_benchmark": _ORACLE,
+    **{f"benchmarks.bracket_benchmark.<locals>.{name}": _ORACLE
+       for name in ("phi0", "dphi0", "s", "ds", "f1", "zero1", "zero2", "fbar_exact")},
+    "benchmarks.bvp_cosine_case.<locals>.exact": _ORACLE,
+    "benchmarks.bvp_jordan_case.<locals>.exact": _ORACLE,
+    "benchmarks.linear_benchmark.<locals>.dphi0": _ORACLE,
+    "system.check_assumption_A": _ASSUMPTION,
+    "system.AssumptionReport.ok": _ASSUMPTION,
+    "errors.DivergenceError.__init__": "no config here diverges",
+    "averaging._dy_jacobian.<locals>.<lambda>":
+        "the finite-difference D_y F1 for specs without df1_dy and dg1_dy; "
+        "both command specs supply them",
+    "seeker._terms_view.<locals>.<lambda>":
+        "the seeker spec's f2, g1 and g2 views: its terms serves every command",
+}
+
+_RUNS = [
+    ("simulate", {"t_f": 0.05}),
+    ("simulate", {"t_f": 0.05, "projection": False}),
+    ("simulate", {"t_f": 0.0}),
+    ("average-check", {"n_states": 1, "panels": 8}),
+    ("bvp-check", {"n_states": 1, "panels": 8}),
+    *[("sweep", {"system": name, "omegas": [40.0, 50.0, 60.0, 70.0], "t_f": 0.05,
+                 "steps_per_period": 8, "avg_steps": 2}) for name in ("seeker", "linear")],
+    ("stability-probe", {"horizon": 0.05}),
+    ("stability-probe", {"system": "full", "horizon": 0.01, "omegas": [200.0],
+                         "steps_per_fast_period": 2, "deltas": [1.0]}),
+]
+
+
+def _functions(code, prefix, parent=None):
+    """(key, qualified name, enclosing key) of every function defined in
+    code; comprehensions are left out, lambdas kept."""
+    for const in code.co_consts:
+        if not inspect.iscode(const):
+            continue
+        name = prefix + const.co_name
+        if not const.co_flags & inspect.CO_OPTIMIZED:  # a class body
+            yield from _functions(const, name + ".", parent)
+        elif not const.co_name.startswith("<") or const.co_name == "<lambda>":
+            key = (const.co_filename, const.co_firstlineno, const.co_name)
+            yield key, name, parent
+            yield from _functions(const, name + ".<locals>.", key)
+
+
+def test_every_src_function_is_reached_or_listed(tmp_path):
+    names, parents = {}, {}
+    for module in MODULES:
+        with open(module.__file__) as source:
+            code = compile(source.read(), module.__file__, "exec")
+        for key, name, parent in _functions(code, module.__name__.split(".")[-1] + "."):
+            names[key], parents[key] = name, parent
+    files = {module.__file__ for module in MODULES}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    codes = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for i, (command, config) in enumerate(_RUNS):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(config))
+            codes.append(cli.main([command, "--config", str(path),
+                                   "--out-dir", str(tmp_path / str(i)), "--quiet"]))
+    finally:
+        sys.setprofile(previous)
+    assert set(codes) <= {cli.EXIT_OK, cli.EXIT_CRITERION}, codes
+
+    stack = list(entered)
+    while stack:
+        parent = parents.get(stack.pop())
+        if parent is not None and parent not in entered:
+            entered.add(parent)
+            stack.append(parent)
+    unreached = {names[key] for key in names if key not in entered}
+    assert sorted(unreached - set(_UNREACHED)) == [], "reached by no command and not listed"
+    assert sorted(set(_UNREACHED) - unreached) == [], "listed, but reached or gone: strike it"
