@@ -489,7 +489,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config, args.command)
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        # made before any work, so a bad output path costs no run
+        (out_dir / cfg["output"]).parent.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir, args.quiet)
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)

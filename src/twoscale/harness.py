@@ -341,6 +341,17 @@ def _shell_radii(deltas: Sequence[float]) -> list[float]:
     return deltas
 
 
+def _shell_starts(fld: ScalarField, delta: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The probes' starts on the shell of radius delta around the source:
+    one (position, frame) per shell direction, the heading aligned to
+    the local ascent direction."""
+    starts = []
+    for d in shell_directions():
+        p0 = fld.p_star + delta * d
+        starts.append((p0, aligned_frame(fld.grad(p0))))
+    return starts
+
+
 def _entry_time(times: np.ndarray, dist: np.ndarray, eps: float) -> float | None:
     """First sample time after which the distance never exceeds eps."""
     above = np.nonzero(dist > eps)[0]
@@ -380,21 +391,32 @@ def probe_seeker_stability(
         raise ConfigurationError("entry_deadline must lie in (0, horizon]")
     # every frequency is checked here, before the first flight
     configs = [SeekerConfig(omega=w, steps_per_fast_period=steps_per_fast_period) for w in omegas]
-    dirs = shell_directions()
-    p_star = fld.p_star
 
     runs: list[ProbeRun] = []
     for delta in deltas:
+        starts = _shell_starts(fld, delta)
         for config in configs:
-            frame_period = 2.0 * np.pi / config.omega
             for phase_index, frac in enumerate((0.0, 0.25, 0.5)):
-                t0 = frac * frame_period
-                for direction_index in range(dirs.shape[0]):
-                    p0 = p_star + delta * dirs[direction_index]
-                    runs.append(_probe_single(
-                        config, fld, p0, t0, horizon, entry_deadline, eps_x, eps_z,
-                        delta, phase_index, direction_index,
-                    ))
+                t0 = frac * (2.0 * np.pi / config.omega)
+                for direction_index, (p0, R0) in enumerate(starts):
+                    try:
+                        traj = simulate_seeker(config, fld, p0, R0, horizon, t0=t0)
+                    except DivergenceError:
+                        stats = (float("inf"),) * 4 + (None, True)
+                    else:
+                        rel_times = traj.times - traj.times[0]
+                        dist = np.linalg.norm(traj.states[:, 0:3] - fld.p_star, axis=1)
+                        center = traj.center_values(fld)
+                        z = np.linalg.norm(
+                            traj.states[:, 12:14] - np.stack([center, center], axis=1), axis=1)
+                        tail = rel_times >= entry_deadline
+                        stats = (
+                            float(np.max(dist)), float(np.max(z)),
+                            float(np.max(dist[tail])) if np.any(tail) else float("inf"),
+                            float(np.max(z[tail])) if np.any(tail) else float("inf"),
+                            _entry_time(rel_times, dist, eps_x), False,
+                        )
+                    runs.append(ProbeRun(delta, config.omega, phase_index, direction_index, *stats))
 
     def contained(r: ProbeRun) -> bool:
         return not r.diverged and r.sup_dist <= eps_x and r.sup_z <= eps_z
@@ -422,51 +444,6 @@ def probe_seeker_stability(
         containment_omega=smallest(contained),
         entry_omega=smallest(entered),
         bounded_omega=smallest(lambda r: not r.diverged),
-    )
-
-
-def _probe_single(
-    config: SeekerConfig,
-    fld: ScalarField,
-    p0: np.ndarray,
-    t0: float,
-    horizon: float,
-    entry_deadline: float,
-    eps_x: float,
-    eps_z: float,
-    delta: float,
-    phase_index: int,
-    direction_index: int,
-) -> ProbeRun:
-    try:
-        traj = simulate_seeker(
-            config, fld, p0, aligned_frame(fld.grad(p0)), horizon, stride=1, t0=t0,
-        )
-    except DivergenceError:
-        return ProbeRun(
-            delta=delta, omega=config.omega, phase_index=phase_index,
-            direction_index=direction_index, sup_dist=float("inf"),
-            sup_z=float("inf"), tail_dist=float("inf"), tail_z=float("inf"),
-            entry_time=None, diverged=True,
-        )
-    rel_times = traj.times - traj.times[0]
-    p = traj.states[:, 0:3]
-    y = traj.states[:, 12:14]
-    dist = np.linalg.norm(p - fld.p_star, axis=1)
-    center = traj.center_values(fld)
-    z = np.linalg.norm(y - np.stack([center, center], axis=1), axis=1)
-    tail = rel_times >= entry_deadline
-    return ProbeRun(
-        delta=delta,
-        omega=config.omega,
-        phase_index=phase_index,
-        direction_index=direction_index,
-        sup_dist=float(np.max(dist)),
-        sup_z=float(np.max(z)),
-        tail_dist=float(np.max(dist[tail])) if np.any(tail) else float("inf"),
-        tail_z=float(np.max(z[tail])) if np.any(tail) else float("inf"),
-        entry_time=_entry_time(rel_times, dist, eps_x),
-        diverged=False,
     )
 
 
@@ -512,15 +489,11 @@ def probe_averaged_stability(
     if not (np.isfinite(entry_radius) and entry_radius > 0.0):
         raise ConfigurationError(f"entry_radius must be positive and finite, got {entry_radius}")
     field = averaged_seeker_field(fld)
-    dirs = shell_directions()
     grid = TimeGrid.spanning(0.0, horizon, dt)
 
-    starts = [(delta, i) for delta in deltas for i in range(dirs.shape[0])]
-    s0 = np.empty((len(starts), 12))
-    for b, (delta, i) in enumerate(starts):
-        p0 = fld.p_star + delta * dirs[i]
-        s0[b] = np.concatenate([p0, embed(aligned_frame(fld.grad(p0)))])
-    times, states = integrate_rk4(field, s0, grid)
+    starts = [(delta, i, np.concatenate([p0, embed(R0)]))
+              for delta in deltas for i, (p0, R0) in enumerate(_shell_starts(fld, delta))]
+    times, states = integrate_rk4(field, np.array([s0 for _, _, s0 in starts]), grid)
     positions = states[:, :, 0:3]
     dist = np.linalg.norm(positions - fld.p_star, axis=2)
     # the height deficit V_c = c(p_star) - c(p), with c taken on the block
@@ -528,25 +501,19 @@ def probe_averaged_stability(
     max_inc = np.max(np.diff(vc, axis=0), axis=0)
     final_grads = fld.grad(positions[-1])
 
-    runs: list[dict] = []
-    all_entered = True
-    for b, (delta, direction_index) in enumerate(starts):
-        entry = _entry_time(times, dist[:, b], entry_radius)
-        if entry is None:
-            all_entered = False
-        runs.append({
-            "delta": delta,
-            "direction_index": direction_index,
-            "entry_time": entry,
-            "final_dist": float(dist[-1, b]),
-            "final_grad_norm": float(np.linalg.norm(final_grads[b])),
-            "max_vc_step_increase": float(max_inc[b]),
-        })
+    runs = [{
+        "delta": delta,
+        "direction_index": direction_index,
+        "entry_time": _entry_time(times, dist[:, b], entry_radius),
+        "final_dist": float(dist[-1, b]),
+        "final_grad_norm": float(np.linalg.norm(final_grads[b])),
+        "max_vc_step_increase": float(max_inc[b]),
+    } for b, (delta, direction_index, _) in enumerate(starts)]
     return AveragedProbeReport(
         deltas=deltas,
         horizon=float(horizon),
         entry_radius=float(entry_radius),
         runs=runs,
-        all_entered=all_entered,
+        all_entered=all(run["entry_time"] is not None for run in runs),
         max_vc_step_increase=max(0.0, float(np.max(max_inc))),
     )

@@ -626,6 +626,25 @@ def test_out_dir_created_recursively(tmp_path):
     assert (tmp_path / "deep" / "nested" / "dir" / "trajectory.csv").exists()
 
 
+def test_output_subdirectory_is_made_under_out_dir(tmp_path):
+    payload = {"output": "sub/dir/x.json", "n_states": 1, "panels": 8}
+    assert run_cmd("average-check", tmp_path, payload) == 0
+    assert (tmp_path / "out" / "sub" / "dir" / "x.json").exists()
+
+
+def test_output_under_a_file_exits_1_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its output directory was made")
+
+    monkeypatch.setattr(cli, "build_bundle", no_work)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "file").write_text("")
+    payload = {"output": "file/x.json", "n_states": 1, "panels": 8}
+    assert run_cmd("average-check", tmp_path, payload) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_defaults_match_documented_reference_setup():
     sim = DEFAULTS["simulate"]
     assert sim["field"] == "log"

@@ -6,6 +6,7 @@ and a pure boundary-layer system whose transient is exactly
 exp(-omega t).
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 
 from twoscale import harness
 from twoscale.benchmarks import linear_benchmark
-from twoscale.errors import ConfigurationError
+from twoscale.errors import ConfigurationError, DivergenceError
 from twoscale.harness import (
+    ProbeRun,
     RunRecord,
     aligned_frame,
     fit_boundary_layer,
@@ -25,7 +27,13 @@ from twoscale.harness import (
     sweep_convergence,
 )
 from twoscale.numkit import TimeGrid, integrate_rk4
-from twoscale.seeker import averaged_seeker_field, builtin_fields, lyapunov_value_and_rate
+from twoscale.seeker import (
+    SeekerConfig,
+    averaged_seeker_field,
+    builtin_fields,
+    lyapunov_value_and_rate,
+    simulate_seeker,
+)
 from twoscale.so3 import embed, manifold_residual
 from twoscale.system import OscillatorySystemSpec, assemble_full_field
 
@@ -501,6 +509,56 @@ def test_seeker_probe_records_failed_projection_as_diverged():
     )
     assert any(run.diverged for run in report.runs)
     assert report.bounded_omega[30.0] is None
+
+
+def test_seeker_probe_runs_match_flights_flown_alone():
+    # every run must report what flying its start alone gives, bit for
+    # bit, diverged runs included; the shell starts are built once per
+    # radius, so grad is called once per start, not per frequency and phase
+    base = builtin_fields()["quadratic"]
+    calls = []
+
+    def counting_grad(p):
+        calls.append(1)
+        return base.grad(p)
+
+    deltas, omegas, eps_x, deadline = [2.0, 30.0], [4.0 * np.pi, 8.0 * np.pi], 4.0, 1.5
+    report = probe_seeker_stability(
+        dataclasses.replace(base, grad=counting_grad), eps_x=eps_x, eps_z=1.0,
+        deltas=deltas, omegas=omegas, horizon=2.0, entry_deadline=deadline,
+        steps_per_fast_period=4,
+    )
+    assert len(calls) == 8 * len(deltas)
+    assert [(r.delta, r.omega, r.phase_index, r.direction_index) for r in report.runs] == [
+        (d, w, k, i) for d in deltas for w in omegas for k in range(3) for i in range(8)
+    ]
+    dirs = shell_directions()
+    diverged = 0
+    for run in report.runs:
+        p0 = base.p_star + run.delta * dirs[run.direction_index]
+        t0 = (0.0, 0.25, 0.5)[run.phase_index] * (2.0 * np.pi / run.omega)
+        config = SeekerConfig(omega=run.omega, steps_per_fast_period=4)
+        try:
+            traj = simulate_seeker(config, base, p0, aligned_frame(base.grad(p0)), 2.0, t0=t0)
+        except DivergenceError:
+            diverged += 1
+            assert run == ProbeRun(run.delta, run.omega, run.phase_index, run.direction_index,
+                                   np.inf, np.inf, np.inf, np.inf, None, True)
+            continue
+        t = traj.times - traj.times[0]
+        dist = np.linalg.norm(traj.states[:, 0:3] - base.p_star, axis=1)
+        z = np.linalg.norm(traj.states[:, 12:14] - traj.center_values(base)[:, None], axis=1)
+        outside = [k for k in range(t.shape[0]) if dist[k] > eps_x]
+        if not outside:
+            entry = float(t[0])
+        else:
+            entry = float(t[outside[-1] + 1]) if outside[-1] + 1 < t.shape[0] else None
+        tail = t >= deadline
+        assert run == ProbeRun(run.delta, run.omega, run.phase_index, run.direction_index,
+                               float(np.max(dist)), float(np.max(z)), float(np.max(dist[tail])),
+                               float(np.max(z[tail])), entry, False)
+    # four steps per dither period from radius 30 diverge on some starts
+    assert 0 < diverged < len(report.runs)
 
 
 def test_seeker_probe_validation():

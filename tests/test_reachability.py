@@ -56,7 +56,6 @@ _UNREACHED = {
     "benchmarks.linear_benchmark.<locals>.dphi0": _ORACLE,
     "system.check_assumption_A": _ASSUMPTION,
     "system.AssumptionReport.ok": _ASSUMPTION,
-    "errors.DivergenceError.__init__": "no config here diverges",
     "averaging._dy_jacobian.<locals>.<lambda>":
         "the finite-difference D_y F1 for specs without df1_dy and dg1_dy; "
         "both command specs supply them",
@@ -75,6 +74,8 @@ _RUNS = [
     ("stability-probe", {"horizon": 0.05}),
     ("stability-probe", {"system": "full", "horizon": 0.01, "omegas": [200.0],
                          "steps_per_fast_period": 2, "deltas": [1.0]}),
+    ("stability-probe", {"system": "full", "horizon": 2, "omegas": [12.566370614359172],
+                         "steps_per_fast_period": 4, "deltas": [30]}),
 ]
 
 
