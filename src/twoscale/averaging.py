@@ -14,7 +14,8 @@ The spec's phase fields are evaluated by one phase_terms call per grid
 (the contract in OscillatorySystemSpec).  Of the two slow-state
 finite-difference Jacobians, fbar's differences the spec's f1 alone, and
 b2's D_x phi1 differences the source b1 and solves all n columns in one
-corrector sweep, since phi1 is linear in b1.
+corrector sweep, since phi1 is linear in b1.  Each reads its 2n perturbed
+states in one call, on a block (the spec's block contract).
 """
 
 from __future__ import annotations
@@ -55,10 +56,13 @@ def _contract(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _dy_jacobian(spec, x, y0: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """D_y F1 over the grid, (K, n+m, m).  Per part (the f1 rows, the g1
     rows) the spec's analytic df1_dy or dg1_dy when supplied, else that
-    part's rows of one central-difference jacobian_fd of F1."""
+    part's rows of one central-difference jacobian_fd of F1, whose one F1
+    call takes the perturbed y as a block and x repeated on its rows."""
     parts = ((spec.df1_dy, 0, spec.n), (spec.dg1_dy, spec.n, spec.n + spec.m))
     if any(jac is None for jac, _, _ in parts):
-        fd = jacobian_fd(lambda w: grid_terms(spec, x, w, taus, False)[0], y0)
+        fd = jacobian_fd(
+            lambda w: grid_terms(spec, np.tile(x, (len(w), 1)), w, taus, False)[0], y0
+        )
     return np.concatenate([
         fd[:, a:b] if jac is None else phase_values(jac, x, y0, taus, (b - a, spec.m))
         for jac, a, b in parts
@@ -138,10 +142,9 @@ class CorrectorSolution:
         # the representation is T-periodic by construction, so phase-reducing
         # the offset is exact and keeps large arguments out of the trig calls
         vals = values_at(self.b, x, float(offset) % self.T + self._taus)
-        if vals.shape != (self.n_panels, self.m):
-            raise DimensionError(
-                f"source returned shape {vals.shape}, expected ({self.n_panels}, {self.m})"
-            )
+        expected = np.shape(x)[:-1] + (self.n_panels, self.m)
+        if vals.shape != expected:
+            raise DimensionError(f"source returned shape {vals.shape}, expected {expected}")
         return vals
 
     def _solve(self, beta: np.ndarray) -> np.ndarray:
@@ -187,7 +190,8 @@ def solve_periodic_bvp(A: np.ndarray, b, T: float, n_panels: int = 256) -> Corre
 
 
 class _FirstCorrectorSource:
-    """b1 = g1 - Dphi0 f1 on y = phi0(x): the fast source at the sqrt scale."""
+    """b1 = g1 - Dphi0 f1 on y = phi0(x): the fast source at the sqrt scale,
+    (K, m) at a state and (B, K, m) on a block of B states."""
 
     def __init__(self, spec: OscillatorySystemSpec):
         self.spec = spec
@@ -205,8 +209,9 @@ class _FirstCorrectorSource:
             spec = self.spec
             n = spec.n
             F1, _ = grid_terms(spec, x, np.asarray(spec.phi0(x), dtype=float), taus, False)
+            dphi0_t = np.swapaxes(spec.phi0_jacobian(x), -1, -2)
             self._cache_key = key
-            self._cache_val = F1[:, n:] - F1[:, :n] @ spec.phi0_jacobian(x).T
+            self._cache_val = F1[..., n:] - F1[..., :n] @ dphi0_t
         return self._cache_val
 
     def __call__(self, x, tau: float) -> np.ndarray:
@@ -218,7 +223,8 @@ class _SecondCorrectorSource:
 
     Its first two terms and f2~ are the rows of _order_one's H.  phi1 is
     linear in its source b1, so Dx phi1 is phi1's solve of Dx b1: central
-    differences of b1 (jacobian_fd), all n columns in one sweep.
+    differences of b1 (jacobian_fd, one b1 call on the block of perturbed
+    states), all n columns in one sweep.
     """
 
     def __init__(self, spec: OscillatorySystemSpec, phi1: CorrectorSolution):
@@ -309,7 +315,8 @@ class AveragedSystem:
     [u, v] = (Dv) u - (Du) v and F the zero-mean antiderivative of f1_tilde.
     On N uniform phases, f2_tilde gives its grid mean and the bracket a
     Parseval sum over the modes G^_k of f1_tilde and dG^_k of its slow-state
-    Jacobian (jacobian_fd): with F^_k = G^_k / (i k w0), w0 = 2 pi / T, it is
+    Jacobian (jacobian_fd, one f1_values call on the block of perturbed
+    states): with F^_k = G^_k / (i k w0), w0 = 2 pi / T, it is
     -(1/2) sum_k w_k Im(dG^_k conj G^_k), w_k = c_k 2 / (k w0 N^2), c_k = 2
     for 0 < k < N/2, 1 at N/2 and 0 at k = 0 (Trefethen, Spectral Methods in
     MATLAB, ch. 3).  This assumes f1 has zero phase mean at every state, as

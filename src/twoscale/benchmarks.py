@@ -60,10 +60,10 @@ def linear_benchmark() -> LinearBenchmark:
         return 0.5 * x
 
     def dphi0(x: np.ndarray) -> np.ndarray:
-        return 0.5 * np.eye(2)
+        return np.tile(0.5 * np.eye(2), np.shape(x)[:-1] + (1, 1))
 
     def zero2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        return np.zeros(np.shape(tau) + (2,))
+        return np.zeros(np.shape(x)[:-1] + np.shape(tau) + (2,))
 
     def f2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
         a = (M0 @ x).tolist()
@@ -111,19 +111,22 @@ def bracket_benchmark() -> BracketBenchmark:
         return 2.0 * v
 
     def f1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        return np.array([root2 * np.sin(tau) * s(float(x[1])), root2 * np.cos(tau)]).T
+        # x2 per state, () or (B,), with a trailing 1 per phase axis
+        x2 = np.reshape(x[..., 1], np.shape(x)[:-1] + (1,) * np.ndim(tau))
+        rows = np.broadcast_arrays(root2 * np.sin(tau) * s(x2), root2 * np.cos(tau))
+        return np.stack(rows, axis=-1)
 
     def zero2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        return np.zeros(np.shape(tau) + (2,))
+        return np.zeros(np.shape(x)[:-1] + np.shape(tau) + (2,))
 
     def zero1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        return np.zeros(np.shape(tau) + (1,))
+        return np.zeros(np.shape(x)[:-1] + np.shape(tau) + (1,))
 
     def phi0(x: np.ndarray) -> np.ndarray:
-        return np.zeros(1)
+        return np.zeros(np.shape(x)[:-1] + (1,))
 
     def dphi0(x: np.ndarray) -> np.ndarray:
-        return np.zeros((1, 2))
+        return np.zeros(np.shape(x)[:-1] + (1, 2))
 
     spec = OscillatorySystemSpec(
         n=2,

@@ -110,7 +110,7 @@ def run_compare(
     x_full = states[:, : spec.n]
     y_full = states[:, spec.n :]
     x_dev = np.max(np.abs(x_full - x_avg_full), axis=1)
-    dz = y_full - np.fromiter(map(spec.phi0, x_full), dtype=(float, spec.m), count=len(x_full))
+    dz = y_full - spec.phi0(x_full)
     z_norm = np.sqrt(np.vecdot(dz, dz))
     return RunRecord(omega=omega, t_f=t_f, times=times, x_dev=x_dev, z_norm=z_norm)
 

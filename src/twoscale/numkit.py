@@ -39,7 +39,10 @@ class TimeGrid:
     """Uniform time grid t0 + k*dt for k = 0..n_steps.
 
     Times are computed from the index so long grids do not accumulate
-    rounding from repeated addition.
+    rounding from repeated addition.  A grid whose times are too large for
+    its step is refused: the spacing of floats at the largest |time| must
+    be at most dt / 4, or consecutive times (and the half steps between
+    them) could round equal and the clock would stop.
     """
 
     t0: float
@@ -53,6 +56,12 @@ class TimeGrid:
             raise ConfigurationError(f"TimeGrid dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise ConfigurationError(f"TimeGrid n_steps must be >= 1, got {self.n_steps}")
+        end = self.t0 + self.dt * self.n_steps
+        if math.ulp(max(abs(self.t0), abs(end))) > self.dt / 4.0:
+            raise ConfigurationError(
+                f"TimeGrid t0={self.t0:g} is too large for dt={self.dt:g}: "
+                "consecutive times would round equal"
+            )
 
     @classmethod
     def spanning(cls, t0: float, span: float, dt: float) -> TimeGrid:
@@ -169,25 +178,27 @@ def cumulative_simpson(samples: np.ndarray, dt: float) -> np.ndarray:
 def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of f at x, shape f(x).shape + (len(x),).
 
-    f may be array-valued (a field over a phase grid, say); a scalar
-    value counts as shape (1,).  The per-coordinate step is
-    cbrt(eps) * (1 + |x_i|).  Columns fill one C-ordered array.
+    f is called once, on the (2n, n) block of perturbed states: row i is
+    x + h_i e_i and row n + i is x - h_i e_i, with the per-coordinate step
+    h_i = cbrt(eps) * (1 + |x_i|).  It returns (2n, ...), one value per
+    row; f may be array-valued (a field over a phase grid, say), and a
+    scalar value counts as shape (1,).  Column i is (F[i] - F[n + i]) /
+    (2 h_i), in one C-ordered array.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.shape[0] == 0:
         raise DimensionError(f"x must be a non-empty vector, got shape {x.shape}")
-    out = None
-    for i in range(x.shape[0]):
-        hi = DEFAULT_FD_STEP * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        col = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * hi)
-        if out is None:
-            out = np.empty((col.shape or (1,)) + x.shape)
-        out[..., i] = col
-    return out
+    n = x.shape[0]
+    h = DEFAULT_FD_STEP * (1.0 + np.abs(x))
+    rows = np.arange(n)
+    X = np.tile(x, (2 * n, 1))
+    X[rows, rows] += h
+    X[n + rows, rows] -= h
+    F = np.asarray(f(X), dtype=float)
+    if F.shape[:1] != (2 * n,):
+        raise DimensionError(f"f returned shape {F.shape} for {2 * n} states")
+    D = (F[:n] - F[n:]).reshape(n, -1) / (2.0 * h)[:, None]
+    return np.ascontiguousarray(D.T).reshape((F.shape[1:] or (1,)) + (n,))
 
 
 def rk4_step(

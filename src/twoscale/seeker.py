@@ -462,6 +462,22 @@ def _frame_turn(q: list, ct, st) -> list:
     return out
 
 
+def _columns(v, tau) -> list:
+    """The k components of v, (k,) at a state or (B, k) on a block, each
+    shaped to broadcast in front of the phases tau: () or (B,), with a
+    trailing 1 when tau is a vector."""
+    v = np.asarray(v, dtype=float)
+    return list(v.T.reshape(v.shape[-1:] + v.shape[:-1] + (1,) * np.ndim(tau)))
+
+
+def _stack(rows: list) -> np.ndarray:
+    """Components (K,) or (B, K) stacked along a new last axis, as a view
+    with the component axis slowest, so a block's row b is laid out as the
+    single-state stack is."""
+    stacked = np.array(rows)
+    return stacked.transpose(tuple(range(1, stacked.ndim)) + (0,))
+
+
 def _terms_view(terms, part: int, cols: slice):
     """One phase field of a spec as its columns of terms' F1 (part 0,
     computed alone) or F2 (part 1)."""
@@ -489,6 +505,13 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     numpy's 2x2 product sums each row onto +0.0, so these give its bits,
     signed zeros included, where -z0 + z1 and 0 z0 - z1 do not.
 
+    phi0, dphi0, f1 and terms' F1 take a state or a block of states (the
+    spec's block contract) through one formula: each state's scalars are
+    arrays that broadcast in front of the phase axes (_columns), and a
+    block call reads c and grad once for all its rows, whose bits are the
+    one-state call's (the built-in fields' c and grad are equal per row on
+    a block).
+
     On y = phi0(x), where every averaging grid reads f1, the gain is +0.0
     and f1's frame rows are +0.0, the turn unformed.  +0.0 (w x q_j) would
     be a zero of either sign, but no output could see it: each path to one
@@ -501,53 +524,47 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     fb0, fb1 = FILTER_B.tolist()
 
     def phi0(x: np.ndarray) -> np.ndarray:
-        val = float(c(x[0:3]))
-        return np.array([val, val])
+        val = c(x[..., 0:3])
+        return np.stack([val, val], axis=-1)
 
     def dphi0(x: np.ndarray) -> np.ndarray:
-        g = np.asarray(grad(x[0:3]), dtype=float)
-        out = np.zeros((2, 12))
-        out[0, 0:3] = g
-        out[1, 0:3] = g
+        g = np.asarray(grad(x[..., 0:3]), dtype=float)
+        out = np.zeros(np.shape(x)[:-1] + (2, 12))
+        out[..., 0, 0:3] = g
+        out[..., 1, 0:3] = g
         return out
 
-    trig_key = trig_val = None
-
-    def phase_trig(tau, val: float):
-        """cos tau, sin tau and 2 cos(2 tau - val) at a phase vector tau and
-        center value val.  The arrays of the last (phases, val) pair are
-        kept: a slow-state Jacobian evaluates one grid at one center value
-        for 17 of its 18 frame-coordinate evaluations in a row."""
-        nonlocal trig_key, trig_val
+    def trig(tau, val):
+        """cos tau, sin tau and 2 cos(2 tau - val) at the phases tau and
+        the center values val, shaped as _columns gives them."""
         tau = np.asarray(tau, dtype=float)
-        key = (tau.shape, tau.tobytes(), val)
-        if key != trig_key:
-            trig_val = (np.cos(tau), np.sin(tau), 2.0 * np.cos(2.0 * tau - val))
-            trig_key = key
-        return trig_val
+        return np.cos(tau), np.sin(tau), 2.0 * np.cos(2.0 * tau - val)
 
     def f1_rows(q: list, gain, ct, st, s1) -> list:
         """The 12 components of f1: the dithered surge s1 q1 and the
-        filter-gain turn of the frame.  On y = phi0(x) the gain is +0.0 and
-        the turn is not formed: its nine rows are one shared +0.0 array."""
+        filter-gain turn of the frame.  Where y = phi0(x) the gain is +0.0
+        and the turn is +0.0; on a block wholly on it the turn is not
+        formed, and its nine rows are one shared +0.0 array."""
         surge = [s1 * q[0], s1 * q[1], s1 * q[2]]
-        if gain == 0.0:
-            return surge + [np.zeros(np.shape(s1))] * 9
-        return surge + [gain * r for r in _frame_turn(q, ct, st)]
+        zero = np.zeros(np.shape(s1))
+        if not np.any(gain):
+            return surge + [zero] * 9
+        return surge + [np.where(gain == 0.0, zero, gain * r) for r in _frame_turn(q, ct, st)]
 
     def terms(x: np.ndarray, y: np.ndarray, tau, order_one: bool = True):
         """F1 = (f1, g1) and F2 = (f2, g2) (None unless order_one), each
-        component a (K,) array over the K phases tau.  The filter gain
-        yb - ya is +0.0 on y = phi0(x), where F1's frame rows are +0.0 as
-        F2's are.  All four fields share c(p), grad, trig and dither axis."""
-        p, q = x[0:3], x[3:12].tolist()
-        ya, yb = y.tolist()
-        g = np.asarray(grad(p), dtype=float).tolist()
-        val = float(c(p))
-        ct, st, s1 = phase_trig(tau, val)
+        component a (K,) array over the K phases tau, or (B, K) on a block
+        of B states (F1 only).  The filter gain yb - ya is +0.0 on
+        y = phi0(x), where F1's frame rows are +0.0 as F2's are.  All four
+        fields share c(p), grad, trig and dither axis."""
+        p, q = x[..., 0:3], _columns(x[..., 3:12], tau)
+        ya, yb = _columns(y, tau)
+        g = _columns(grad(p), tau)
+        (val,) = _columns(np.expand_dims(c(p), -1), tau)
+        ct, st, s1 = trig(tau, val)
         d = _dither_axis(q, ct, st)
         u = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]
-        F1 = np.array(f1_rows(q, yb - ya, ct, st, s1) + [fb0 * u, fb1 * u]).T
+        F1 = _stack(f1_rows(q, yb - ya, ct, st, s1) + [fb0 * u, fb1 * u])
         if not order_one:
             return F1, None
         zero = np.zeros(np.shape(tau))
@@ -556,13 +573,14 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
         s2 = 2.0 * u * np.sin(2.0 * tau - val)
         F2 = [s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [fb0 * v, fb1 * v]
-        return F1, np.array(F2).T
+        return F1, _stack(F2)
 
     def f1(x: np.ndarray, y: np.ndarray, tau):
         """terms' f1 columns alone: no gradient, dither axis or g1."""
-        ya, yb = y.tolist()
-        ct, st, s1 = phase_trig(tau, float(c(x[0:3])))
-        return np.array(f1_rows(x[3:12].tolist(), yb - ya, ct, st, s1)).T
+        ya, yb = _columns(y, tau)
+        (val,) = _columns(np.expand_dims(c(x[..., 0:3]), -1), tau)
+        ct, st, s1 = trig(tau, val)
+        return _stack(f1_rows(_columns(x[..., 3:12], tau), yb - ya, ct, st, s1))
 
     def full(omega: float) -> Callable[[float, list], list]:
         sqrt_w = float(np.sqrt(omega))

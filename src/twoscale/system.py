@@ -9,7 +9,8 @@ with all oscillatory fields T-periodic in the phase tau = w t, A Hurwitz,
 and phi0 the quasi-steady map the fast state tracks.  The standing
 assumptions (periodicity, zero phase-average of the sqrt(w)-scale terms,
 Hurwitz A) are checked numerically, not taken on faith.  Every phase
-field is evaluated on a vector of phases.  A spec may supply this
+field is evaluated on a vector of phases, and the callables a slow-state
+finite difference reads also on a block of states.  A spec may supply this
 right-hand side whole (OscillatorySystemSpec.full), and a spec with
 O(1/sqrt(w)) remainder terms must.
 """
@@ -57,6 +58,17 @@ class OscillatorySystemSpec:
     field ((n,) or (m,) per phase) and (K, rows, cols) for a Jacobian.  A
     field that ignores the phase still returns the stacked shape, e.g.
     np.zeros(np.shape(taus) + (dim,)).
+
+    Block contract: phi0, dphi0 and the sqrt(w)-scale fields F1 = (f1, g1)
+    (read through terms with order_one=False when the spec supplies terms)
+    also take a block of B states, x of shape (B, n) and y of shape (B, m),
+    one state per row, and put B in front of the single-state result:
+    phi0 gives (B, m), dphi0 (B, m, n) and a phase field (B, K, dim).  One
+    formula serves both shapes through ... indexing (x[..., 0, None] * a
+    phase vector, np.shape(x)[:-1] + (K, dim)), and row b of a block must
+    equal the call on state b bit for bit.  A central difference
+    (jacobian_fd) evaluates all its perturbed states in one such call.
+    f2, g2, F2, df1_dy and dg1_dy take one state.
 
     terms is optional: one callable (x, y, taus, order_one) -> (F1, F2)
     that returns all four phase fields at once, F1 = (f1, g1) the
@@ -135,9 +147,14 @@ class OscillatorySystemSpec:
         return F1, np.concatenate([self.f2(x, y, tau), self.g2(x, y, tau)], axis=-1)
 
     def phi0_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """d phi0 / dx, analytic when supplied, else central differences."""
+        """d phi0 / dx, (m, n) at a state and (B, m, n) on a block of B:
+        analytic when supplied, else central differences, one phi0 call
+        per state."""
         if self.dphi0 is not None:
             return np.asarray(self.dphi0(x), dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.stack([jacobian_fd(self.phi0, w) for w in x])
         return jacobian_fd(self.phi0, x)
 
 
@@ -145,21 +162,24 @@ def phase_values(field: PhaseField, x, y, taus: np.ndarray, shape: tuple) -> np.
     """One call of a phase field over a vector of phases, shape-checked.
 
     shape is the field's value shape at one phase; the result has the
-    phase count prepended, as the phase-field contract promises.
+    phase count prepended, and on a block of states the block size in
+    front of that, as the phase-field contract promises.
     """
     vals = np.asarray(field(x, y, taus), dtype=float)
-    if vals.shape != (taus.shape[0],) + shape:
+    expected = np.shape(x)[:-1] + (taus.shape[0],) + shape
+    if vals.shape != expected:
         raise DimensionError(
             f"phase field returned shape {vals.shape} for {taus.shape[0]} phases, "
-            f"expected {(taus.shape[0],) + shape}"
+            f"expected {expected}"
         )
     return vals
 
 
 def grid_terms(spec: OscillatorySystemSpec, x, y, taus: np.ndarray, order_one: bool = True):
     """spec.phase_terms over a vector of K phases, shape-checked: F1 and,
-    when order_one, F2 of shape (K, n+m); otherwise F2 is None."""
-    shape = (taus.shape[0], spec.n + spec.m)
+    when order_one, F2 of shape (K, n+m); otherwise F2 is None.  F1 alone
+    may be read on a block of B states, as (B, K, n+m)."""
+    shape = np.shape(x)[:-1] + (taus.shape[0], spec.n + spec.m)
     F1, F2 = spec.phase_terms(x, y, taus, order_one)
     checked = [np.asarray(F, dtype=float) for F in ((F1, F2) if order_one else (F1,))]
     for F in checked:

@@ -42,16 +42,23 @@ from twoscale.system import OscillatorySystemSpec, assemble_full_field, grid_ter
 TWO_PI = 2.0 * np.pi
 
 
+def per_state(x, values):
+    """Phase values that do not depend on the state: the values at a state,
+    and the same values for each state of a block."""
+    return np.broadcast_to(values, np.shape(x)[:-1] + np.shape(values))
+
+
 def scalar_spec(**overrides):
+    # phi0, f1 and g1 take a state or a block of states (the block contract)
     kwargs = dict(
         n=1,
         m=1,
         T=TWO_PI,
         A=np.array([[-1.0]]),
-        phi0=lambda x: np.array([x[0]]),
-        f1=lambda x, y, tau: np.array([np.sin(tau)]).T,
+        phi0=lambda x: x[..., 0:1],
+        f1=lambda x, y, tau: per_state(x, np.sin(tau)[..., None]),
         f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
-        g1=lambda x, y, tau: np.array([np.cos(tau)]).T,
+        g1=lambda x, y, tau: per_state(x, np.cos(tau)[..., None]),
         g2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         name="scalar-avg-test",
     )
@@ -532,7 +539,7 @@ def test_second_corrector_makes_the_corrected_manifold_invariant_to_third_order(
     # needs the tilt term -Dphi0 D_y f1 phi1: a run started on
     # y = phi0 + eps phi1 + eps^2 phi2 (eps = omega^-1/2) then stays within
     # O(eps^3) of it, and the distance shrinks 8x per 4x in omega
-    spec = scalar_spec(f1=lambda x, y, tau: np.array([np.sin(tau) * y[0]]).T)
+    spec = scalar_spec(f1=lambda x, y, tau: (np.sin(tau) * y[..., 0:1])[..., None])
     bundle = build_bundle(spec, n_panels=64)
 
     def manifold(x, tau, eps):
@@ -747,7 +754,7 @@ def test_linear_benchmark_average_is_matrix_action():
 def test_average_without_sqrt_field_is_plain_phase_mean():
     # no f1 means no bracket: fbar is the phase mean of f2 on the manifold
     spec = scalar_spec(
-        f1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
+        f1=lambda x, y, tau: np.zeros(np.shape(x)[:-1] + np.shape(tau) + (1,)),
         f2=lambda x, y, tau: np.array([x[0] + np.cos(tau) ** 2]).T,
     )
     bundle = build_bundle(spec, n_panels=128)

@@ -251,6 +251,12 @@ _WHOLE_KEYS = [
         ("sweep-linear-field-empty", "sweep", {"system": "linear", "field": ""},
          "error: field must be a non-empty string, got ''"),
     ]],
+    # t0 + k dt rounded to t0 at every step: the CSV's t column held one
+    # value while the state moved, and the dither phase never advanced
+    *[pytest.param("simulate", {"t_f": 0.01, "t0": t0},
+                   f"error: TimeGrid t0={t0:g} is too large for dt=0.00125",
+                   id=f"simulate-t0-{t0:g}")
+      for t0 in (1e17, 1e300)],
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1

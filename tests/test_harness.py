@@ -44,7 +44,7 @@ def zero_spec():
         m=1,
         T=2.0 * np.pi,
         A=np.array([[-1.0]]),
-        phi0=lambda x: np.zeros(1),
+        phi0=lambda x: np.zeros(np.shape(x)[:-1] + (1,)),  # a state or a block
         f1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
@@ -62,7 +62,7 @@ def layer_spec(A=None):
         m=m,
         T=2.0 * np.pi,
         A=A,
-        phi0=lambda x: np.zeros(m),
+        phi0=lambda x: np.zeros(np.shape(x)[:-1] + (m,)),  # a state or a block
         f1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g1=lambda x, y, tau: np.zeros(np.shape(tau) + (m,)),
@@ -446,6 +446,31 @@ def test_averaged_flow_steers_misaligned_headings_without_raising_vc(name):
     assert np.all(moved[0] == 0.0)
     assert np.min(moved[1:]) >= 0.5
     assert np.max(max_step[1:]) <= -5e-11
+
+
+def test_averaged_turn_follows_the_orbit_law_on_the_quadratic_field():
+    # With theta the angle between q1 and grad c, the quadratic field's
+    # averaged flow has d theta/dt = sin theta (cos theta - |p|/4): the
+    # heading settles near cos theta = |p|/4 and the vehicle circles in
+    # with d|p|/dt = -|p|^3/16, so |p|^2 t rises toward 8.  From
+    # (6, 2, -2) with R0 = I (155 degrees off the gradient) the frame
+    # turns throughout, which aligned starts never do.  Measured at dt
+    # 0.01: |p|^2 t reads 6.70416, 7.20815, 7.53564 at t = 25, 50, 100,
+    # and at t = 100 cos theta is 0.068961 against |p|/4 = 0.068628.
+    fld = builtin_fields()["quadratic"]
+    x0 = np.concatenate([[6.0, 2.0, -2.0], embed(np.eye(3))])
+    times, states = integrate_rk4(averaged_seeker_field(fld), x0, TimeGrid(0.0, 0.01, 10000))
+    rows = [2500, 5000, 10000]
+    assert np.array_equal(times[rows], [25.0, 50.0, 100.0])
+    radius = np.linalg.norm(states[rows, 0:3], axis=1)
+    law = radius**2 * times[rows]
+    assert np.all(np.diff(law) > 0.0) and np.all(law < 8.0)
+    np.testing.assert_allclose(law, [6.70416, 7.20815, 7.53564], rtol=0.0, atol=1e-4)
+    p, q1 = states[-1, 0:3], states[-1, 3:6]
+    g = fld.grad(p)
+    cos_theta = float(q1 @ g / np.linalg.norm(g))
+    assert abs(cos_theta - 0.068961) < 1e-5
+    assert abs(cos_theta / (radius[-1] / 4.0) - 1.0) < 0.01
 
 
 def test_averaged_probe_validation():

@@ -220,28 +220,31 @@ def test_cumulative_simpson_needs_three_samples():
 
 def test_jacobian_fd_linear_map():
     M = np.array([[1.0, 2.0, -1.0], [0.5, -3.0, 4.0]])
-    J = jacobian_fd(lambda x: M @ x, np.array([0.3, -1.2, 2.0]))
+    # f takes the block of perturbed states, one per row
+    J = jacobian_fd(lambda x: x @ M.T, np.array([0.3, -1.2, 2.0]))
     assert J.shape == (2, 3)
     assert np.max(np.abs(J - M)) < 1e-8
 
 
 def test_jacobian_fd_scalar_square():
-    J = jacobian_fd(lambda x: np.array([x[0] ** 2]), np.array([3.0]))
+    J = jacobian_fd(lambda x: x[..., 0] ** 2, np.array([3.0]))
     assert J.shape == (1, 1)
     assert abs(J[0, 0] - 6.0) < 1e-8
 
 
 def test_jacobian_fd_gradient_at_critical_point():
-    J = jacobian_fd(lambda x: np.array([float(x @ x)]), np.zeros(3))
+    J = jacobian_fd(lambda x: np.vecdot(x, x), np.zeros(3))
     assert np.max(np.abs(J)) < 1e-9
 
 
 def test_jacobian_fd_array_valued_map():
-    # a field over K phases: f(x)[k] = (x0 cos t_k + x1^2, x0 x1 sin t_k)
+    # a field over K phases: f(x)[k] = (x0 cos t_k + x1^2, x0 x1 sin t_k),
+    # (K, 2) at a state and (B, K, 2) on a block
     taus = np.linspace(0.0, 6.0, 7)
 
     def f(x):
-        return np.array([x[0] * np.cos(taus) + x[1] ** 2, x[0] * x[1] * np.sin(taus)]).T
+        x0, x1 = x[..., 0, None], x[..., 1, None]
+        return np.stack([x0 * np.cos(taus) + x1**2, x0 * x1 * np.sin(taus)], axis=-1)
 
     x = np.array([0.4, -1.3])
     J = jacobian_fd(f, x)
@@ -280,6 +283,18 @@ def test_time_grid_validation_and_end():
         TimeGrid(t0=0.0, dt=0.1, n_steps=0)
     with pytest.raises(ConfigurationError):
         TimeGrid(t0=np.inf, dt=0.1, n_steps=4)
+
+
+def test_time_grid_refuses_times_too_large_for_its_step():
+    # the float spacing at the grid's largest |time| must be at most dt / 4
+    dt = 2.0**-10
+    grid = TimeGrid(t0=2.0**40, dt=dt, n_steps=8)  # spacing 2^-12 = dt / 4
+    assert np.all(np.diff(grid.times()) == dt)
+    for t0 in (2.0**41, -(2.0**41), 2.0**41 - 4.0 * dt):  # the last ends past 2^41
+        with pytest.raises(ConfigurationError, match="too large for dt"):
+            TimeGrid(t0=t0, dt=dt, n_steps=8)
+    with pytest.raises(ConfigurationError, match="t0=1e\\+17 is too large for dt=0.00125"):
+        TimeGrid.spanning(1e17, 0.01, 0.00125)
 
 
 def test_time_grid_spanning_rounds_to_the_nearest_step():

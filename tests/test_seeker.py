@@ -117,7 +117,7 @@ def test_field_derivatives_match_finite_differences():
     for fld in builtin_fields().values():
         for _ in range(10):
             p = rng.uniform(-10.0, 10.0, 3)
-            g_fd = jacobian_fd(lambda q: np.array([fld.c(q)]), p)[0]
+            g_fd = jacobian_fd(fld.c, p)[0]
             assert np.max(np.abs(fld.grad(p) - g_fd)) < 1e-6
             H_fd = jacobian_fd(fld.grad, p)
             assert np.max(np.abs(fld.hess(p) - H_fd)) < 1e-6
@@ -678,9 +678,10 @@ def test_seeker_spec_analytic_jacobians_match_differences():
     tau = np.array([1.3])
     dphi0_fd = jacobian_fd(spec.phi0, x)
     assert np.max(np.abs(spec.dphi0(x) - dphi0_fd)) < 1e-6
-    df1_fd = jacobian_fd(lambda w: spec.f1(x, w, tau), y)
+    # the perturbed fast states come as one block, x repeated on its rows
+    df1_fd = jacobian_fd(lambda w: spec.f1(np.tile(x, (len(w), 1)), w, tau), y)
     assert np.max(np.abs(spec.df1_dy(x, y, tau) - df1_fd)) < 1e-8
-    dg1_fd = jacobian_fd(lambda w: spec.g1(x, w, tau), y)
+    dg1_fd = jacobian_fd(lambda w: spec.g1(np.tile(x, (len(w), 1)), w, tau), y)
     assert np.max(np.abs(spec.dg1_dy(x, y, tau) - dg1_fd)) < 1e-12
 
 
@@ -762,11 +763,12 @@ def reference_full_field(spec, fields, omega):
 
 def anisotropic_field():
     """c = -1/2 p^T K p with K = diag(1, 2, 4): its Hessian is not -I, so
-    the d.H.d term of g2 depends on the dither direction."""
+    the d.H.d term of g2 depends on the dither direction.  c and grad take
+    a point or a block of points, as the built-in fields do."""
     k = np.array([1.0, 2.0, 4.0])
     return ScalarField(
         name="anisotropic",
-        c=lambda p: -0.5 * float(p @ (k * p)),
+        c=lambda p: -0.5 * np.vecdot(p, k * p),
         grad=lambda p: -k * p,
         hess=lambda p: -np.diag(k),
         p_star=np.zeros(3),
@@ -1033,16 +1035,29 @@ def test_fbar_matches_the_averaged_loop_on_an_anisotropic_field():
         assert np.linalg.norm(numeric - reference) < 1e-6 * np.linalg.norm(reference)
 
 
+def per_row(field):
+    """A one-state phase field on a block of states, row by row: the block
+    contract's definition."""
+    def block(x, y, tau):
+        if np.ndim(x) == 1:
+            return field(x, y, tau)
+        return np.stack([field(a, b, tau) for a, b in zip(x, y)])
+
+    return block
+
+
 def frame_product_spec(fld):
     """The seeker spec, and a copy whose f1 frame rows are formed as
     gain * (w x q_j) at every state, +0.0 gain included, in the spec's own
-    memory layout: the oracle for the rows the spec skips on y = phi0(x)."""
+    memory layout (the component axis slowest): the oracle for the rows
+    the spec skips on y = phi0(x)."""
     spec = as_system_spec(fld)
-    f1 = reference_phase_fields(fld)[0]
+    f1 = per_row(reference_phase_fields(fld)[0])
 
     def terms(x, y, tau, order_one=True):
         F1, F2 = spec.terms(x, y, tau, order_one)
-        return np.asfortranarray(np.concatenate([f1(x, y, tau), F1[:, 12:]], axis=1)), F2
+        F1 = np.concatenate([f1(x, y, tau), F1[..., 12:]], axis=-1)
+        return np.moveaxis(np.moveaxis(F1, -1, 0).copy(), 0, -1), F2
 
     return spec, dataclasses.replace(spec, f1=f1, terms=terms)
 

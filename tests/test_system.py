@@ -31,7 +31,7 @@ def scalar_spec(**overrides):
         m=1,
         T=2.0 * np.pi,
         A=np.array([[-1.0]]),
-        phi0=lambda x: np.array([0.5 * x[0]]),
+        phi0=lambda x: 0.5 * x[..., 0:1],  # a state (1,) or a block (B, 1)
         f1=lambda x, y, tau: np.array([np.sin(tau) * (1.0 + x[0] ** 2)]).T,
         f2=lambda x, y, tau: np.full(np.shape(tau) + (1,), -x[0] + y[0]),
         g1=lambda x, y, tau: np.array([np.cos(tau)]).T,
