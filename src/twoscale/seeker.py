@@ -393,23 +393,20 @@ def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.
     """Averaged closed loop on (p, q): ascend along the surge axis,
     turn the surge axis toward the gradient at a quarter rate.
 
-    dp = (q1 . grad c) q1, and the frame rotates with world angular
-    velocity (-u3 q2 + u2 q3) / 4 where ui = qi . grad c; equivalently
-    dQ = Q hat(e1 x Q^T grad c) / 4.  The time argument is ignored (the
-    average is autonomous).
+    dp = u1 q1 and dQ = Q hat(e1 x Q^T grad c) / 4, where uj = qj . grad c;
+    in the body frame that is dq1 = (u2 q2 + u3 q3) / 4, dq2 = -(u2 / 4) q1
+    and dq3 = -(u3 / 4) q1, the world angular velocity (u2 q3 - u3 q2) / 4.
+    The time argument is ignored (the average is autonomous).
 
     The state is one (12,) vector (p, frame columns) or a (B, 12) block
     of B such states, one per row; the result has the same shape.  Rows
     do not interact, and grad c is evaluated once for the whole block.
 
     The frame is one stack Q, Q[j, i] = component i of q_{j+1}, with the
-    block axis last, so each step acts on all three columns at once; the
-    cyclic shifts of (w x q)_i = w_{i+1} q_{i+2} - w_{i+2} q_{i+1} are
-    slices of Q, and of w, wrapped once along the component axis.  Each
-    product and left-to-right sum is that of u_j = q_j[0] g[0] +
-    q_j[1] g[1] + q_j[2] g[2] and of cross3, so the result is the same
-    bit for bit, signed zeros included; (Q * g).sum(axis=1) is not, as
-    it flips the sign of zero outputs where grad c is -0.0.
+    block axis last.  u is the left-to-right sum u_j = q_j[0] g[0] +
+    q_j[1] g[1] + q_j[2] g[2], the same bit for bit for a row and a
+    block, signed zeros included; (Q * g).sum(axis=1) is not, as it
+    flips the sign of zero outputs where grad c is -0.0.
     """
     grad = fld.grad
 
@@ -419,12 +416,12 @@ def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.
             raise DimensionError(f"state must have shape (12,) or (B, 12), got {s.shape}")
         x = s.T
         Q = x[3:12].reshape((3, 3) + x.shape[1:])
-        Qe = np.concatenate([Q, Q[:, :2]], axis=1)
         Qg = Q * grad(s[..., 0:3]).T
         u = Qg[:, 0] + Qg[:, 1] + Qg[:, 2]
-        we = 0.25 * (u[1] * Qe[2] - u[2] * Qe[1])
-        turn = we[1:4] * Qe[:, 2:5] - we[2:5] * Qe[:, 1:4]
-        return np.concatenate([u[0] * Q[0], turn.reshape((9,) + x.shape[1:])]).T
+        a = 0.25 * u
+        return np.concatenate(
+            [u[0] * Q[0], a[1] * Q[1] + a[2] * Q[2], -a[1] * Q[0], -a[2] * Q[0]]
+        ).T
 
     return rhs
 

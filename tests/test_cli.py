@@ -1,13 +1,15 @@
 """Tests for the command line.
 
 Commands run in-process through main(argv) against temp directories; one
-subprocess test covers the installed console script.  Exit codes: 0
+subprocess test covers `python -m twoscale.cli`.  Exit codes: 0
 success, 1 invalid config, 2 divergence, 3 missed threshold.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -664,13 +666,19 @@ def test_defaults_match_documented_reference_setup():
 
 
 def test_console_script_entry_point(tmp_path):
+    # the subprocess does not inherit pytest's pythonpath, so the
+    # checkout's src goes first on its PYTHONPATH (an install need not exist)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t_f": 0.0}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "twoscale.cli", "simulate",
          "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "trajectory.csv").exists()
