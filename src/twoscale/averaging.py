@@ -11,11 +11,12 @@ Everything lives on one uniform phase grid with an even panel count, and
 both periodic problems are diagonal in its Fourier modes: a corrector is
 one small linear solve per mode, the bracket's mean one Parseval sum.
 The spec's phase fields are evaluated by one phase_terms call per grid
-(the contract in OscillatorySystemSpec).  Of the two slow-state
-finite-difference Jacobians, fbar's differences the spec's f1 alone, and
-b2's D_x phi1 differences the source b1 and solves all n columns in one
-corrector sweep, since phi1 is linear in b1.  Each reads its 2n perturbed
-states in one call, on a block (the spec's block contract).
+(the contract in OscillatorySystemSpec; phase_values checks every read).
+Of the two slow-state finite-difference Jacobians, fbar's differences
+the spec's f1 alone, and b2's D_x phi1 differences the source b1 and
+solves all n columns in one corrector sweep, since phi1 is linear in b1.
+Each reads its 2n perturbed states in one call, on a block (the spec's
+block contract).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _dy_jacobian(spec, x, y0: np.ndarray, taus: np.ndarray) -> np.ndarray:
             lambda w: grid_terms(spec, np.tile(x, (len(w), 1)), w, taus, False)[0], y0
         )
     return np.concatenate([
-        fd[:, a:b] if jac is None else phase_values(jac, x, y0, taus, (b - a, spec.m))
+        fd[:, a:b] if jac is None else phase_values(jac(x, y0, taus), x, taus, (b - a, spec.m))
         for jac, a, b in parts
     ], axis=1)
 
@@ -141,11 +142,8 @@ class CorrectorSolution:
     def _sample_b(self, x, offset: float) -> np.ndarray:
         # the representation is T-periodic by construction, so phase-reducing
         # the offset is exact and keeps large arguments out of the trig calls
-        vals = values_at(self.b, x, float(offset) % self.T + self._taus)
-        expected = np.shape(x)[:-1] + (self.n_panels, self.m)
-        if vals.shape != expected:
-            raise DimensionError(f"source returned shape {vals.shape}, expected {expected}")
-        return vals
+        taus = float(offset) % self.T + self._taus
+        return phase_values(values_at(self.b, x, taus), x, taus, (self.m,))
 
     def _solve(self, beta: np.ndarray) -> np.ndarray:
         """The grid solution, (n_panels + 1, m, ...) with the first row
@@ -189,36 +187,43 @@ def solve_periodic_bvp(A: np.ndarray, b, T: float, n_panels: int = 256) -> Corre
     return CorrectorSolution(A, b, T, n_panels)
 
 
-class _FirstCorrectorSource:
-    """b1 = g1 - Dphi0 f1 on y = phi0(x): the fast source at the sqrt scale,
-    (K, m) at a state and (B, K, m) on a block of B states."""
+class _MemoSource:
+    """One slot of memoization for a corrector source, computed by its
+    _values_at: a corrector and its residual check read the same grid."""
 
     def __init__(self, spec: OscillatorySystemSpec):
         self.spec = spec
         self._cache_key = None
         self._cache_val = None
 
-    def values_at(self, x, taus: np.ndarray) -> np.ndarray:
-        # a corrector and its residual check sample this source on the same
-        # grid several times in a row, so one slot of memoization removes
-        # the repeats
+    def _lookup(self, x, taus) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         taus = np.asarray(taus, dtype=float)
-        key = (x.tobytes(), taus.tobytes())
+        key = (x.shape, x.tobytes(), taus.tobytes())
         if key != self._cache_key:
-            spec = self.spec
-            n = spec.n
-            F1, _ = grid_terms(spec, x, np.asarray(spec.phi0(x), dtype=float), taus, False)
-            dphi0_t = np.swapaxes(spec.phi0_jacobian(x), -1, -2)
+            self._cache_val = self._values_at(x, taus)
             self._cache_key = key
-            self._cache_val = F1[..., n:] - F1[..., :n] @ dphi0_t
         return self._cache_val
+
+
+class _FirstCorrectorSource(_MemoSource):
+    """b1 = g1 - Dphi0 f1 on y = phi0(x): the fast source at the sqrt scale,
+    (K, m) at a state and (B, K, m) on a block of B states."""
+
+    def values_at(self, x, taus: np.ndarray) -> np.ndarray:
+        return self._lookup(x, taus)
+
+    def _values_at(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        spec = self.spec
+        n = spec.n
+        F1, _ = grid_terms(spec, x, np.asarray(spec.phi0(x), dtype=float), taus, False)
+        return F1[..., n:] - F1[..., :n] @ np.swapaxes(spec.phi0_jacobian(x), -1, -2)
 
     def __call__(self, x, tau: float) -> np.ndarray:
         return self.values_at(x, np.array([float(tau)]))[0]
 
 
-class _SecondCorrectorSource:
+class _SecondCorrectorSource(_MemoSource):
     """b2 = g2 + D_y g1 phi1 - Dphi0 f2~ - Dx phi1 f1~ on y = phi0(x).
 
     Its first two terms and f2~ are the rows of _order_one's H.  phi1 is
@@ -228,22 +233,11 @@ class _SecondCorrectorSource:
     """
 
     def __init__(self, spec: OscillatorySystemSpec, phi1: CorrectorSolution):
-        self.spec = spec
+        super().__init__(spec)
         self.phi1 = phi1
-        self._cache_key = None
-        self._cache_val = None
 
     def values_at(self, x, taus: np.ndarray) -> np.ndarray:
-        # constructing phi2 and checking its residual sample this source at
-        # identical phase grids back to back, so one slot of memoization
-        # removes half the work
-        x = np.asarray(x, dtype=float)
-        taus = np.asarray(taus, dtype=float)
-        key = (x.tobytes(), taus.tobytes())
-        if key != self._cache_key:
-            self._cache_val = self._values_at(x, taus)
-            self._cache_key = key
-        return self._cache_val
+        return self._lookup(x, taus)
 
     def _values_at(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         n = self.spec.n
@@ -295,8 +289,9 @@ class ReducedSystem:
 
     def f1_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         spec = self.spec
+        taus = np.asarray(taus, dtype=float)
         y0 = np.asarray(spec.phi0(x), dtype=float)
-        return phase_values(spec.f1, x, y0, np.asarray(taus, dtype=float), (spec.n,))
+        return phase_values(spec.f1(x, y0, taus), x, taus, (spec.n,))
 
     def f2_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         _, H = _order_one(self.spec, self.phi1, x, np.asarray(taus, dtype=float))
@@ -381,9 +376,10 @@ def build_bundle(spec: OscillatorySystemSpec, n_panels: int = 256) -> ReducedAve
 def residual_bvp(phi, A: np.ndarray, b, T: float, x=None, n_panels: int | None = None) -> float:
     """Defect of a claimed periodic corrector.
 
-    phi and b are read through values_at.  Max over a phase grid of
-    ||d phi/d tau - A phi - b||_inf (phase derivative by a fourth-order
-    periodic stencil) plus the periodicity gap ||phi(x, 0) - phi(x, T)||_inf.
+    phi and b are read through values_at and phase_values.  Max over a
+    phase grid of ||d phi/d tau - A phi - b||_inf (phase derivative by a
+    fourth-order periodic stencil) plus the periodicity gap
+    ||phi(x, 0) - phi(x, T)||_inf.
     Grid-limited accuracy is around 1e-8 at 256 panels, far below the 1e-6
     verification threshold.
     """
@@ -393,13 +389,13 @@ def residual_bvp(phi, A: np.ndarray, b, T: float, x=None, n_panels: int | None =
     if n_panels < 8 or n_panels % 2 != 0:
         raise ConfigurationError(f"n_panels must be even and >= 8, got {n_panels}")
     h = float(T) / n_panels
-    taus = h * np.arange(n_panels)
 
     # one sweep over the grid and T itself: (T / N) * N need not equal T
-    V = values_at(phi, x, np.append(taus, float(T)))
+    taus = np.append(h * np.arange(n_panels), float(T))
+    V = phase_values(values_at(phi, x, taus), x, taus, (len(A),))
     gap = float(np.max(np.abs(V[n_panels] - V[0])))
-    V = V[:n_panels]
-    B = values_at(b, x, taus)
+    V, taus = V[:n_panels], taus[:n_panels]
+    B = phase_values(values_at(b, x, taus), x, taus, (len(A),))
     dV = (
         -np.roll(V, -2, axis=0)
         + 8.0 * np.roll(V, -1, axis=0)

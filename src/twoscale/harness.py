@@ -478,7 +478,7 @@ def probe_averaged_stability(
     Every run starts with an aligned frame; the report carries entry
     times into the target ball, the final gradient norm, and the largest
     single-step increase of the height deficit (which the averaged flow
-    should never raise beyond integration noise).
+    should never raise beyond integration noise; NaN if any run's is).
 
     All starts are integrated together, as one block of states on one
     time grid of horizon / dt steps, rounded (TimeGrid.spanning); the
@@ -515,5 +515,5 @@ def probe_averaged_stability(
         entry_radius=float(entry_radius),
         runs=runs,
         all_entered=all(run["entry_time"] is not None for run in runs),
-        max_vc_step_increase=max(0.0, float(np.max(max_inc))),
+        max_vc_step_increase=float(np.max(np.maximum(max_inc, 0.0))),
     )

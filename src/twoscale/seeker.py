@@ -371,8 +371,8 @@ def simulate_seeker(
     The step is pi/omega divided by steps_per_fast_period, and t_f is
     rounded to a whole number of steps (TimeGrid.spanning); the frame is
     projected back onto the rotation constraint after every step when
-    projection is enabled.  stride thins the recording (the final state
-    is always kept).  t0 sets the dither phase at the start.
+    projection is enabled.  stride thins the recording (the first and
+    final states are always kept).  t0 sets the dither phase at the start.
     """
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
@@ -381,7 +381,7 @@ def simulate_seeker(
     n_steps = grid.n_steps
     post = _project_state if config.projection else None
     times, states = integrate_rk4(seeker_field(config, fld), s0.tolist(), grid, post_step=post)
-    keep = np.arange(0, n_steps + 1, stride)
+    keep = np.arange(0, n_steps + 1, min(stride, n_steps))
     if keep[-1] != n_steps:
         keep = np.append(keep, n_steps)
     return SeekerTrajectory(

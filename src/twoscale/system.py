@@ -10,8 +10,9 @@ and phi0 the quasi-steady map the fast state tracks.  The standing
 assumptions (periodicity, zero phase-average of the sqrt(w)-scale terms,
 Hurwitz A) are checked numerically, not taken on faith.  Every phase
 field is evaluated on a vector of phases, and the callables a slow-state
-finite difference reads also on a block of states.  A spec may supply this
-right-hand side whole (OscillatorySystemSpec.full), and a spec with
+finite difference reads also on a block of states; phase_values is the
+one shape check on what any phase callable returns.  A spec may supply
+this right-hand side whole (OscillatorySystemSpec.full), and a spec with
 O(1/sqrt(w)) remainder terms must.
 """
 
@@ -57,7 +58,7 @@ class OscillatorySystemSpec:
     values at the K phases stacked along a new first axis, (K, dim) for a
     field ((n,) or (m,) per phase) and (K, rows, cols) for a Jacobian.  A
     field that ignores the phase still returns the stacked shape, e.g.
-    np.zeros(np.shape(taus) + (dim,)).
+    np.zeros(np.shape(taus) + (dim,)); phase_values checks every read.
 
     Block contract: phi0, dphi0 and the sqrt(w)-scale fields F1 = (f1, g1)
     (read through terms with order_one=False when the spec supplies terms)
@@ -158,20 +159,14 @@ class OscillatorySystemSpec:
         return jacobian_fd(self.phi0, x)
 
 
-def phase_values(field: PhaseField, x, y, taus: np.ndarray, shape: tuple) -> np.ndarray:
-    """One call of a phase field over a vector of phases, shape-checked.
-
-    shape is the field's value shape at one phase; the result has the
-    phase count prepended, and on a block of states the block size in
-    front of that, as the phase-field contract promises.
-    """
-    vals = np.asarray(field(x, y, taus), dtype=float)
+def phase_values(vals, x, taus: np.ndarray, shape: tuple) -> np.ndarray:
+    """What a phase callable returned at (x, taus), as floats, or
+    DimensionError unless its shape is shape (the value at one phase)
+    behind the phase count and, on a block of states, the block size."""
+    vals = np.asarray(vals, dtype=float)
     expected = np.shape(x)[:-1] + (taus.shape[0],) + shape
     if vals.shape != expected:
-        raise DimensionError(
-            f"phase field returned shape {vals.shape} for {taus.shape[0]} phases, "
-            f"expected {expected}"
-        )
+        raise DimensionError(f"phase callable returned shape {vals.shape}, expected {expected}")
     return vals
 
 
@@ -179,16 +174,10 @@ def grid_terms(spec: OscillatorySystemSpec, x, y, taus: np.ndarray, order_one: b
     """spec.phase_terms over a vector of K phases, shape-checked: F1 and,
     when order_one, F2 of shape (K, n+m); otherwise F2 is None.  F1 alone
     may be read on a block of B states, as (B, K, n+m)."""
-    shape = np.shape(x)[:-1] + (taus.shape[0], spec.n + spec.m)
     F1, F2 = spec.phase_terms(x, y, taus, order_one)
-    checked = [np.asarray(F, dtype=float) for F in ((F1, F2) if order_one else (F1,))]
-    for F in checked:
-        if F.shape != shape:
-            raise DimensionError(
-                f"phase terms returned shape {F.shape} for {taus.shape[0]} phases, "
-                f"expected {shape}"
-            )
-    return checked[0], (checked[1] if order_one else None)
+    shape = (spec.n + spec.m,)
+    F1 = phase_values(F1, x, taus, shape)
+    return F1, (phase_values(F2, x, taus, shape) if order_one else None)
 
 
 def assemble_full_field(
@@ -199,8 +188,8 @@ def assemble_full_field(
     The returned callable maps (t, packed state as a list of n + m floats)
     to the packed derivative as such a list, with the fast phase
     tau = omega * t.  It is spec.full(omega) when the spec supplies full,
-    else the fields' assembly below: one phase_terms call on the one-phase
-    grid [tau], on arrays inside its list boundary.
+    else the fields' assembly below: one shape-checked grid_terms read on
+    the one-phase grid [tau], on arrays inside its list boundary.
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ConfigurationError(f"omega must be positive, got {omega}")
@@ -209,14 +198,13 @@ def assemble_full_field(
     n = spec.n
     sqrt_w = float(np.sqrt(omega))
     A = spec.A
-    terms = spec.phase_terms
     phi0 = spec.phi0
 
     def field(t: float, s: list) -> list:
         v = np.array(s)
         x = v[:n]
         y = v[n:]
-        F1, F2 = terms(x, y, np.array([omega * t]))
+        F1, F2 = grid_terms(spec, x, y, np.array([omega * t]))
         # the same sums in the same order as sqrt(w) f1 + f2 and
         # (w A (y - phi0) + sqrt(w) g1) + g2, so every entry rounds alike
         out = sqrt_w * F1[0]

@@ -33,7 +33,7 @@ from twoscale.benchmarks import (
     bvp_jordan_case,
     linear_benchmark,
 )
-from twoscale.errors import ConfigurationError
+from twoscale.errors import ConfigurationError, DimensionError
 from twoscale.numkit import TimeGrid, integrate_rk4, jacobian_fd, mat_exp, quad_periodic, simpson_rule
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
@@ -299,6 +299,19 @@ def test_residual_flags_corrupted_candidate():
 
     res = residual_bvp(doubled, case.A, case.b, case.T)
     assert res > 0.1
+
+    # mis-shaped values would broadcast (N, 1, 1) - (N, 1) to (N, N, 1)
+    # and return a plausible number; each must raise instead
+    def extra_axis(x, taus):
+        return phi.values_at(x, taus)[..., None]
+
+    def flat(x, taus):
+        return np.cos(taus)
+
+    with pytest.raises(DimensionError):
+        residual_bvp(extra_axis, case.A, case.b, case.T, n_panels=64)
+    with pytest.raises(DimensionError):
+        residual_bvp(phi, case.A, flat, case.T, n_panels=64)
 
 
 def test_residual_flags_wrong_matrix():

@@ -70,6 +70,9 @@ def test_seeker_spec_block_rows_equal_single_state_calls(name, B):
         assert F1.shape == (B, 64, 14)
         f1 = rows_equal_single_calls(lambda x, y: spec.f1(x, y, taus), xs, ys)
         assert np.array_equal(f1, F1[..., :12])
+    # the source's memo must tell a block of one state from that state
+    b1 = build_b(spec, 1)
+    assert rows_equal_single_calls(lambda x, y: b1.values_at(x, taus), xs, on).shape == (B, 64, 2)
 
 
 def loop_jacobian(f, x):

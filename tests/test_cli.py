@@ -302,6 +302,14 @@ def test_integer_keys_accept_whole_floats(tmp_path):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("stride", [2**63, 1e300])
+def test_simulate_stride_beyond_the_run_writes_first_and_last_rows(tmp_path, stride):
+    assert run_cmd("simulate", tmp_path, {"t_f": 0.5, "stride": stride}) == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")
+    assert len(lines) == 3  # the header, t = 0 and t = t_f
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.5]
+
+
 def test_probe_rejects_unknown_system(tmp_path):
     assert run_cmd("stability-probe", tmp_path, {"system": "hybrid"}) == 1
 

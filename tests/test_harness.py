@@ -386,6 +386,18 @@ def test_averaged_probe_quadratic_field_enters_and_descends():
     assert json.loads(blob)["all_entered"] is True
 
 
+def test_averaged_probe_reports_a_nan_step():
+    # at |p| = 1e160 the log field's c(p) overflows to -inf while the state
+    # stays finite, so each run's step increase is NaN, and so is the
+    # report's: max(0.0, nan) would have read 0.0
+    fld = builtin_fields()["log"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = probe_averaged_stability(fld, deltas=[1e160], horizon=0.05,
+                                          entry_radius=0.1, dt=0.01)
+    assert all(np.isnan(run["max_vc_step_increase"]) for run in report.runs)
+    assert np.isnan(report.max_vc_step_increase)
+
+
 def test_averaged_probe_batch_matches_runs_integrated_alone():
     # the probe integrates all starts as one block; every run must report
     # what integrating its start on its own gives

@@ -400,6 +400,19 @@ def test_simulate_stride_keeps_final_state():
     assert np.array_equal(thin.times[::1][0], dense.times[0])
 
 
+def test_simulate_stride_beyond_the_run_keeps_first_and_last_rows():
+    # every stride of at least n_steps keeps the same two rows, including
+    # one past numpy's int64 range
+    fld = builtin_fields()["log"]
+    cfg = SeekerConfig(omega=4.0 * np.pi, steps_per_fast_period=100)
+    n_steps = TimeGrid.spanning(0.0, 0.5, cfg.dt).n_steps
+    whole = simulate_seeker(cfg, fld, P_REF, np.eye(3), t_f=0.5, stride=n_steps)
+    huge = simulate_seeker(cfg, fld, P_REF, np.eye(3), t_f=0.5, stride=2**63)
+    assert whole.states.shape[0] == 2
+    assert np.array_equal(huge.times, whole.times)
+    assert np.array_equal(huge.states, whole.states)
+
+
 def test_simulate_projection_keeps_frame_on_manifold():
     fld = builtin_fields()["log"]
     cfg = SeekerConfig(omega=4.0 * np.pi, steps_per_fast_period=100)

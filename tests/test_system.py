@@ -212,6 +212,18 @@ def test_phase_terms_with_wrong_shape_raise_dimension_error():
             check_assumption_A(spec)
         with pytest.raises(DimensionError):
             build_b(spec, 1).values_at(x, taus)
+    # order-one fields that drop the phase axis: grid_terms refuses them,
+    # and so must the generic full right-hand side, which would otherwise
+    # broadcast f2's scalar over g2 and return [-0.5, 0.85]
+    def zero(x, y, tau):
+        return np.zeros(np.shape(tau) + (1,))
+
+    flat = scalar_spec(f1=zero, g1=zero, f2=lambda x, y, tau: -x + y, g2=lambda x, y, tau: x**2)
+    rhs = assemble_full_field(flat, 9.0)
+    with pytest.raises(DimensionError):
+        rhs(0.1, [0.7, 0.2])
+    conforming = assemble_full_field(scalar_spec(f1=zero, g1=zero), 9.0)
+    assert conforming(0.1, [0.7, 0.2]) == pytest.approx([-0.5, 1.84])
 
 
 # --------------------------------------------------------- frozen_layer_field
