@@ -1,9 +1,9 @@
 """Built-in benchmark systems with known closed-form behavior.
 
-These are the reference problems the command line and the test suite
-exercise: a linear slow-fast system whose average solves in closed form,
-a planar system whose average is produced entirely by the oscillation
-bracket, and two small corrector problems with exact periodic solutions.
+These are the reference problems the command line runs: a linear
+slow-fast system whose average solves in closed form, and two small
+corrector problems with exact periodic solutions (the solutions
+themselves are test oracles, in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .system import OscillatorySystemSpec
 __all__ = [
     "LinearBenchmark",
     "linear_benchmark",
-    "BracketBenchmark",
-    "bracket_benchmark",
     "BvpCase",
     "bvp_cosine_case",
     "bvp_jordan_case",
@@ -90,100 +88,31 @@ def linear_benchmark() -> LinearBenchmark:
 
 
 @dataclass(frozen=True)
-class BracketBenchmark:
-    """Planar system whose average comes only from the bracket term.
-
-    f1 = (sqrt(2) sin(tau) s(x2), sqrt(2) cos(tau)) with no order-one
-    slow field; the average works out to (s'(x2), 0).
-    """
-
-    spec: OscillatorySystemSpec
-    fbar_exact: Callable[[np.ndarray], np.ndarray]
-
-
-def bracket_benchmark() -> BracketBenchmark:
-    root2 = np.sqrt(2.0)
-
-    def s(v: float) -> float:
-        return v * v
-
-    def ds(v: float) -> float:
-        return 2.0 * v
-
-    def f1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        # x2 per state, () or (B,), with a trailing 1 per phase axis
-        x2 = np.reshape(x[..., 1], np.shape(x)[:-1] + (1,) * np.ndim(tau))
-        rows = np.broadcast_arrays(root2 * np.sin(tau) * s(x2), root2 * np.cos(tau))
-        return np.stack(rows, axis=-1)
-
-    def zero2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        return np.zeros(np.shape(x)[:-1] + np.shape(tau) + (2,))
-
-    def zero1(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
-        return np.zeros(np.shape(x)[:-1] + np.shape(tau) + (1,))
-
-    def phi0(x: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(x)[:-1] + (1,))
-
-    def dphi0(x: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(x)[:-1] + (1, 2))
-
-    spec = OscillatorySystemSpec(
-        n=2,
-        m=1,
-        T=2.0 * np.pi,
-        A=np.array([[-1.0]]),
-        phi0=phi0,
-        dphi0=dphi0,
-        f1=f1,
-        f2=zero2,
-        g1=zero1,
-        g2=zero1,
-        name="bracket-benchmark",
-    )
-
-    def fbar_exact(x: np.ndarray) -> np.ndarray:
-        return np.array([ds(x[1]), 0.0])
-
-    return BracketBenchmark(spec=spec, fbar_exact=fbar_exact)
-
-
-@dataclass(frozen=True)
 class BvpCase:
     """One corrector problem with a verifiable periodic solution.
 
     The source b(x, taus) follows the spec's phase-field contract: (K, m)
-    at a vector of K phases.  exact(tau) takes one phase.
+    at a vector of K phases.
     """
 
     name: str
     A: np.ndarray
     T: float
     b: Callable
-    exact: Callable | None  # exact phi(tau), when known
 
 
 def bvp_cosine_case() -> BvpCase:
     def b(x, tau) -> np.ndarray:
         return np.array([np.cos(tau)]).T
 
-    def exact(tau: float) -> np.ndarray:
-        return np.array([0.5 * (np.cos(tau) + np.sin(tau))])
-
-    return BvpCase(name="cosine-1d", A=np.array([[-1.0]]), T=2.0 * np.pi, b=b, exact=exact)
+    return BvpCase(name="cosine-1d", A=np.array([[-1.0]]), T=2.0 * np.pi, b=b)
 
 
 def bvp_jordan_case() -> BvpCase:
     def b(x, tau) -> np.ndarray:
         return np.array([np.sin(tau), np.cos(tau)]).T
 
-    def exact(tau: float) -> np.ndarray:
-        return np.array([
-            np.sin(tau) - 0.5 * np.cos(tau),
-            0.5 * (np.cos(tau) + np.sin(tau)),
-        ])
-
-    return BvpCase(name="jordan-2d", A=_LAYER_A.copy(), T=2.0 * np.pi, b=b, exact=exact)
+    return BvpCase(name="jordan-2d", A=_LAYER_A.copy(), T=2.0 * np.pi, b=b)
 
 
 def field_by_name(name: str) -> ScalarField:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -264,9 +265,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text(",".join(header) + "\n" + body)
 
 
+def _finite_json(v):
+    """v with each non-finite float spelled "nan", "inf" or "-inf"."""
+    if isinstance(v, dict):
+        return {key: _finite_json(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_json(x) for x in v]
+    return str(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _write_report(path: Path, payload: dict) -> None:
-    body = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    """Strict JSON (RFC 8259): no bare NaN or Infinity, see _finite_json."""
+    body = _finite_json({"schema_version": SCHEMA_VERSION, **payload})
+    path.write_text(json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -408,7 +419,7 @@ def cmd_stability_probe(cfg: dict, out_dir: Path, quiet: bool) -> int:
 
 
 def _exact_case(make_case):
-    """A bvp-check case with a known solution: one residual on the panel grid."""
+    """A bvp-check case with a known solution (tests/oracles.py): one residual on the panel grid."""
     def residuals(panels: int, n_states: int, seed: int) -> list[float]:
         case = make_case()
         phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=panels)

@@ -42,13 +42,11 @@ __all__ = [
     "as_system_spec",
     "FILTER_A",
     "FILTER_B",
-    "FILTER_C",
 ]
 
-# band-pass filter realization: dy = w (A y + B u), output C y
+# band-pass filter realization: dy = w (A y + B u), output C y = y2 - y1
 FILTER_A = np.array([[-1.0, 1.0], [0.0, -1.0]])
 FILTER_B = np.array([0.0, 1.0])
-FILTER_C = np.array([-1.0, 1.0])
 
 _E1 = np.array([1.0, 0.0, 0.0])
 _NEG_EYE3 = -np.eye(3)  # quadratic Hessian, handed out uncopied (read-only); log_hess's -I
@@ -63,10 +61,6 @@ class ScalarField:
     the built-in fields do both through one np.vecdot(p, p) formula, equal
     bit for bit per row.  hess, which is required, takes one point and
     returns the (3, 3) Hessian as an array.
-
-    kappa, when set, is a global quadratic-growth constant:
-    c(p_star) - c(p) <= kappa * ||grad c(p)||^2 everywhere.  None means
-    no such bound holds (fields with saturating tails).
     """
 
     name: str
@@ -74,7 +68,6 @@ class ScalarField:
     grad: Callable[[np.ndarray], np.ndarray]
     p_star: np.ndarray
     hess: Callable[[np.ndarray], np.ndarray]
-    kappa: float | None = None
 
 
 def builtin_fields() -> dict[str, ScalarField]:
@@ -106,7 +99,6 @@ def builtin_fields() -> dict[str, ScalarField]:
             grad=log_grad,
             hess=log_hess,
             p_star=np.zeros(3),
-            kappa=None,
         ),
         "quadratic": ScalarField(
             name="quadratic",
@@ -114,7 +106,6 @@ def builtin_fields() -> dict[str, ScalarField]:
             grad=quad_grad,
             hess=quad_hess,
             p_star=np.zeros(3),
-            kappa=0.5,
         ),
     }
 

@@ -27,17 +27,14 @@ from twoscale.averaging import (
     solve_periodic_bvp,
     values_at,
 )
-from twoscale.benchmarks import (
-    bracket_benchmark,
-    bvp_cosine_case,
-    bvp_jordan_case,
-    linear_benchmark,
-)
+from twoscale.benchmarks import bvp_cosine_case, bvp_jordan_case, linear_benchmark
 from twoscale.errors import ConfigurationError, DimensionError
 from twoscale.numkit import TimeGrid, integrate_rk4, jacobian_fd, mat_exp, quad_periodic, simpson_rule
 from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
 from twoscale.system import OscillatorySystemSpec, assemble_full_field, grid_terms
+
+from oracles import bracket_benchmark, bvp_exact
 
 TWO_PI = 2.0 * np.pi
 
@@ -104,20 +101,22 @@ def test_build_b_validates_order():
 
 def test_cosine_corrector_matches_closed_form():
     case = bvp_cosine_case()
+    exact = bvp_exact(case.name)
     phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=256)
     taus = np.linspace(0.0, TWO_PI, 37)
     worst = max(
-        abs(phi(None, t)[0] - case.exact(t)[0]) for t in taus
+        abs(phi(None, t)[0] - exact(t)[0]) for t in taus
     )
     assert worst < 1e-8
 
 
 def test_jordan_corrector_matches_closed_form():
     case = bvp_jordan_case()
+    exact = bvp_exact(case.name)
     phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=256)
     taus = np.linspace(0.0, TWO_PI, 29)
     worst = max(
-        float(np.max(np.abs(phi(None, t) - case.exact(t)))) for t in taus
+        float(np.max(np.abs(phi(None, t) - exact(t)))) for t in taus
     )
     assert worst < 1e-8
 
@@ -260,7 +259,7 @@ def test_mode_solve_matches_closed_forms_to_rounding(case, N):
     # the Simpson formula was off by 3.7e-4 (cosine) and 5.8e-4 (Jordan) at 16
     phi = CorrectorSolution(case.A, case.b, case.T, n_panels=N)
     for tau in np.linspace(0.0, TWO_PI, 29):
-        assert np.max(np.abs(phi(None, tau) - case.exact(tau))) < 1e-14
+        assert np.max(np.abs(phi(None, tau) - bvp_exact(case.name)(tau))) < 1e-14
 
 
 def test_nearly_singular_hurwitz_layer_is_accepted():
@@ -327,7 +326,7 @@ def test_residual_exact_solution_is_stencil_limited():
     case = bvp_cosine_case()
 
     def exact_phi(x, taus):
-        return case.exact(taus).T
+        return bvp_exact(case.name)(taus).T
 
     fine = residual_bvp(exact_phi, case.A, case.b, case.T, n_panels=256)
     coarse = residual_bvp(exact_phi, case.A, case.b, case.T, n_panels=8)
@@ -384,7 +383,7 @@ def test_residual_one_sweep_matches_two_point_formula_bit_for_bit(candidate):
         n_panels = int(candidate.split("-")[1])
 
         def phi(x, taus):
-            return case.exact(taus).T
+            return bvp_exact(case.name)(taus).T
     else:
         phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=100)
     new = residual_bvp(phi, case.A, case.b, case.T, n_panels=n_panels)

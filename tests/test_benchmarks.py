@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from twoscale.benchmarks import (
-    bracket_benchmark,
     bvp_cosine_case,
     bvp_jordan_case,
     field_by_name,
@@ -22,6 +21,8 @@ from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
 from twoscale.system import check_assumption_A
 
+from oracles import bracket_benchmark, bvp_exact
+
 
 def phase_derivative(fun, tau, h=1e-6):
     return (np.asarray(fun(tau + h)) - np.asarray(fun(tau - h))) / (2.0 * h)
@@ -32,15 +33,17 @@ def phase_derivative(fun, tau, h=1e-6):
 
 def test_bvp_exact_solutions_satisfy_their_equations():
     for case in (bvp_cosine_case(), bvp_jordan_case()):
+        exact = bvp_exact(case.name)
         for tau in np.linspace(0.0, case.T, 11):
-            lhs = phase_derivative(case.exact, tau)
-            rhs = case.A @ case.exact(tau) + np.asarray(case.b(None, tau))
+            lhs = phase_derivative(exact, tau)
+            rhs = case.A @ exact(tau) + np.asarray(case.b(None, tau))
             assert np.max(np.abs(lhs - rhs)) < 1e-8, case.name
 
 
 def test_bvp_exact_solutions_are_periodic():
     for case in (bvp_cosine_case(), bvp_jordan_case()):
-        gap = np.asarray(case.exact(0.0)) - np.asarray(case.exact(case.T))
+        exact = bvp_exact(case.name)
+        gap = np.asarray(exact(0.0)) - np.asarray(exact(case.T))
         assert np.max(np.abs(gap)) < 1e-12, case.name
 
 

@@ -17,12 +17,19 @@ import pytest
 from twoscale import cli
 from twoscale.averaging import AveragedSystem
 from twoscale.benchmarks import linear_benchmark
-from twoscale.cli import DEFAULTS, _write_csv, main
+from twoscale.cli import DEFAULTS, _write_csv, _write_report, main
 from twoscale.harness import SweepReport
 from twoscale.seeker import averaged_seeker_field, builtin_fields, lyapunov_value_and_rate
 from twoscale.so3 import embed, manifold_residual
 
 LOG_C0 = -3.1354942159291497  # value of the log field at (6, 2, -2)
+
+
+def strict_json(text):
+    """json.loads refusing the bare NaN, Infinity and -Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_config(tmp_path, name, payload):
@@ -412,6 +419,19 @@ def test_write_csv_matches_per_cell_format(tmp_path):
             assert path.read_bytes() == expected.encode()
 
 
+def test_write_report_spells_non_finite_floats_as_strings(tmp_path):
+    path = tmp_path / "report.json"
+    _write_report(path, {"a": [1.5, -np.inf, np.float64(np.nan)], "b": {"c": (np.inf, 2)}})
+    assert strict_json(path.read_text()) == {
+        "schema_version": 1, "a": [1.5, "-inf", "nan"], "b": {"c": ["inf", 2]},
+    }
+    # a finite report keeps the bytes of json.dumps' defaults
+    finite = {"x": [0.1, np.float64(1e300), -0.0, None], "y": (3, True)}
+    _write_report(path, finite)
+    assert path.read_text() == json.dumps(
+        {"schema_version": 1, **finite}, indent=2, sort_keys=True) + "\n"
+
+
 # ----------------------------------------------------------- average-check
 
 
@@ -451,8 +471,8 @@ def test_average_check_nan_on_a_later_state_fails(tmp_path, monkeypatch):
     assert run_cmd("average-check", tmp_path, payload) == 3
     report = json.loads((tmp_path / "out" / "average_check.json").read_text())
     assert report["pass"] is False
-    assert np.isnan(report["max_rel_error"])
-    assert np.isnan(report["rel_errors"][1])
+    assert np.isnan(float(report["max_rel_error"]))
+    assert np.isnan(float(report["rel_errors"][1]))
 
 
 def test_average_check_rejects_bad_counts(tmp_path):
@@ -576,8 +596,8 @@ def test_bvp_check_nan_phi2_residual_on_a_later_state_fails(tmp_path, monkeypatc
     assert run_cmd("bvp-check", tmp_path, payload) == 3
     report = json.loads((tmp_path / "out" / "bvp_report.json").read_text())
     assert report["pass"] is False
-    assert np.isnan(report["max_residual"])
-    assert np.isnan(report["cases"][0]["residuals"][3])
+    assert np.isnan(float(report["max_residual"]))
+    assert np.isnan(float(report["cases"][0]["residuals"][3]))
 
 
 # --------------------------------------------------------- stability-probe
@@ -619,6 +639,19 @@ def test_probe_full_records_verdicts_as_data(tmp_path):
     assert report["containment_omega"] == [{"delta": 2.0, "omega": None}]
     assert report["bounded_omega"] == [{"delta": 2.0, "omega": 8.0 * np.pi}]
     assert len(report["runs"]) == 24
+
+
+def test_probe_with_non_finite_values_writes_strict_json(tmp_path):
+    # at |p| = 1e160 the log field's c(p) overflows: every V_c step is NaN
+    # and every final distance infinite, written as strings
+    payload = {"field": "log", "deltas": [1e160], "horizon": 0.05}
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cmd("stability-probe", tmp_path, payload) == 3
+    report = strict_json((tmp_path / "out" / "stability_report.json").read_text())
+    assert report["all_entered"] is False
+    assert report["max_vc_step_increase"] == "nan"
+    assert [run["max_vc_step_increase"] for run in report["runs"]] == ["nan"] * 8
+    assert [run["final_dist"] for run in report["runs"]] == ["inf"] * 8
 
 
 # ------------------------------------------------------------------ plumbing

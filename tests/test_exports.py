@@ -2,10 +2,12 @@
 
 A deleted or renamed function can leave its name behind in __all__,
 where only a star import would notice.  The modules are discovered, so
-a new module is covered too.
+a new module is covered too.  The exported callables' defaulted
+parameters, the knobs a caller can leave alone, do not grow.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -25,3 +27,16 @@ def test_exported_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_no_new_defaulted_parameters():
+    # CHANGES.md's counting rule: every defaulted parameter of every callable
+    # these modules export; a change that adds one raises the bound there
+    count = 0
+    for name in ("numkit", "so3", "system", "averaging", "seeker", "harness", "benchmarks"):
+        module = importlib.import_module(f"twoscale.{name}")
+        for obj in (getattr(module, n) for n in module.__all__):
+            if callable(obj):
+                count += sum(p.default is not inspect.Parameter.empty
+                             for p in inspect.signature(obj).parameters.values())
+    assert count <= 39

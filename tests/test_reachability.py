@@ -6,12 +6,18 @@ of them or be listed in _UNREACHED with the reason it stays.  A function
 whose closure is entered counts as entered: the closure cannot exist
 unless it ran (this covers the factories that run at import).  Functions
 are told apart by file, first line and name, so two lambdas on one line
-count as one.
+count as one.  An entry listed as test-only API must be one that
+perfbench/tracer.py still wraps; once the tracer lets go of it, the name
+is due for deletion.  Every report the runs write is strict JSON.
 """
 
+import importlib.util
 import inspect
 import json
 import sys
+from pathlib import Path
+
+import pytest
 
 from twoscale import averaging, benchmarks, cli, errors, harness, numkit, seeker, so3, system
 
@@ -48,11 +54,6 @@ _UNREACHED = {
     "seeker.raw_kinematics_field.<locals>.rhs": _CROSS_CHECK,
     "seeker.cross_check": _CROSS_CHECK,
     "so3.extract": _CROSS_CHECK,
-    "benchmarks.bracket_benchmark": _ORACLE,
-    **{f"benchmarks.bracket_benchmark.<locals>.{name}": _ORACLE
-       for name in ("phi0", "dphi0", "s", "ds", "f1", "zero1", "zero2", "fbar_exact")},
-    "benchmarks.bvp_cosine_case.<locals>.exact": _ORACLE,
-    "benchmarks.bvp_jordan_case.<locals>.exact": _ORACLE,
     "benchmarks.linear_benchmark.<locals>.dphi0": _ORACLE,
     "system.check_assumption_A": _ASSUMPTION,
     "system.AssumptionReport.ok": _ASSUMPTION,
@@ -94,13 +95,11 @@ def _functions(code, prefix, parent=None):
             yield from _functions(const, name + ".<locals>.", key)
 
 
-def test_every_src_function_is_reached_or_listed(tmp_path):
-    names, parents = {}, {}
-    for module in MODULES:
-        with open(module.__file__) as source:
-            code = compile(source.read(), module.__file__, "exec")
-        for key, name, parent in _functions(code, module.__name__.split(".")[-1] + "."):
-            names[key], parents[key] = name, parent
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Run _RUNS under sys.setprofile: (the code keys entered in src/,
+    the directory holding one output directory per run)."""
+    tmp_path = tmp_path_factory.mktemp("runs")
     files = {module.__file__ for module in MODULES}
     entered = set()
 
@@ -121,7 +120,17 @@ def test_every_src_function_is_reached_or_listed(tmp_path):
     finally:
         sys.setprofile(previous)
     assert set(codes) <= {cli.EXIT_OK, cli.EXIT_CRITERION}, codes
+    return entered, tmp_path
 
+
+def test_every_src_function_is_reached_or_listed(runs):
+    names, parents = {}, {}
+    for module in MODULES:
+        with open(module.__file__) as source:
+            code = compile(source.read(), module.__file__, "exec")
+        for key, name, parent in _functions(code, module.__name__.split(".")[-1] + "."):
+            names[key], parents[key] = name, parent
+    entered = set(runs[0])
     stack = list(entered)
     while stack:
         parent = parents.get(stack.pop())
@@ -131,3 +140,26 @@ def test_every_src_function_is_reached_or_listed(tmp_path):
     unreached = {names[key] for key in names if key not in entered}
     assert sorted(unreached - set(_UNREACHED)) == [], "reached by no command and not listed"
     assert sorted(set(_UNREACHED) - unreached) == [], "listed, but reached or gone: strike it"
+
+
+def test_every_report_is_strict_json(runs):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    reports = sorted(runs[1].glob("*/*.json"))
+    assert len(reports) == sum(command != "simulate" for command, _ in _RUNS)
+    for report in reports:
+        json.loads(report.read_text(), parse_constant=refuse)
+
+
+def test_every_test_only_entry_waits_on_the_tracer():
+    # read the tracer's name lists without installing it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("pinned_names", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    pinned = {f"{module}.{name}" for module, names in tracer._FUNCTIONS.items() for name in names}
+    pinned |= {".".join(key) for key in (*tracer._METHODS, *tracer._FACTORIES)}
+    waiting = [name for name, reason in _UNREACHED.items() if reason == _TEST_ONLY]
+    assert waiting and [name for name in waiting if name not in pinned] == [], \
+        "no longer pinned by the tracer: delete it"

@@ -26,7 +26,6 @@ from twoscale.numkit import TimeGrid, integrate_rk4, jacobian_fd
 from twoscale.seeker import (
     FILTER_A,
     FILTER_B,
-    FILTER_C,
     ScalarField,
     SeekerConfig,
     as_system_spec,
@@ -70,7 +69,6 @@ def test_log_field_reference_values():
     assert abs(fld.c(P_REF) - (-3.1354942159291497)) < 1e-15
     expected_grad = -P_REF / 23.0
     assert np.max(np.abs(fld.grad(P_REF) - expected_grad)) < 1e-15
-    assert fld.kappa is None
 
 
 def test_quadratic_field_reference_values():
@@ -79,10 +77,9 @@ def test_quadratic_field_reference_values():
     assert fld.c(p) == -4.5
     assert np.array_equal(fld.grad(p), -p)
     assert np.array_equal(fld.hess(p), -np.eye(3))
-    # the quadratic-growth constant is sharp: c(p*) - c(p) = kappa |grad|^2
-    assert fld.kappa == 0.5
+    # the quadratic-growth bound is sharp: c(p*) - c(p) = |grad|^2 / 2
     deficit = fld.c(fld.p_star) - fld.c(p)
-    assert abs(deficit - fld.kappa * float(fld.grad(p) @ fld.grad(p))) < 1e-14
+    assert abs(deficit - 0.5 * float(fld.grad(p) @ fld.grad(p))) < 1e-14
 
 
 def test_quadratic_hessian_is_one_read_only_array():
@@ -176,7 +173,6 @@ def test_config_validation():
 def test_filter_realization_matrices():
     assert np.array_equal(FILTER_A, np.array([[-1.0, 1.0], [0.0, -1.0]]))
     assert np.array_equal(FILTER_B, np.array([0.0, 1.0]))
-    assert np.array_equal(FILTER_C, np.array([-1.0, 1.0]))
     eigs = np.linalg.eigvals(FILTER_A)
     assert np.max(eigs.real) < 0.0
 
