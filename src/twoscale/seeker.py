@@ -343,8 +343,7 @@ class SeekerTrajectory:
 
 def _project_state(s: list) -> list:
     """The 14-float state with its frame projected back onto SO(3)."""
-    Q = project_so3(np.array(s[3:12]).reshape(3, 3).T)
-    return s[0:3] + Q.T.ravel().tolist() + s[12:14]
+    return s[0:3] + project_so3(s[3:12]) + s[12:14]
 
 
 def simulate_seeker(

@@ -1,9 +1,9 @@
 """Rotation frames: hat map, exponential, flat embedding, projection.
 
 A frame is either a 3x3 rotation matrix Q or its flat embedding
-q = (q1, q2, q3) in R^9, stacking the columns of Q.  The embedded
-constraint set is: columns orthonormal and right-handed
-(qi x qj = qk cyclically).
+q = (q1, q2, q3) in R^9, stacking the columns of Q, with columns
+orthonormal and right-handed (qi x qj = qk cyclically).  project_so3
+works on q alone, in float arithmetic with no BLAS call.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ _SMALL_ANGLE = 1e-6
 # up after _PROJECT_MAX_ITER Newton-Schulz steps
 _PROJECT_TOL = 1e-14
 _PROJECT_MAX_ITER = 25
-_EYE3 = np.eye(3)
-_EYE3_THREE_HALVES = 1.5 * _EYE3
 
 
 def _vec3(v: np.ndarray, name: str) -> np.ndarray:
@@ -133,34 +131,47 @@ def manifold_residual(q: np.ndarray) -> float | np.ndarray:
     return np.max(np.abs(terms), axis=0)
 
 
-def project_so3(M: np.ndarray) -> np.ndarray:
-    """Nearest rotation to a near-rotation matrix M.
+def project_so3(q: list | np.ndarray) -> list:
+    """Nearest rotation to a near-rotation frame q, as a list of 9 floats.
 
-    Newton-Schulz iteration Q <- Q (3I - Q^T Q) / 2, which converges
-    quadratically to the orthogonal polar factor (the Frobenius-nearest
-    rotation) and never flips orientation.  Requires ||M^T M - I||_F
-    below 0.5 and positive determinant.
+    Newton-Schulz iteration Q <- Q (3I - Q^T Q) / 2 (Bjorck and Bowie,
+    1971), which converges quadratically to the orthogonal polar factor
+    and never flips orientation.  Float arithmetic on the nine entries of
+    the column-stacked q (the layout of embed), with no BLAS call: the six
+    Gram entries qi . qj, and new columns sum_i qi K_ij, K = 3I/2 - G/2.
+    Requires ||Q^T Q - I||_F below 0.5 and a positive determinant.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise DimensionError(f"M must have shape (3, 3), got {M.shape}")
-    G = M.T @ M
-    D = G - _EYE3
-    gram_defect = math.sqrt(np.vdot(D, D))  # np.linalg.norm(D), bit for bit
-    if not gram_defect < 0.5:
-        raise ManifoldError(
-            f"input too far from a rotation: ||M^T M - I|| = {gram_defect:.3g} >= 0.5"
+    try:
+        a1, a2, a3, b1, b2, b3, c1, c2, c3 = map(float, q)
+    except (TypeError, ValueError):
+        raise DimensionError(f"q must be 9 numbers, got {q!r}") from None
+    # det Q = q1 . (q2 x q3); the Gram bound keeps |det Q| above 0.35
+    det = a1 * (b2 * c3 - b3 * c2) + a2 * (b3 * c1 - b1 * c3) + a3 * (b1 * c2 - b2 * c1)
+    for k in range(_PROJECT_MAX_ITER):
+        g11 = a1 * a1 + a2 * a2 + a3 * a3
+        g22 = b1 * b1 + b2 * b2 + b3 * b3
+        g33 = c1 * c1 + c2 * c2 + c3 * c3
+        g12 = a1 * b1 + a2 * b2 + a3 * b3
+        g13 = a1 * c1 + a2 * c2 + a3 * c3
+        g23 = b1 * c1 + b2 * c2 + b3 * c3
+        d11, d22, d33 = g11 - 1.0, g22 - 1.0, g33 - 1.0
+        gram_defect = math.sqrt(
+            d11 * d11 + d22 * d22 + d33 * d33 + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23)
         )
-    # det M = m1 . (m2 x m3); the Gram bound keeps |det M| above 0.35
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = M.T.tolist()
-    if a1 * (b2 * c3 - b3 * c2) + a2 * (b3 * c1 - b1 * c3) + a3 * (b1 * c2 - b2 * c1) <= 0.0:
-        raise ManifoldError("input has non-positive determinant, no nearby rotation")
-    Q = M
-    for _ in range(_PROJECT_MAX_ITER):
+        if k == 0:
+            if not gram_defect < 0.5:
+                raise ManifoldError(f"input too far from a rotation: ||M^T M - I|| = "
+                                    f"{gram_defect:.3g} >= 0.5")
+            if det <= 0.0:
+                raise ManifoldError("input has non-positive determinant, no nearby rotation")
         if gram_defect <= _PROJECT_TOL:
-            return Q
-        Q = Q @ (_EYE3_THREE_HALVES - 0.5 * G)
-        G = Q.T @ Q
-        D = G - _EYE3
-        gram_defect = math.sqrt(np.vdot(D, D))
+            return [a1, a2, a3, b1, b2, b3, c1, c2, c3]
+        k11, k22, k33 = 1.5 - 0.5 * g11, 1.5 - 0.5 * g22, 1.5 - 0.5 * g33
+        k12, k13, k23 = -0.5 * g12, -0.5 * g13, -0.5 * g23
+        a1, b1, c1 = (a1 * k11 + b1 * k12 + c1 * k13, a1 * k12 + b1 * k22 + c1 * k23,
+                      a1 * k13 + b1 * k23 + c1 * k33)
+        a2, b2, c2 = (a2 * k11 + b2 * k12 + c2 * k13, a2 * k12 + b2 * k22 + c2 * k23,
+                      a2 * k13 + b2 * k23 + c2 * k33)
+        a3, b3, c3 = (a3 * k11 + b3 * k12 + c3 * k13, a3 * k12 + b3 * k22 + c3 * k23,
+                      a3 * k13 + b3 * k23 + c3 * k33)
     raise ManifoldError("projection did not converge; input too distorted")

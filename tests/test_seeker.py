@@ -431,6 +431,21 @@ def test_simulate_start_time_sets_phase():
     assert np.max(np.abs(traj.states[1] - np.array(_project_state(manual)))) < 1e-15
 
 
+def test_project_state_is_float_arithmetic(monkeypatch):
+    # the projected flight calls no numpy between RK4 steps
+    from twoscale import seeker, so3
+    from twoscale.seeker import _project_state
+
+    s = [0.5, -1.0, 2.0] + embed(1.001 * np.eye(3)).tolist() + [0.25, -0.75]
+    eye = embed(np.eye(3)).tolist()
+    monkeypatch.setattr(seeker, "np", None)
+    monkeypatch.setattr(so3, "np", None)
+    out = _project_state(s)
+    assert all(type(v) is float for v in out)
+    assert out[0:3] == s[0:3] and out[12:14] == s[12:14]
+    assert max(abs(a - b) for a, b in zip(out[3:12], eye)) < 1e-15
+
+
 def array_seeker_field(config, fld):
     """seeker_field as it was on arrays: the state read with tolist(), the
     dither axis and frame turn formed as lists, one np.array returned."""
@@ -468,7 +483,7 @@ def array_seeker_field(config, fld):
 
 def array_project_state(s):
     out = s.copy()
-    out[3:12] = project_so3(s[3:12].reshape(3, 3).T).T.ravel()
+    out[3:12] = project_so3(s[3:12])
     return out
 
 
