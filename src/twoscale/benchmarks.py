@@ -57,9 +57,6 @@ def linear_benchmark() -> LinearBenchmark:
     def phi0(x: np.ndarray) -> np.ndarray:
         return 0.5 * x
 
-    def dphi0(x: np.ndarray) -> np.ndarray:
-        return np.tile(0.5 * np.eye(2), np.shape(x)[:-1] + (1, 1))
-
     def zero2(x: np.ndarray, y: np.ndarray, tau) -> np.ndarray:
         return np.zeros(np.shape(x)[:-1] + np.shape(tau) + (2,))
 
@@ -76,7 +73,6 @@ def linear_benchmark() -> LinearBenchmark:
         T=2.0 * np.pi,
         A=_LAYER_A.copy(),
         phi0=phi0,
-        dphi0=dphi0,
         f1=zero2,
         f2=f2,
         g1=zero2,

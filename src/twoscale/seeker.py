@@ -49,7 +49,7 @@ FILTER_A = np.array([[-1.0, 1.0], [0.0, -1.0]])
 FILTER_B = np.array([0.0, 1.0])
 
 _E1 = np.array([1.0, 0.0, 0.0])
-_NEG_EYE3 = -np.eye(3)  # quadratic Hessian, handed out uncopied (read-only); log_hess's -I
+_NEG_EYE3 = -np.eye(3)  # quadratic Hessian, handed out uncopied (read-only)
 _NEG_EYE3.flags.writeable = False
 
 
@@ -57,39 +57,62 @@ _NEG_EYE3.flags.writeable = False
 class ScalarField:
     """Sensed scalar field with its critical point and derivatives.
 
-    c and grad take a point (3,) or a block (B, 3) of points, one per row;
-    the built-in fields do both through one np.vecdot(p, p) formula, equal
-    bit for bit per row.  hess, which is required, takes one point and
-    returns the (3, 3) Hessian as an array.
+    c, grad and hess (required) take a point as a list of 3 floats, giving
+    a float, a list of 3 floats and 3 lists of 3 floats, or as a (3,) array,
+    giving arrays; c and grad also take a (B, 3) block, one point per row.
+    The built-in fields give each row of every form the list's bits (see
+    _sum_sq).  simulate and sweep read the list form at every step.
     """
 
     name: str
-    c: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    c: Callable[[list | np.ndarray], float | np.ndarray]
+    grad: Callable[[list | np.ndarray], list | np.ndarray]
     p_star: np.ndarray
-    hess: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[list | np.ndarray], list | np.ndarray]
+
+
+def _sum_sq(p):
+    """p0*p0 + p1*p1 + p2*p2 added left to right, of a list of 3 floats or per
+    row of an array: numpy fuses no multiply and add, so each row has the list's bits."""
+    if isinstance(p, list):
+        p0, p1, p2 = p
+        return p0 * p0 + p1 * p1 + p2 * p2
+    q = (p * p).T
+    return q[0] + q[1] + q[2]
 
 
 def builtin_fields() -> dict[str, ScalarField]:
     """The two reference fields used across the test problems."""
 
-    def log_c(p: np.ndarray):
-        return -np.log1p(0.5 * np.vecdot(p, p))
+    def log_c(p):
+        h = 0.5 * _sum_sq(p)
+        if isinstance(h, float):
+            return -math.log1p(h)
+        return -np.fromiter(map(math.log1p, h.tolist()), float, len(h))
 
-    def log_grad(p: np.ndarray) -> np.ndarray:
-        return -p / (1.0 + 0.5 * np.vecdot(p, p))[..., None]
+    def log_grad(p):
+        d = 1.0 + 0.5 * _sum_sq(p)
+        return [-p[0] / d, -p[1] / d, -p[2] / d] if isinstance(p, list) else -p / d[..., None]
 
-    def log_hess(p: np.ndarray) -> np.ndarray:
-        s = 1.0 + 0.5 * float(p @ p)
-        return _NEG_EYE3 / s + np.outer(p, p) / (s * s)
+    def log_hess(p):
+        if not isinstance(p, list):
+            return np.array(log_hess(p.tolist()))
+        p0, p1, p2 = p
+        s = 1.0 + 0.5 * _sum_sq(p)
+        ss, d, z = s * s, -1.0 / s, -0.0 / s
+        return [[d + p0 * p0 / ss, z + p0 * p1 / ss, z + p0 * p2 / ss],
+                [z + p1 * p0 / ss, d + p1 * p1 / ss, z + p1 * p2 / ss],
+                [z + p2 * p0 / ss, z + p2 * p1 / ss, d + p2 * p2 / ss]]
 
-    def quad_c(p: np.ndarray):
-        return -0.5 * np.vecdot(p, p)
+    def quad_c(p):
+        return -0.5 * _sum_sq(p)
 
-    def quad_grad(p: np.ndarray) -> np.ndarray:
-        return -p
+    def quad_grad(p):
+        return [-p[0], -p[1], -p[2]] if isinstance(p, list) else -p
 
-    def quad_hess(p: np.ndarray) -> np.ndarray:
+    def quad_hess(p):
+        if isinstance(p, list):
+            return [[-1.0, -0.0, -0.0], [-0.0, -1.0, -0.0], [-0.0, -0.0, -1.0]]
         return _NEG_EYE3
 
     return {
@@ -160,9 +183,9 @@ def initial_state(
 ) -> np.ndarray:
     """Packed initial state; the filter starts quasi-steady unless y0 is given.
 
-    Quasi-steady means y = -A^{-1} B c(p0) = (c(p0), c(p0)), which removes
-    the initial fast transient.  A start that cannot be flown, a
-    non-finite y0 or field value c(p0), raises ConfigurationError.
+    Quasi-steady means y = -A^{-1} B c(p0) = (c(p0), c(p0)), c read on p0 as
+    a list, which removes the initial fast transient.  A start that cannot be
+    flown, a non-finite y0 or field value c(p0), raises ConfigurationError.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (3,):
@@ -174,7 +197,7 @@ def initial_state(
     if not res < 1e-6:
         raise ManifoldError(f"R0 is not a rotation (residual {res:.3g})")
     with np.errstate(over="ignore", invalid="ignore"):
-        c0 = float(fld.c(p0))
+        c0 = float(fld.c(p0.tolist()))
     if not math.isfinite(c0):
         raise ConfigurationError(f"c(p0) must be finite, got {c0} at p0 = {p0.tolist()}")
     if y0 is not None:
@@ -202,8 +225,8 @@ def seeker_field(
 
     The body is the float arithmetic of _dither_axis and _frame_turn
     written out entry by entry, with the same products and sums in the
-    same order.  The reading c stays one call on a (3,) array: numpy's
-    vecdot and log1p round differently from their float transcriptions.
+    same order.  The reading is c on the sensor position as a list of 3
+    floats, which the built-in fields compute with the array form's bits.
     """
     w = config.omega
     sqw = float(np.sqrt(w))
@@ -218,11 +241,11 @@ def seeker_field(
         ct = math.cos(tau)
         st = math.sin(tau)
         # the sensor rides the dither axis cos(tau) q2 + sin(tau) q3
-        val = float(c(np.array([
+        val = c([
             p0 + radius * (ct * b0 + st * c0),
             p1 + radius * (ct * b1 + st * c1),
             p2 + radius * (ct * b2 + st * c2),
-        ])))
+        ])
         surge = amp * math.cos(2.0 * tau - val)
         gain = sqw * (yb - ya)
         # the frame turns about the steering axis v = cos(tau) q3 - sin(tau) q2
@@ -483,8 +506,8 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     terms stacks the split's components; full(omega), which
     assemble_full_field returns, is the full right-hand side of the same
     split as straight-line float code over the 14 state floats.  c, grad
-    and the Hessian read one array of the center (numpy's vecdot and log1p
-    round differently from float code), and every entry is the same
+    and the Hessian read the center as a list of 3 floats (the built-in
+    fields give it the array form's bits), and every entry is the same
     products and sums in the same order as terms and the generic assembly,
     sqrt(w) f1 + f2 and (sqrt(w) g1 + w A (y - phi0)) + g2, F2's zeros and
     the products with B's zero entry included, so the two agree bit for
@@ -575,9 +598,9 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         def rhs(t: float, s: list) -> list:
             # the frame columns are q1 = (a0, a1, a2), q2 = (b0, ...), q3 = (c0, ...)
             a0, a1, a2, b0, b1, b2, c0, c1, c2, ya, yb = s[3:]
-            center = np.array(s[0:3])
-            val = float(c(center))
-            g0, g1, g2 = np.asarray(grad(center), dtype=float).tolist()
+            center = s[0:3]
+            val = c(center)
+            g0, g1, g2 = grad(center)
             tau = omega * t
             ct, st = math.cos(tau), math.sin(tau)
             s1 = 2.0 * math.cos(2.0 * tau - val)
@@ -585,7 +608,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
             d0, d1, d2 = ct * b0 + st * c0, ct * b1 + st * c1, ct * b2 + st * c2
             v0, v1, v2 = ct * c0 - st * b0, ct * c1 - st * b1, ct * c2 - st * b2
             u = g0 * d0 + g1 * d1 + g2 * d2
-            e0, e1, e2 = [h0 * d0 + h1 * d1 + h2 * d2 for h0, h1, h2 in hess(center).tolist()]
+            e0, e1, e2 = [h0 * d0 + h1 * d1 + h2 * d2 for h0, h1, h2 in hess(center)]
             hv = 0.5 * (d0 * e0 + d1 * e1 + d2 * e2)
             s2 = 2.0 * u * math.sin(2.0 * tau - val)
             gain = yb - ya

@@ -26,7 +26,6 @@ MODULES = (averaging, benchmarks, cli, errors, harness, numkit, seeker, so3, sys
 _TEST_ONLY = "test-only API pinned by perfbench/tracer.py; ROADMAP lists it for deletion"
 _HELPER = "serves only a test-only API pinned by perfbench/tracer.py"
 _CROSS_CHECK = "acceptance criterion 7's oracle: the raw-kinematics representation"
-_ORACLE = "a test oracle"
 _ASSUMPTION = "the standing-assumption check, which only tests run so far"
 
 _UNREACHED = {
@@ -54,7 +53,6 @@ _UNREACHED = {
     "seeker.raw_kinematics_field.<locals>.rhs": _CROSS_CHECK,
     "seeker.cross_check": _CROSS_CHECK,
     "so3.extract": _CROSS_CHECK,
-    "benchmarks.linear_benchmark.<locals>.dphi0": _ORACLE,
     "system.check_assumption_A": _ASSUMPTION,
     "system.AssumptionReport.ok": _ASSUMPTION,
     "averaging._dy_jacobian.<locals>.<lambda>":

@@ -7,6 +7,7 @@ rotating-frame representations, the pure-roll solution in a flat field
 of the averaged loop.
 """
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -46,6 +47,22 @@ E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 P_REF = np.array([6.0, 2.0, -2.0])
+
+
+def sum_sq(p):
+    """|p|^2 of 3 floats, added left to right as the built-in fields do."""
+    return p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
+
+
+def listed(read):
+    """An array form of c, grad or hess that also takes a list of 3
+    floats, as the loops read it: the list as a (3,) array, the result
+    handed back as Python floats."""
+    def call(p):
+        if isinstance(p, list):
+            return np.asarray(read(np.array(p))).tolist()
+        return read(p)
+    return call
 
 
 def flat_field():
@@ -93,15 +110,15 @@ def test_quadratic_hessian_is_one_read_only_array():
 
 
 def test_log_hessian_matches_a_fresh_identity_bit_for_bit():
-    # the identity term divides the module's read-only -I; its bits must be
-    # those of -np.eye(3) / s + np.outer(p, p) / (s * s), built afresh
+    # its bits must be those of -np.eye(3) / s + np.outer(p, p) / (s * s),
+    # built afresh, with |p|^2 in s added left to right
     fld = builtin_fields()["log"]
     rng = np.random.default_rng(83)
     points = [np.zeros(3), -np.zeros(3), P_REF]
     points += [rng.uniform(-8.0, 8.0, 3) for _ in range(300)]
     points += [1e-3 * rng.standard_normal(3) for _ in range(100)]
     for p in points:
-        s = 1.0 + 0.5 * float(p @ p)
+        s = 1.0 + 0.5 * sum_sq(p.tolist())
         want = -np.eye(3) / s + np.outer(p, p) / (s * s)
         assert fld.hess(p).tobytes() == want.tobytes(), p
 
@@ -122,34 +139,57 @@ def test_field_derivatives_match_finite_differences():
             assert np.max(np.abs(fld.hess(p) - H_fd)) < 1e-6
 
 
-# point formulas with |p|^2 as a Python float, the oracle for the fields'
-# point values (which the simulate CSV and the reports are made of)
+# point formulas on Python floats, |p|^2 added left to right: the oracle
+# for every form of the fields' values (which the simulate CSV and the
+# reports are made of)
 POINT_FORMULAS = {
-    "log": (lambda p: -float(np.log1p(0.5 * float(p @ p))),
-            lambda p: -p / (1.0 + 0.5 * float(p @ p))),
-    "quadratic": (lambda p: -0.5 * float(p @ p), lambda p: -p),
+    "log": (lambda p: -math.log1p(0.5 * sum_sq(p)),
+            lambda p: [-v / (1.0 + 0.5 * sum_sq(p)) for v in p]),
+    "quadratic": (lambda p: -0.5 * sum_sq(p), lambda p: [-v for v in p]),
 }
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("name", ["log", "quadratic"])
 def test_field_blocks_match_point_calls_bit_for_bit(name):
+    # a list of 3 floats, a (3,) point and a row of a (B, 3) block give the
+    # float formula's bits, for c and grad, and hess the same bits on a
+    # list and an array; also at signed zeros and where |p|^2 overflows,
+    # whose inf and NaN values must agree as well
     fld = builtin_fields()[name]
     rng = np.random.default_rng(41)
     dirs = rng.normal(size=(2000, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     P = dirs * 10.0 ** rng.uniform(-3.0, 3.0, size=(2000, 1))
     P[0] = fld.p_star
-    c_block = fld.c(P)
-    g_block = fld.grad(P)
-    assert c_block.shape == (2000,) and g_block.shape == (2000, 3)
-    point_c, point_grad = POINT_FORMULAS[name]
-    for b, p in enumerate(P):
-        c = fld.c(p)
-        assert isinstance(c, float)
-        assert c == c_block[b] == point_c(p)
-        g = fld.grad(p)
-        assert g.shape == (3,)
-        assert np.array_equal(g, g_block[b]) and np.array_equal(g, point_grad(p))
+    edges = [[-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [1e-200, -1e-300, 5e-324],
+             [1e200, 0.0, -0.0], [1e155, -1e155, 1e155], [-1e308, 1e308, 1.0]]
+    P = np.vstack([P, edges])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_block = fld.c(P)
+        g_block = fld.grad(P)
+        assert c_block.shape == (len(P),) and g_block.shape == (len(P), 3)
+        point_c, point_grad = POINT_FORMULAS[name]
+        for b, p in enumerate(P):
+            row = p.tolist()
+            c, c_list = fld.c(p), fld.c(row)
+            assert isinstance(c, float) and isinstance(c_list, float)
+            assert bits(c) == bits(c_list) == bits(c_block[b]) == bits(point_c(row)), row
+            g, g_list = fld.grad(p), fld.grad(row)
+            assert g.shape == (3,)
+            assert isinstance(g_list, list) and all(type(v) is float for v in g_list)
+            assert g.tobytes() == bits(*g_list) == g_block[b].tobytes() == bits(*point_grad(row))
+            H, H_list = fld.hess(p), fld.hess(row)
+            assert H.shape == (3, 3) and len(H_list) == 3
+            assert all(isinstance(r, list) and all(type(v) is float for v in r) for r in H_list)
+            assert H.tobytes() == bits(*H_list), row
+    overflow = P[-3:]
+    assert np.all(np.isinf(c_block[-3:]))
+    if name == "log":
+        assert np.all(np.isnan([fld.hess(p) for p in overflow]).any(axis=(1, 2)))
 
 
 # ------------------------------------------------------------ configuration
@@ -341,7 +381,7 @@ def test_cross_check_runs_at_the_config_step():
         for n in (200, 400)
     }
     assert devs[400] < devs[200] < 1e-6
-    assert devs[400] == 1.992993398742068e-10
+    assert devs[400] == 1.9929933987759493e-10
 
 
 def test_flat_field_runs_are_pure_roll():
@@ -854,9 +894,9 @@ def anisotropic_field():
     k = np.array([1.0, 2.0, 4.0])
     return ScalarField(
         name="anisotropic",
-        c=lambda p: -0.5 * np.vecdot(p, k * p),
-        grad=lambda p: -k * p,
-        hess=lambda p: -np.diag(k),
+        c=listed(lambda p: -0.5 * np.vecdot(p, k * p)),
+        grad=listed(lambda p: -k * p),
+        hess=listed(lambda p: -np.diag(k)),
         p_star=np.zeros(3),
     )
 
@@ -943,8 +983,8 @@ def test_full_field_matches_reference_assembly(name):
     # makes F1 and F2 add only -0.0 to the filter rows: those rows then are
     # the layer term w A y itself, checked here over pairs of signed zeros,
     # subnormals, extremes and random values.
-    zero = ScalarField(name="zero", c=lambda p: 0.0, grad=lambda p: np.full(3, -0.0),
-                       hess=lambda p: -np.eye(3), p_star=np.zeros(3))
+    zero = ScalarField(name="zero", c=lambda p: 0.0, grad=listed(lambda p: np.full(3, -0.0)),
+                       hess=listed(lambda p: -np.eye(3)), p_star=np.zeros(3))
     zero_spec = as_system_spec(zero)
     zero_ref = reference_phase_fields(zero)
     edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 1e308]
@@ -975,6 +1015,49 @@ def test_full_field_reads_the_field_value_once_per_call():
     rhs = assemble_full_field(spec, 16.0 * np.pi)
     rhs(0.3, np.concatenate([P_REF, embed(np.eye(3)), [0.2, -0.1]]).tolist())
     assert len(calls) == 1
+
+
+def list_only_field(fld, calls):
+    """fld with c, grad and hess counted in calls on a list of 3 floats;
+    on a (3,) point array they raise, so a loop that builds one per
+    right-hand side fails.  Blocks pass through: a sweep reads one per
+    rung for its report."""
+    def guarded(key, read):
+        def call(p):
+            if isinstance(p, list):
+                calls[key] += 1
+            elif np.shape(p) == (3,):
+                raise AssertionError(f"{key} read a (3,) array")
+            return read(p)
+        return call
+
+    return ScalarField(name=fld.name, c=guarded("c", fld.c), grad=guarded("grad", fld.grad),
+                       hess=guarded("hess", fld.hess), p_star=fld.p_star)
+
+
+@pytest.mark.parametrize("name", ["log", "quadratic"])
+def test_flight_and_sweep_read_the_field_as_lists(name):
+    # simulate reads c once per right-hand side and once at the start, a
+    # sweep's full runs read c, grad and hess once per right-hand side, all
+    # on lists, with the bits of the same runs on the built-in field
+    fld = builtin_fields()[name]
+    calls = collections.Counter()
+    guarded = list_only_field(fld, calls)
+    cfg = SeekerConfig(omega=4.0 * np.pi, steps_per_fast_period=20)
+    R0 = exp_so3(np.array([0.4, -1.2, 0.7]))
+    traj = simulate_seeker(cfg, guarded, P_REF, R0, t_f=0.5)
+    assert calls == {"c": 4 * (len(traj.times) - 1) + 1}
+    assert traj.states.tobytes() == simulate_seeker(cfg, fld, P_REF, R0, t_f=0.5).states.tobytes()
+
+    calls.clear()
+    spec = as_system_spec(fld)
+    x0 = np.concatenate([P_REF, embed(R0)])
+    omegas = [8.0 * np.pi * 2.0**k for k in range(4)]
+    args = (averaged_seeker_field(fld), x0, spec.phi0(x0), omegas, 0.5)
+    report = sweep_convergence(as_system_spec(guarded), *args, steps_per_period=16, avg_steps=20)
+    rhs_calls = sum(4 * TimeGrid.spanning(0.0, 0.5, (spec.T / w) / 16).n_steps for w in omegas)
+    assert calls == {"c": rhs_calls, "grad": rhs_calls, "hess": rhs_calls}
+    assert report == sweep_convergence(spec, *args, steps_per_period=16, avg_steps=20)
 
 
 def array_full_field(spec, fld, omega):
