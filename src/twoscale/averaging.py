@@ -112,7 +112,7 @@ class CorrectorSolution:
     read through values_at, and x is passed through to it untouched.
     """
 
-    def __init__(self, A: np.ndarray, b, T: float, n_panels: int = 256):
+    def __init__(self, A: np.ndarray, b, T: float, n_panels: int):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got shape {A.shape}")
@@ -182,7 +182,7 @@ class CorrectorSolution:
         return self._at_phases(lambda t: self.values_on_grid(x, t), taus)
 
 
-def solve_periodic_bvp(A: np.ndarray, b, T: float, n_panels: int = 256) -> CorrectorSolution:
+def solve_periodic_bvp(A: np.ndarray, b, T: float, n_panels: int) -> CorrectorSolution:
     """Unique T-periodic solution of d phi/d tau = A phi + b(x, tau)."""
     return CorrectorSolution(A, b, T, n_panels)
 
@@ -308,23 +308,22 @@ class AveragedSystem:
 
     fbar(x) = mean over one period of f2_tilde + (1/2) [F, f1_tilde], with
     [u, v] = (Dv) u - (Du) v and F the zero-mean antiderivative of f1_tilde.
-    On N uniform phases, f2_tilde gives its grid mean and the bracket a
-    Parseval sum over the modes G^_k of f1_tilde and dG^_k of its slow-state
-    Jacobian (jacobian_fd, one f1_values call on the block of perturbed
-    states): with F^_k = G^_k / (i k w0), w0 = 2 pi / T, it is
-    -(1/2) sum_k w_k Im(dG^_k conj G^_k), w_k = c_k 2 / (k w0 N^2), c_k = 2
-    for 0 < k < N/2, 1 at N/2 and 0 at k = 0 (Trefethen, Spectral Methods in
-    MATLAB, ch. 3).  This assumes f1 has zero phase mean at every state, as
+    On phi1's grid of N phases (read in one sweep: a bundle has one grid),
+    f2_tilde gives its grid mean and the bracket a Parseval sum over the
+    modes G^_k of f1_tilde and dG^_k of its slow-state Jacobian
+    (jacobian_fd, one f1_values call on the block of perturbed states):
+    with F^_k = G^_k / (i k w0), w0 = 2 pi / T, it is -(1/2) sum_k w_k
+    Im(dG^_k conj G^_k), w_k = c_k 2 / (k w0 N^2), c_k = 2 for 0 < k < N/2,
+    1 at N/2 and 0 at k = 0 (Trefethen, Spectral Methods in MATLAB,
+    ch. 3).  This assumes f1 has zero phase mean at every state, as
     check_assumption_A checks: F then has no secular part, and its constant
     of integration drops out of the bracket's mean.
     """
 
-    def __init__(self, reduced: ReducedSystem, n_panels: int = 256):
+    def __init__(self, reduced: ReducedSystem):
         self.reduced = reduced
-        self.n_panels = int(n_panels)
-        T = reduced.spec.T
-        self._taus = _phase_grid(T, n_panels)
-        N = self.n_panels
+        T, N = reduced.spec.T, reduced.phi1.n_panels
+        self._taus = _phase_grid(T, N)
         k = np.arange(1, N // 2 + 1)
         c = np.where(k < N // 2, 2.0, 1.0)
         self._weights = c * 2.0 / (k * (2.0 * np.pi / T) * N**2)
@@ -343,34 +342,28 @@ class AveragedSystem:
         return np.mean(H[:, :n], axis=0) + bracket
 
 
-def average(reduced: ReducedSystem, n_panels: int = 256) -> AveragedSystem:
-    """Average the reduced system over one phase period."""
-    return AveragedSystem(reduced, n_panels=n_panels)
+def average(reduced: ReducedSystem) -> AveragedSystem:
+    """Average the reduced system over one period, on phi1's phase grid."""
+    return AveragedSystem(reduced)
 
 
 @dataclass
 class ReducedAveragedBundle:
     """Correctors plus reduced and averaged systems for one spec."""
 
-    spec: OscillatorySystemSpec
     phi1: CorrectorSolution
     phi2: CorrectorSolution
     reduced: ReducedSystem
     averaged: AveragedSystem
-    n_panels: int
 
 
-def build_bundle(spec: OscillatorySystemSpec, n_panels: int = 256) -> ReducedAveragedBundle:
-    """Run the whole construction once: b1, phi1, b2, phi2, reduce, average."""
-    b1 = build_b(spec, 1)
-    phi1 = solve_periodic_bvp(spec.A, b1, spec.T, n_panels)
-    b2 = build_b(spec, 2, phi1)
-    phi2 = solve_periodic_bvp(spec.A, b2, spec.T, n_panels)
+def build_bundle(spec: OscillatorySystemSpec, n_panels: int) -> ReducedAveragedBundle:
+    """Run the whole construction once on one grid of n_panels phases:
+    b1, phi1, b2, phi2, reduce, average (the spec is bundle.reduced.spec)."""
+    phi1 = solve_periodic_bvp(spec.A, build_b(spec, 1), spec.T, n_panels)
+    phi2 = solve_periodic_bvp(spec.A, build_b(spec, 2, phi1), spec.T, n_panels)
     reduced = build_reduced(spec, phi1)
-    averaged = average(reduced, n_panels=n_panels)
-    return ReducedAveragedBundle(
-        spec=spec, phi1=phi1, phi2=phi2, reduced=reduced, averaged=averaged, n_panels=n_panels
-    )
+    return ReducedAveragedBundle(phi1=phi1, phi2=phi2, reduced=reduced, averaged=average(reduced))
 
 
 def residual_bvp(phi, A: np.ndarray, b, T: float, x=None, n_panels: int | None = None) -> float:

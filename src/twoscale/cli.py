@@ -166,6 +166,9 @@ def _cases(key: str, v) -> list[str]:
     bad = sorted({str(name) for name in v} - set(_BVP_CASES))
     if bad:
         raise ConfigurationError(f"unknown bvp cases: {', '.join(bad)}")
+    for i, name in enumerate(v):
+        if name in v[:i]:
+            raise ConfigurationError(f"{key} must not repeat, got {name!r} twice")
     return v
 
 
@@ -307,12 +310,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, quiet: bool) -> int:
     )
 
     if cfg["t_f"] == 0.0:
-        traj = SeekerTrajectory(
-            times=np.array([t0]),
-            states=initial_state(fld, p0, R0, y0=y0)[None, :],
-            omega=config.omega,
-            field_name=fld.name,
-        )
+        traj = SeekerTrajectory(np.array([t0]), initial_state(fld, p0, R0, y0=y0)[None, :])
     else:
         traj = simulate_seeker(config, fld, p0, R0, cfg["t_f"], y0=y0, stride=cfg["stride"], t0=t0)
     c_center = traj.center_values(fld)
@@ -506,8 +504,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (TwoscaleError, KeyError, TypeError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (TwoscaleError, MemoryError, KeyError, TypeError, ValueError, OSError) as err:
+        # a bare MemoryError has no message; numpy's names the allocation
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -77,7 +77,7 @@ def run_compare(
     y0: np.ndarray,
     omega: float,
     t_f: float,
-    steps_per_period: int = 400,
+    steps_per_period: int,
 ) -> RunRecord:
     """Integrate the full system from (x0, y0) and compare it with a
     given averaged path.
@@ -183,8 +183,8 @@ def sweep_convergence(
     y0: np.ndarray,
     omegas: Sequence[float],
     t_f: float,
-    steps_per_period: int = 400,
-    avg_steps: int = 4000,
+    steps_per_period: int,
+    avg_steps: int,
 ) -> SweepReport:
     """Run the full-versus-averaged comparison across a frequency ladder.
 
@@ -209,8 +209,9 @@ def sweep_convergence(
         raise ConfigurationError(f"avg_steps must be >= 1, got {avg_steps}")
     if steps_per_period < 8:
         raise ConfigurationError(f"steps_per_period must be >= 8, got {steps_per_period}")
-    # the lowest rung takes the longest step, so its grid refuses a short t_f first
-    TimeGrid.spanning(0.0, t_f, (spec.T / omegas[0]) / steps_per_period)
+    # every rung's grid: the lowest refuses a short t_f, the highest a tiny step
+    for w in omegas:
+        TimeGrid.spanning(0.0, t_f, (spec.T / w) / steps_per_period)
 
     avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
     reference = integrate_rk4(averaged, np.asarray(x0, dtype=float), avg_grid)
@@ -327,6 +328,14 @@ class StabilityProbeReport:
         return out
 
 
+def _distinct(key: str, values: list) -> list:
+    """values, refused if one repeats: its runs would fly twice for one verdict."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigurationError(f"{key} must not repeat, got {v} twice")
+    return values
+
+
 def _shell_radii(deltas: Sequence[float]) -> list[float]:
     """The probe's start radii as floats, checked before any run.  A zero
     radius starts on the optimum and a negative one repeats a shell."""
@@ -338,7 +347,7 @@ def _shell_radii(deltas: Sequence[float]) -> list[float]:
             raise ConfigurationError(f"deltas must be finite, got {d}")
         if d <= 0.0:
             raise ConfigurationError(f"deltas must be positive, got {d}")
-    return deltas
+    return _distinct("deltas", deltas)
 
 
 def _shell_starts(fld: ScalarField, delta: float) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -370,8 +379,8 @@ def probe_seeker_stability(
     deltas: Sequence[float],
     omegas: Sequence[float],
     horizon: float,
-    entry_deadline: float | None = None,
-    steps_per_fast_period: int = 100,
+    entry_deadline: float | None,
+    steps_per_fast_period: int,
 ) -> StabilityProbeReport:
     """Probe the closed-loop seeker on a (radius, frequency) grid.
 
@@ -379,10 +388,11 @@ def probe_seeker_stability(
     with an aligned frame and quasi-steady filter; each run is repeated
     with start-time offsets of 0, 1/4 and 1/2 of the frame period.
     Containment checks the whole run, entry checks the tail after the
-    deadline, and boundedness asks only that nothing diverged.
+    deadline (horizon / 2 when entry_deadline is None), and boundedness
+    asks only that nothing diverged.
     """
     deltas = _shell_radii(deltas)
-    omegas = [float(w) for w in omegas]
+    omegas = _distinct("omegas", [float(w) for w in omegas])
     if not omegas:
         raise ConfigurationError("omegas must be non-empty")
     if entry_deadline is None:
@@ -471,7 +481,7 @@ def probe_averaged_stability(
     deltas: Sequence[float],
     horizon: float,
     entry_radius: float,
-    dt: float = 0.01,
+    dt: float,
 ) -> AveragedProbeReport:
     """Run the averaged seeker from shell panels and check convergence.
 

@@ -56,10 +56,10 @@ class TimeGrid:
             raise ConfigurationError(f"TimeGrid dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise ConfigurationError(f"TimeGrid n_steps must be >= 1, got {self.n_steps}")
-        end = self.t0 + self.dt * self.n_steps
-        if math.ulp(max(abs(self.t0), abs(end))) > self.dt / 4.0:
+        t = max(self.t0, self.t0 + self.dt * self.n_steps, key=abs)
+        if math.ulp(t) > self.dt / 4.0:
             raise ConfigurationError(
-                f"TimeGrid t0={self.t0:g} is too large for dt={self.dt:g}: "
+                f"TimeGrid time {t:g} is too large for dt={self.dt:g}: "
                 "consecutive times would round equal"
             )
 

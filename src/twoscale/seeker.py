@@ -347,8 +347,6 @@ class SeekerTrajectory:
 
     times: np.ndarray
     states: np.ndarray
-    omega: float
-    field_name: str
 
     def center_values(self, fld: ScalarField) -> np.ndarray:
         return fld.c(self.states[:, 0:3])
@@ -397,9 +395,7 @@ def simulate_seeker(
     keep = np.arange(0, n_steps + 1, min(stride, n_steps))
     if keep[-1] != n_steps:
         keep = np.append(keep, n_steps)
-    return SeekerTrajectory(
-        times=times[keep], states=states[keep], omega=config.omega, field_name=fld.name
-    )
+    return SeekerTrajectory(times=times[keep], states=states[keep])
 
 
 def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.ndarray]:

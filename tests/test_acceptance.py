@@ -110,7 +110,7 @@ def layer_fit_pipeline():
         avg_grid = TimeGrid(t0=0.0, dt=2.0 / 4000, n_steps=4000)
         reference = integrate_rk4(averaged_seeker_field(fld), x0, avg_grid)
         record = run_compare(as_system_spec(fld), reference, x0,
-                             np.zeros(2), omega=OMEGA, t_f=2.0)
+                             np.zeros(2), omega=OMEGA, t_f=2.0, steps_per_period=400)
         return record, fit_boundary_layer(record)
 
     start = time.perf_counter()

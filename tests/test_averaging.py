@@ -156,7 +156,7 @@ def test_solver_rejects_resonant_layer_matrix():
     # is singular and no unique periodic solution exists
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ConfigurationError, match="Hurwitz"):
-        solve_periodic_bvp(A, lambda x, tau: np.array([np.cos(tau), 0.0]), TWO_PI)
+        solve_periodic_bvp(A, lambda x, tau: np.array([np.cos(tau), 0.0]), TWO_PI, 256)
 
 
 def test_corrector_values_at_grid_fast_path_matches_point_calls():
@@ -587,7 +587,7 @@ _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 def _loop_fbar(averaged, x):
     red = averaged.reduced
-    N, n = averaged.n_panels, red.spec.n
+    N, n = red.phi1.n_panels, red.spec.n
     taus = (red.spec.T / N) * np.arange(N)
     # a C-ordered copy of the column-major f1 grid: fbar's bits must not
     # depend on the grid's memory layout
@@ -775,11 +775,13 @@ def test_average_without_sqrt_field_is_plain_phase_mean():
 
 
 def test_average_quadrature_panel_stability():
+    # the average takes its phase grid from phi1, so each count builds its own
     bench = bracket_benchmark()
-    phi1 = solve_periodic_bvp(bench.spec.A, build_b(bench.spec, 1), bench.spec.T, 512)
-    reduced = build_reduced(bench.spec, phi1)
-    coarse = average(reduced, n_panels=256)
-    fine = average(reduced, n_panels=512)
+    coarse, fine = (
+        average(build_reduced(bench.spec, solve_periodic_bvp(
+            bench.spec.A, build_b(bench.spec, 1), bench.spec.T, N)))
+        for N in (256, 512)
+    )
     x = np.array([0.8, -1.1])
     assert np.max(np.abs(coarse.fbar(x) - fine.fbar(x))) < 5e-8
 
@@ -791,5 +793,5 @@ def test_bundle_wires_the_pipeline_together():
     assert isinstance(bundle.phi2, CorrectorSolution)
     assert isinstance(bundle.averaged, AveragedSystem)
     assert bundle.reduced.phi1 is bundle.phi1
-    assert bundle.n_panels == 64
-    assert bundle.phi1.n_panels == 64
+    assert bundle.reduced.spec is bench.spec
+    assert bundle.phi1.n_panels == bundle.phi2.n_panels == 64

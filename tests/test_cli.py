@@ -263,9 +263,18 @@ _WHOLE_KEYS = [
     # t0 + k dt rounded to t0 at every step: the CSV's t column held one
     # value while the state moved, and the dither phase never advanced
     *[pytest.param("simulate", {"t_f": 0.01, "t0": t0},
-                   f"error: TimeGrid t0={t0:g} is too large for dt=0.00125",
+                   f"error: TimeGrid time {t0:g} is too large for dt=0.00125",
                    id=f"simulate-t0-{t0:g}")
       for t0 in (1e17, 1e300)],
+    # each verdict list holds one entry per radius or frequency, so a
+    # repeat flew its 8 or 24 runs again, and a repeated case ran twice
+    ("stability-probe", {"deltas": [2, 2]}, "error: deltas must not repeat, got 2.0 twice"),
+    ("stability-probe", {"system": "full", "deltas": [3, 2, 3], "horizon": 2},
+     "error: deltas must not repeat, got 3.0 twice"),
+    ("stability-probe", {"system": "full", "omegas": [200, 200], "horizon": 2},
+     "error: omegas must not repeat, got 200.0 twice"),
+    ("bvp-check", {"cases": ["cosine-1d", "cosine-1d"]},
+     "error: cases must not repeat, got 'cosine-1d' twice"),
 ])
 def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad, message):
     assert run_cmd(command, tmp_path, bad) == 1
@@ -273,6 +282,22 @@ def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
     assert not (tmp_path / "out" / DEFAULTS[command]["output"]).exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 5.82 TiB for an array with shape (800000000001,)"),
+     "error: Unable to allocate 5.82 TiB for an array with shape (800000000001,)"),
+    (MemoryError(), "error: MemoryError"),
+])
+def test_a_run_that_cannot_fit_in_memory_exits_1(tmp_path, capsys, monkeypatch, error, message):
+    # simulate {"t_f": 1e9, "stride": 1000000} asked TimeGrid.times for
+    # 8e11 times and died in numpy's traceback; the test only raises the error
+    def too_big(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "simulate_seeker", too_big)
+    assert run_cmd("simulate", tmp_path, {"t_f": 1e9, "stride": 1000000}) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 # a base config per command and system that keeps any run short

@@ -81,4 +81,4 @@ def test_resonant_layer_matrix_is_refused(A):
         return np.ones(np.shape(tau) + (m,))
 
     with pytest.raises(ConfigurationError, match="Hurwitz"):
-        solve_periodic_bvp(A, b, TWO_PI)
+        solve_periodic_bvp(A, b, TWO_PI, 256)

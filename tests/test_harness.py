@@ -98,7 +98,7 @@ def test_linear_benchmark_tracks_closed_form_average():
     bench = linear_benchmark()
     record = run_compare(
         bench.spec, averaged_path(bench.averaged_field, bench.x0, 2.0, 4000),
-        bench.x0, bench.y0, omega=16.0 * np.pi, t_f=2.0,
+        bench.x0, bench.y0, omega=16.0 * np.pi, t_f=2.0, steps_per_period=400,
     )
     # the full system stays within the first-order band of the average
     assert record.max_dev < 0.05
@@ -150,13 +150,15 @@ def test_run_compare_validation():
     spec = zero_spec()
     reference = averaged_path(zero_avg, np.zeros(1), 1.0, 10)
     with pytest.raises(ConfigurationError):
-        run_compare(spec, reference, np.zeros(1), np.zeros(1), 8.0, t_f=0.0)
+        run_compare(spec, reference, np.zeros(1), np.zeros(1), 8.0, t_f=0.0,
+                    steps_per_period=400)
     with pytest.raises(ConfigurationError):
         run_compare(spec, reference, np.zeros(1), np.zeros(1), 8.0, t_f=1.0,
                     steps_per_period=4)
     for omega in (0.0, float("inf"), float("nan")):
         with pytest.raises(ConfigurationError, match="omega"):
-            run_compare(spec, reference, np.zeros(1), np.zeros(1), omega, t_f=1.0)
+            run_compare(spec, reference, np.zeros(1), np.zeros(1), omega, t_f=1.0,
+                        steps_per_period=400)
 
 
 # ---------------------------------------------------------- boundary layer fit
@@ -219,9 +221,11 @@ def linear_system(y0=None):
 
 def test_sweep_requires_a_real_ladder():
     with pytest.raises(ConfigurationError):
-        sweep_convergence(*linear_system(), [4.0, 8.0, 16.0], t_f=1.0)
+        sweep_convergence(*linear_system(), [4.0, 8.0, 16.0], t_f=1.0,
+                          steps_per_period=400, avg_steps=4000)
     with pytest.raises(ConfigurationError):
-        sweep_convergence(*linear_system(), [4.0, 8.0, 8.0, 16.0], t_f=1.0)
+        sweep_convergence(*linear_system(), [4.0, 8.0, 8.0, 16.0], t_f=1.0,
+                          steps_per_period=400, avg_steps=4000)
 
 
 def test_sweep_rejects_bad_frequencies_before_any_run(monkeypatch):
@@ -234,11 +238,17 @@ def test_sweep_rejects_bad_frequencies_before_any_run(monkeypatch):
     for ladder in ([8.0, 16.0, 32.0, float("inf")], [8.0, 16.0, 32.0, float("nan")],
                    [-8.0, 16.0, 32.0, 64.0]):
         with pytest.raises(ConfigurationError, match="positive and finite"):
-            sweep_convergence(*linear_system(), ladder, t_f=1.0)
+            sweep_convergence(*linear_system(), ladder, t_f=1.0,
+                              steps_per_period=400, avg_steps=4000)
     for avg_steps in (0, -3):
         with pytest.raises(ConfigurationError, match=f"avg_steps must be >= 1, got {avg_steps}"):
             sweep_convergence(*linear_system(), [8.0, 16.0, 32.0, 64.0], t_f=1.0,
-                              avg_steps=avg_steps)
+                              steps_per_period=400, avg_steps=avg_steps)
+    # the top rung's step is too small for the run's end time: its grid was
+    # built only after the averaged run and three full rungs
+    with pytest.raises(ConfigurationError, match="TimeGrid time 1 is too large for dt="):
+        sweep_convergence(*linear_system(), [10.0, 20.0, 30.0, 1e300], t_f=1.0,
+                          steps_per_period=400, avg_steps=4000)
 
 
 def test_sweep_checks_its_step_count_before_any_run(monkeypatch):
@@ -488,15 +498,17 @@ def test_averaged_turn_follows_the_orbit_law_on_the_quadratic_field():
 def test_averaged_probe_validation():
     fld = builtin_fields()["quadratic"]
     with pytest.raises(ConfigurationError):
-        probe_averaged_stability(fld, deltas=[], horizon=1.0, entry_radius=0.1)
+        probe_averaged_stability(fld, deltas=[], horizon=1.0, entry_radius=0.1, dt=0.01)
     # a NaN radius would report every run as entered at t = 0
     for radius in (float("nan"), float("inf"), 0.0, -0.1):
         with pytest.raises(ConfigurationError, match="entry_radius"):
-            probe_averaged_stability(fld, deltas=[3.0], horizon=1.0, entry_radius=radius)
+            probe_averaged_stability(fld, deltas=[3.0], horizon=1.0, entry_radius=radius,
+                                     dt=0.01)
     # a zero radius starts on the optimum; a negative one repeats the shell
     for delta in (0.0, -3.0):
         with pytest.raises(ConfigurationError, match="deltas must be positive"):
-            probe_averaged_stability(fld, deltas=[3.0, delta], horizon=1.0, entry_radius=0.1)
+            probe_averaged_stability(fld, deltas=[3.0, delta], horizon=1.0, entry_radius=0.1,
+                                     dt=0.01)
 
 
 # -------------------------------------------------------------- seeker probe
@@ -542,7 +554,7 @@ def test_seeker_probe_records_failed_projection_as_diverged():
     fld = builtin_fields()["quadratic"]
     report = probe_seeker_stability(
         fld, eps_x=1.0, eps_z=1.0, deltas=[30.0], omegas=[4.0 * np.pi],
-        horizon=2.0, steps_per_fast_period=4,
+        horizon=2.0, entry_deadline=None, steps_per_fast_period=4,
     )
     assert any(run.diverged for run in report.runs)
     assert report.bounded_omega[30.0] is None
@@ -601,15 +613,17 @@ def test_seeker_probe_runs_match_flights_flown_alone():
 def test_seeker_probe_validation():
     fld = builtin_fields()["quadratic"]
     with pytest.raises(ConfigurationError):
-        probe_seeker_stability(fld, eps_x=1.0, eps_z=1.0, deltas=[],
-                               omegas=[4.0], horizon=1.0)
+        probe_seeker_stability(fld, eps_x=1.0, eps_z=1.0, deltas=[], omegas=[4.0],
+                               horizon=1.0, entry_deadline=None, steps_per_fast_period=100)
     with pytest.raises(ConfigurationError):
         probe_seeker_stability(fld, eps_x=1.0, eps_z=1.0, deltas=[1.0],
-                               omegas=[4.0], horizon=1.0, entry_deadline=2.0)
+                               omegas=[4.0], horizon=1.0, entry_deadline=2.0,
+                               steps_per_fast_period=100)
     for delta in (0.0, -1.0):
         with pytest.raises(ConfigurationError, match="deltas must be positive"):
-            probe_seeker_stability(fld, eps_x=1.0, eps_z=1.0, deltas=[delta],
-                                   omegas=[4.0], horizon=1.0)
+            probe_seeker_stability(fld, eps_x=1.0, eps_z=1.0, deltas=[delta], omegas=[4.0],
+                                   horizon=1.0, entry_deadline=None,
+                                   steps_per_fast_period=100)
 
 
 def test_seeker_probe_checks_every_frequency_before_any_flight(monkeypatch):
@@ -619,7 +633,8 @@ def test_seeker_probe_checks_every_frequency_before_any_flight(monkeypatch):
     monkeypatch.setattr(harness, "simulate_seeker", no_flight)
     with pytest.raises(ConfigurationError, match="omega must be positive, got -1.0"):
         probe_seeker_stability(builtin_fields()["quadratic"], eps_x=1.0, eps_z=1.0,
-                               deltas=[2.0], omegas=[4.0 * np.pi, -1.0], horizon=2.0)
+                               deltas=[2.0], omegas=[4.0 * np.pi, -1.0], horizon=2.0,
+                               entry_deadline=None, steps_per_fast_period=100)
 
 
 # ------------------------------------------------------------------ records

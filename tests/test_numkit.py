@@ -293,8 +293,14 @@ def test_time_grid_refuses_times_too_large_for_its_step():
     for t0 in (2.0**41, -(2.0**41), 2.0**41 - 4.0 * dt):  # the last ends past 2^41
         with pytest.raises(ConfigurationError, match="too large for dt"):
             TimeGrid(t0=t0, dt=dt, n_steps=8)
-    with pytest.raises(ConfigurationError, match="t0=1e\\+17 is too large for dt=0.00125"):
+    with pytest.raises(ConfigurationError, match="time 1e\\+17 is too large for dt=0.00125"):
         TimeGrid.spanning(1e17, 0.01, 0.00125)
+    # the refusal names the grid's time of largest magnitude, here its end
+    # or a negative start, not t0 alone
+    with pytest.raises(ConfigurationError, match="TimeGrid time 1 is too large for dt=1e-300"):
+        TimeGrid.spanning(0.0, 1.0, 1e-300)
+    with pytest.raises(ConfigurationError, match="TimeGrid time -2.19902e\\+12 is too large"):
+        TimeGrid(t0=-(2.0**41), dt=dt, n_steps=8)
 
 
 def test_time_grid_spanning_rounds_to_the_nearest_step():
