@@ -10,10 +10,10 @@ and read by f2_tilde, the source b2 and fbar.
 Everything lives on one uniform phase grid with an even panel count, and
 both periodic problems are diagonal in its Fourier modes: a corrector is
 one small linear solve per mode, the bracket's mean one Parseval sum.
-The spec's phase fields are evaluated by one phase_terms call per grid
-(the contract in OscillatorySystemSpec; phase_values checks every read).
-Of the two slow-state finite-difference Jacobians, fbar's differences
-the spec's f1 alone, and b2's D_x phi1 differences the source b1 and
+The spec's phase fields are read by one grid_terms call per grid (the
+contract in OscillatorySystemSpec; phase_values checks every read).  Of
+the two slow-state finite-difference Jacobians, fbar's differences the
+f1 columns of F1, and b2's D_x phi1 differences the source b1 and
 solves all n columns in one corrector sweep, since phi1 is linear in b1.
 Each reads its 2n perturbed states in one call, on a block (the spec's
 block contract).
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .numkit import jacobian_fd
+from .numkit import _square_matrix, jacobian_fd
 from .system import OscillatorySystemSpec, grid_terms, phase_values
 
 __all__ = [
@@ -113,12 +113,8 @@ class CorrectorSolution:
     """
 
     def __init__(self, A: np.ndarray, b, T: float, n_panels: int):
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionError(f"A must be square, got shape {A.shape}")
+        A = _square_matrix(A, "A")
         self._taus = _phase_grid(T, n_panels)
-        if not np.all(np.isfinite(A)):
-            raise ConfigurationError("A contains non-finite entries")
         self.A = A
         self.b = b
         self.T = float(T)
@@ -289,9 +285,8 @@ class ReducedSystem:
 
     def f1_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         spec = self.spec
-        taus = np.asarray(taus, dtype=float)
         y0 = np.asarray(spec.phi0(x), dtype=float)
-        return phase_values(spec.f1(x, y0, taus), x, taus, (spec.n,))
+        return grid_terms(spec, x, y0, np.asarray(taus, dtype=float), False)[0][..., : spec.n]
 
     def f2_values(self, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
         _, H = _order_one(self.spec, self.phi1, x, np.asarray(taus, dtype=float))

@@ -77,7 +77,6 @@ def linear_benchmark() -> LinearBenchmark:
         f2=f2,
         g1=zero2,
         g2=zero2,
-        name="linear-benchmark",
     )
     x0 = np.array([1.0, 0.5])
     return LinearBenchmark(spec=spec, Mbar=M0 + 0.5 * N, x0=x0, y0=phi0(x0))

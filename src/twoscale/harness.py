@@ -45,7 +45,8 @@ __all__ = [
 class RunRecord:
     """One full-versus-averaged comparison at a fixed frequency.
 
-    The deviation and layer series are kept at full step resolution.
+    The deviation and layer series are kept at full step resolution; a
+    failed run, one that diverged, has none and its blowup_time set.
     """
 
     omega: float
@@ -53,12 +54,11 @@ class RunRecord:
     times: np.ndarray
     x_dev: np.ndarray
     z_norm: np.ndarray
-    failed: bool = False
     blowup_time: float | None = None
 
     @property
     def max_dev(self) -> float:
-        if self.failed or self.x_dev.size == 0:
+        if self.x_dev.size == 0:
             return float("inf")
         return float(np.max(self.x_dev))
 
@@ -101,8 +101,7 @@ def run_compare(
     except DivergenceError as err:
         empty = np.empty((0,))
         return RunRecord(
-            omega=omega, t_f=t_f, times=empty, x_dev=empty, z_norm=empty,
-            failed=True, blowup_time=err.time,
+            omega=omega, t_f=t_f, times=empty, x_dev=empty, z_norm=empty, blowup_time=err.time,
         )
 
     x_avg_full = _interp_rows(times, *reference)
@@ -135,7 +134,7 @@ def fit_boundary_layer(record: RunRecord) -> LayerFit:
 
     The fit window needs at least 10 samples before the drop below 5%.
     """
-    if record.failed:
+    if record.blowup_time is not None:
         raise ConfigurationError("cannot fit a boundary layer on a failed run")
     t = record.times
     z = record.z_norm
@@ -223,12 +222,10 @@ def sweep_convergence(
             spec, reference, x0, y0, w, t_f, steps_per_period=steps_per_period,
         )
         max_devs.append(record.max_dev)
-        fit = None
-        if not record.failed:
-            try:
-                fit = fit_boundary_layer(record)
-            except ConfigurationError:
-                fit = None
+        try:
+            fit = fit_boundary_layer(record)
+        except ConfigurationError:
+            fit = None
         layer_rates.append(None if fit is None else fit.rate)
         layer_gammas.append(None if fit is None else fit.gamma)
 

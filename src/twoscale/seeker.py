@@ -49,8 +49,6 @@ FILTER_A = np.array([[-1.0, 1.0], [0.0, -1.0]])
 FILTER_B = np.array([0.0, 1.0])
 
 _E1 = np.array([1.0, 0.0, 0.0])
-_NEG_EYE3 = -np.eye(3)  # quadratic Hessian, handed out uncopied (read-only)
-_NEG_EYE3.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,9 @@ class ScalarField:
     """Sensed scalar field with its critical point and derivatives.
 
     c, grad and hess (required) take a point as a list of 3 floats, giving
-    a float, a list of 3 floats and 3 lists of 3 floats, or as a (3,) array,
-    giving arrays; c and grad also take a (B, 3) block, one point per row.
-    The built-in fields give each row of every form the list's bits (see
+    a float, a list of 3 floats and 3 lists of 3 floats.  c and grad also
+    take a (3,) array or a (B, 3) block, one point per row, giving arrays;
+    the built-in fields give each row of every form the list's bits (see
     _sum_sq).  simulate and sweep read the list form at every step.
     """
 
@@ -68,7 +66,7 @@ class ScalarField:
     c: Callable[[list | np.ndarray], float | np.ndarray]
     grad: Callable[[list | np.ndarray], list | np.ndarray]
     p_star: np.ndarray
-    hess: Callable[[list | np.ndarray], list | np.ndarray]
+    hess: Callable[[list], list]
 
 
 def _sum_sq(p):
@@ -95,8 +93,6 @@ def builtin_fields() -> dict[str, ScalarField]:
         return [-p[0] / d, -p[1] / d, -p[2] / d] if isinstance(p, list) else -p / d[..., None]
 
     def log_hess(p):
-        if not isinstance(p, list):
-            return np.array(log_hess(p.tolist()))
         p0, p1, p2 = p
         s = 1.0 + 0.5 * _sum_sq(p)
         ss, d, z = s * s, -1.0 / s, -0.0 / s
@@ -111,9 +107,7 @@ def builtin_fields() -> dict[str, ScalarField]:
         return [-p[0], -p[1], -p[2]] if isinstance(p, list) else -p
 
     def quad_hess(p):
-        if isinstance(p, list):
-            return [[-1.0, -0.0, -0.0], [-0.0, -1.0, -0.0], [-0.0, -0.0, -1.0]]
-        return _NEG_EYE3
+        return [[-1.0, -0.0, -0.0], [-0.0, -1.0, -0.0], [-0.0, -0.0, -1.0]]
 
     return {
         "log": ScalarField(
@@ -499,7 +493,8 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     split of the reading around the center value, which is what the
     sqrt-scale and order-one slow/fast fields below encode.
 
-    terms stacks the split's components; full(omega), which
+    terms stacks the split's components, and f1, f2, g1 and g2 are views
+    of its columns that grid_terms never calls; full(omega), which
     assemble_full_field returns, is the full right-hand side of the same
     split as straight-line float code over the 14 state floats.  c, grad
     and the Hessian read the center as a list of 3 floats (the built-in
@@ -511,7 +506,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     numpy's 2x2 product sums each row onto +0.0, so these give its bits,
     signed zeros included, where -z0 + z1 and 0 z0 - z1 do not.
 
-    phi0, dphi0, f1 and terms' F1 take a state or a block of states (the
+    phi0, dphi0 and terms' F1 take a state or a block of states (the
     spec's block contract) through one formula: each state's scalars are
     arrays that broadcast in front of the phase axes (_columns), and a
     block call reads c and grad once for all its rows, whose bits are the
@@ -540,12 +535,6 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         out[..., 1, 0:3] = g
         return out
 
-    def trig(tau, val):
-        """cos tau, sin tau and 2 cos(2 tau - val) at the phases tau and
-        the center values val, shaped as _columns gives them."""
-        tau = np.asarray(tau, dtype=float)
-        return np.cos(tau), np.sin(tau), 2.0 * np.cos(2.0 * tau - val)
-
     def f1_rows(q: list, gain, ct, st, s1) -> list:
         """The 12 components of f1: the dithered surge s1 q1 and the
         filter-gain turn of the frame.  Where y = phi0(x) the gain is +0.0
@@ -562,31 +551,25 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         component a (K,) array over the K phases tau, or (B, K) on a block
         of B states (F1 only).  The filter gain yb - ya is +0.0 on
         y = phi0(x), where F1's frame rows are +0.0 as F2's are.  All four
-        fields share c(p), grad, trig and dither axis."""
+        fields share c(p), grad, the trig values and the dither axis."""
+        tau = np.asarray(tau, dtype=float)
         p, q = x[..., 0:3], _columns(x[..., 3:12], tau)
         ya, yb = _columns(y, tau)
         g = _columns(grad(p), tau)
         (val,) = _columns(np.expand_dims(c(p), -1), tau)
-        ct, st, s1 = trig(tau, val)
+        ct, st, s1 = np.cos(tau), np.sin(tau), 2.0 * np.cos(2.0 * tau - val)
         d = _dither_axis(q, ct, st)
         u = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]
         F1 = _stack(f1_rows(q, yb - ya, ct, st, s1) + [fb0 * u, fb1 * u])
         if not order_one:
             return F1, None
         zero = np.zeros(np.shape(tau))
-        H = hess(p).tolist()
+        H = hess(p.tolist())
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         v = 0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2])
         s2 = 2.0 * u * np.sin(2.0 * tau - val)
         F2 = [s2 * q[0], s2 * q[1], s2 * q[2]] + [zero] * 9 + [fb0 * v, fb1 * v]
         return F1, _stack(F2)
-
-    def f1(x: np.ndarray, y: np.ndarray, tau):
-        """terms' f1 columns alone: no gradient, dither axis or g1."""
-        ya, yb = _columns(y, tau)
-        (val,) = _columns(np.expand_dims(c(x[..., 0:3]), -1), tau)
-        ct, st, s1 = trig(tau, val)
-        return _stack(f1_rows(_columns(x[..., 3:12], tau), yb - ya, ct, st, s1))
 
     def full(omega: float) -> Callable[[float, list], list]:
         sqrt_w = float(np.sqrt(omega))
@@ -643,7 +626,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         T=2.0 * np.pi,
         A=A,
         phi0=phi0,
-        f1=f1,
+        f1=_terms_view(terms, 0, slice(0, 12)),
         f2=_terms_view(terms, 1, slice(0, 12)),
         g1=_terms_view(terms, 0, slice(12, 14)),
         g2=_terms_view(terms, 1, slice(12, 14)),
@@ -652,5 +635,4 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         dg1_dy=dg1_dy,
         terms=terms,
         full=full,
-        name=f"seeker-{fld.name}",
     )

@@ -10,10 +10,11 @@ and phi0 the quasi-steady map the fast state tracks.  The standing
 assumptions (periodicity, zero phase-average of the sqrt(w)-scale terms,
 Hurwitz A) are checked numerically, not taken on faith.  Every phase
 field is evaluated on a vector of phases, and the callables a slow-state
-finite difference reads also on a block of states; phase_values is the
-one shape check on what any phase callable returns.  A spec may supply
-this right-hand side whole (OscillatorySystemSpec.full), and a spec with
-O(1/sqrt(w)) remainder terms must.
+finite difference reads also on a block of states.  grid_terms is the one
+reader of the four fields (or of terms, which replaces them), and
+phase_values the one shape check on what any phase callable returns.  A
+spec may supply this right-hand side whole (OscillatorySystemSpec.full),
+and a spec with O(1/sqrt(w)) remainder terms must.
 """
 
 from __future__ import annotations
@@ -79,10 +80,11 @@ class OscillatorySystemSpec:
     corrector needs nothing else), and terms may then return None for F2.
     A spec supplies terms when its fields share work (a trig value, a
     sensor reading, a gradient), so that the full right-hand side and
-    every averaging grid make one spec call instead of up to four; the
-    reduced f1 alone, which fbar differences, is read from f1 itself.
-    Without it, phase_terms calls and stacks the fields, read from the
-    spec at each call, so a field reassigned after construction is used.
+    every averaging grid make one spec call instead of up to four.
+    grid_terms is the one reader of the phase fields: with terms, the four
+    fields are never called; without it, grid_terms calls and stacks them,
+    read from the spec at each call, so a field reassigned after
+    construction is used.
 
     full is optional: full(omega) -> rhs, the whole right-hand side at
     frequency omega, mapping (t, packed state as a list of n + m floats)
@@ -107,7 +109,6 @@ class OscillatorySystemSpec:
     dg1_dy: PhaseField | None = None
     terms: PhaseTerms | None = None
     full: FullField | None = None
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
@@ -136,17 +137,6 @@ class OscillatorySystemSpec:
             raise DimensionError(f"state must have shape ({self.n + self.m},), got {v.shape}")
         return v[: self.n], v[self.n :]
 
-    def phase_terms(self, x, y, tau, order_one: bool = True):
-        """The pair (F1, F2) = ((f1, g1), (f2, g2)) at (x, y, tau), from
-        one terms call when the spec supplies one; F2 may be None when
-        order_one is False."""
-        if self.terms is not None:
-            return self.terms(x, y, tau, order_one)
-        F1 = np.concatenate([self.f1(x, y, tau), self.g1(x, y, tau)], axis=-1)
-        if not order_one:
-            return F1, None
-        return F1, np.concatenate([self.f2(x, y, tau), self.g2(x, y, tau)], axis=-1)
-
     def phi0_jacobian(self, x: np.ndarray) -> np.ndarray:
         """d phi0 / dx, (m, n) at a state and (B, m, n) on a block of B:
         analytic when supplied, else central differences, one phi0 call
@@ -171,10 +161,16 @@ def phase_values(vals, x, taus: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def grid_terms(spec: OscillatorySystemSpec, x, y, taus: np.ndarray, order_one: bool = True):
-    """spec.phase_terms over a vector of K phases, shape-checked: F1 and,
-    when order_one, F2 of shape (K, n+m); otherwise F2 is None.  F1 alone
-    may be read on a block of B states, as (B, K, n+m)."""
-    F1, F2 = spec.phase_terms(x, y, taus, order_one)
+    """(F1, F2) = ((f1, g1), (f2, g2)) over a vector of K phases, shape-checked:
+    F1 and, when order_one, F2 of shape (K, n+m); otherwise F2 is None.  F1
+    alone may be read on a block of B states, as (B, K, n+m).  One terms call
+    when the spec supplies terms; else its fields as it holds them now."""
+    if spec.terms is not None:
+        F1, F2 = spec.terms(x, y, taus, order_one)
+    else:
+        F1 = np.concatenate([spec.f1(x, y, taus), spec.g1(x, y, taus)], axis=-1)
+        if order_one:
+            F2 = np.concatenate([spec.f2(x, y, taus), spec.g2(x, y, taus)], axis=-1)
     shape = (spec.n + spec.m,)
     F1 = phase_values(F1, x, taus, shape)
     return F1, (phase_values(F2, x, taus, shape) if order_one else None)

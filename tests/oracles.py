@@ -66,7 +66,6 @@ def bracket_benchmark() -> BracketBenchmark:
         f2=zero2,
         g1=zero1,
         g2=zero1,
-        name="bracket-benchmark",
     )
 
     def fbar_exact(x: np.ndarray) -> np.ndarray:

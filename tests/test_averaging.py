@@ -57,7 +57,6 @@ def scalar_spec(**overrides):
         f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g1=lambda x, y, tau: per_state(x, np.cos(tau)[..., None]),
         g2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
-        name="scalar-avg-test",
     )
     kwargs.update(overrides)
     return OscillatorySystemSpec(**kwargs)

@@ -151,7 +151,11 @@ def _builtin_specs():
     return specs
 
 
-@pytest.mark.parametrize("spec", _builtin_specs(), ids=lambda spec: spec.name)
+_SPEC_IDS = ["linear-benchmark", "bracket-benchmark"]
+_SPEC_IDS += [f"seeker-{name}" for name in builtin_fields()]
+
+
+@pytest.mark.parametrize("spec", _builtin_specs(), ids=_SPEC_IDS)
 def test_spec_fields_on_phase_arrays_match_scalar_calls(spec):
     rng = np.random.default_rng(3)
     if spec.n == 12:

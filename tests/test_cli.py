@@ -563,7 +563,8 @@ def test_sweep_passes_its_system_directly(tmp_path, monkeypatch, system, mode):
         quasi_steady = np.array([-1.5, -1.5])
     else:
         bench = linear_benchmark()
-        assert seen["spec"].name == "linear-benchmark"
+        assert (seen["spec"].n, seen["spec"].m) == (2, 2)
+        assert np.array_equal(seen["spec"].A, bench.spec.A)
         assert np.array_equal(x0, bench.x0)
         assert np.array_equal(seen["averaged"](0.0, x0), bench.Mbar @ x0)
         quasi_steady = bench.y0

@@ -41,4 +41,4 @@ def test_no_new_defaulted_parameters():
                 defaulted += [f"{name}.{n}({p.name})"
                               for p in inspect.signature(obj).parameters.values()
                               if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) <= 28, "\n".join(defaulted)
+    assert len(defaulted) <= 26, "\n".join(defaulted)

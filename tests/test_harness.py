@@ -49,7 +49,6 @@ def zero_spec():
         f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
-        name="zero",
     )
 
 
@@ -67,7 +66,6 @@ def layer_spec(A=None):
         f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g1=lambda x, y, tau: np.zeros(np.shape(tau) + (m,)),
         g2=lambda x, y, tau: np.zeros(np.shape(tau) + (m,)),
-        name="layer",
     )
 
 
@@ -89,7 +87,7 @@ def test_zero_system_has_zero_deviation():
         zero_spec(), averaged_path(zero_avg, np.zeros(1), 1.0, 64), np.zeros(1),
         np.zeros(1), omega=8.0, t_f=1.0, steps_per_period=32,
     )
-    assert not record.failed
+    assert record.blowup_time is None
     assert record.max_dev == 0.0
     assert np.max(record.z_norm) == 0.0
 
@@ -140,7 +138,6 @@ def test_diverging_run_recorded_not_raised():
             spec, averaged_path(zero_avg, [2.0], 2.0, 64), np.array([2.0]), np.zeros(1),
             omega=8.0, t_f=2.0, steps_per_period=64,
         )
-    assert record.failed
     assert record.blowup_time is not None
     assert 0.0 < record.blowup_time <= 2.0
     assert record.max_dev == float("inf")
@@ -643,7 +640,6 @@ def test_seeker_probe_checks_every_frequency_before_any_flight(monkeypatch):
 def test_empty_record_reports_infinite_deviation():
     empty = np.empty((0,))
     record = RunRecord(
-        omega=4.0, t_f=1.0, times=empty, x_dev=empty, z_norm=empty,
-        failed=True, blowup_time=0.5,
+        omega=4.0, t_f=1.0, times=empty, x_dev=empty, z_norm=empty, blowup_time=0.5,
     )
     assert record.max_dev == float("inf")

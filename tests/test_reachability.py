@@ -36,7 +36,6 @@ _UNREACHED = {
     "averaging._FirstCorrectorSource.__call__": _TEST_ONLY,
     "averaging._SecondCorrectorSource.__call__": _TEST_ONLY,
     "numkit.mat_exp": _TEST_ONLY,
-    "numkit._square_matrix": _HELPER,
     "numkit.simpson_rule": _TEST_ONLY,
     "numkit.quad_periodic": _TEST_ONLY,
     "numkit.cumulative_simpson": _TEST_ONLY,
@@ -59,7 +58,7 @@ _UNREACHED = {
         "the finite-difference D_y F1 for specs without df1_dy and dg1_dy; "
         "both command specs supply them",
     "seeker._terms_view.<locals>.<lambda>":
-        "the seeker spec's f2, g1 and g2 views: its terms serves every command",
+        "the seeker spec's four field views; a spec with terms is read only through terms",
 }
 
 _RUNS = [

@@ -41,7 +41,7 @@ from twoscale.seeker import (
     simulate_seeker,
 )
 from twoscale.so3 import cross3, embed, exp_so3, manifold_residual, project_so3
-from twoscale.system import assemble_full_field, check_assumption_A
+from twoscale.system import assemble_full_field, check_assumption_A, grid_terms
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -93,20 +93,20 @@ def test_quadratic_field_reference_values():
     p = np.array([1.0, -2.0, 2.0])
     assert fld.c(p) == -4.5
     assert np.array_equal(fld.grad(p), -p)
-    assert np.array_equal(fld.hess(p), -np.eye(3))
+    assert np.array_equal(fld.hess(p.tolist()), -np.eye(3))
     # the quadratic-growth bound is sharp: c(p*) - c(p) = |grad|^2 / 2
     deficit = fld.c(fld.p_star) - fld.c(p)
     assert abs(deficit - 0.5 * float(fld.grad(p) @ fld.grad(p))) < 1e-14
 
 
-def test_quadratic_hessian_is_one_read_only_array():
-    # handed out without a copy, so no caller may write into it
+def test_quadratic_hessian_is_a_fresh_negative_identity_per_call():
+    # a new list per call, so a caller that writes into one changes no
+    # other, with the bits of -np.eye(3), signed zeros included
     fld = builtin_fields()["quadratic"]
-    H = fld.hess(np.array([1.0, -2.0, 2.0]))
-    assert H is fld.hess(np.zeros(3))
-    with pytest.raises(ValueError, match="read-only"):
-        H[0, 0] = 1.0
-    assert np.array_equal(fld.hess(P_REF), -np.eye(3))
+    H = fld.hess([1.0, -2.0, 2.0])
+    assert np.array(H).tobytes() == (-np.eye(3)).tobytes()
+    H[0][0] = 1.0
+    assert np.array(fld.hess(P_REF.tolist())).tobytes() == (-np.eye(3)).tobytes()
 
 
 def test_log_hessian_matches_a_fresh_identity_bit_for_bit():
@@ -120,7 +120,7 @@ def test_log_hessian_matches_a_fresh_identity_bit_for_bit():
     for p in points:
         s = 1.0 + 0.5 * sum_sq(p.tolist())
         want = -np.eye(3) / s + np.outer(p, p) / (s * s)
-        assert fld.hess(p).tobytes() == want.tobytes(), p
+        assert np.array(fld.hess(p.tolist())).tobytes() == want.tobytes(), p
 
 
 def test_fields_have_critical_point_at_target():
@@ -136,7 +136,7 @@ def test_field_derivatives_match_finite_differences():
             g_fd = jacobian_fd(fld.c, p)[0]
             assert np.max(np.abs(fld.grad(p) - g_fd)) < 1e-6
             H_fd = jacobian_fd(fld.grad, p)
-            assert np.max(np.abs(fld.hess(p) - H_fd)) < 1e-6
+            assert np.max(np.abs(np.array(fld.hess(p.tolist())) - H_fd)) < 1e-6
 
 
 # point formulas on Python floats, |p|^2 added left to right: the oracle
@@ -156,9 +156,9 @@ def bits(*values):
 @pytest.mark.parametrize("name", ["log", "quadratic"])
 def test_field_blocks_match_point_calls_bit_for_bit(name):
     # a list of 3 floats, a (3,) point and a row of a (B, 3) block give the
-    # float formula's bits, for c and grad, and hess the same bits on a
-    # list and an array; also at signed zeros and where |p|^2 overflows,
-    # whose inf and NaN values must agree as well
+    # float formula's bits, for c and grad, and hess takes the list and
+    # gives 3 lists of 3 floats; also at signed zeros and where |p|^2
+    # overflows, whose inf and NaN values must agree as well
     fld = builtin_fields()[name]
     rng = np.random.default_rng(41)
     dirs = rng.normal(size=(2000, 3))
@@ -182,14 +182,14 @@ def test_field_blocks_match_point_calls_bit_for_bit(name):
             assert g.shape == (3,)
             assert isinstance(g_list, list) and all(type(v) is float for v in g_list)
             assert g.tobytes() == bits(*g_list) == g_block[b].tobytes() == bits(*point_grad(row))
-            H, H_list = fld.hess(p), fld.hess(row)
-            assert H.shape == (3, 3) and len(H_list) == 3
-            assert all(isinstance(r, list) and all(type(v) is float for v in r) for r in H_list)
-            assert H.tobytes() == bits(*H_list), row
+            H_list = fld.hess(row)
+            assert len(H_list) == 3
+            assert all(isinstance(r, list) and len(r) == 3 for r in H_list), row
+            assert all(type(v) is float for r in H_list for v in r), row
     overflow = P[-3:]
     assert np.all(np.isinf(c_block[-3:]))
     if name == "log":
-        assert np.all(np.isnan([fld.hess(p) for p in overflow]).any(axis=(1, 2)))
+        assert np.all(np.isnan([fld.hess(p.tolist()) for p in overflow]).any(axis=(1, 2)))
 
 
 # ------------------------------------------------------------ configuration
@@ -859,7 +859,7 @@ def reference_phase_fields(fld):
         return _ref_filter_drive(g[0] * d[0] + g[1] * d[1] + g[2] * d[2])
 
     def g2(x, y, tau):
-        H = fld.hess(x[0:3]).tolist()
+        H = fld.hess(x[0:3].tolist())
         d = _ref_dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
         Hd = [row[0] * d[0] + row[1] * d[1] + row[2] * d[2] for row in H]
         return _ref_filter_drive(0.5 * (d[0] * Hd[0] + d[1] * Hd[1] + d[2] * Hd[2]))
@@ -1081,7 +1081,7 @@ def array_assembled_field(spec, omega):
 
     def field(t, v):
         x, y = v[:n], v[n:]
-        F1, F2 = spec.phase_terms(x, y, omega * t)
+        F1, F2 = (F[0] for F in grid_terms(spec, x, y, np.array([omega * t])))
         out = sqrt_w * F1
         out[n:] += omega * (spec.A @ (y - spec.phi0(x)))
         out += F2
@@ -1272,6 +1272,31 @@ def test_skipped_frame_turn_rows_keep_every_averaging_bit(name, n_panels):
         )
         for a, b in zip(got, want):
             assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("name", TERM_FIELDS)
+def test_a_spec_with_terms_never_calls_its_fields(name):
+    # grid_terms is the one reader of the phase fields: with f1, f2, g1 and
+    # g2 replaced by callables that raise, the bundle, fbar, both residuals
+    # and the assumption check read terms alone and keep every bit
+    def unused(x, y, tau):
+        raise AssertionError("a phase field was called beside terms")
+
+    spec = as_system_spec(term_field(name))
+    bare = dataclasses.replace(spec, f1=unused, f2=unused, g1=unused, g2=unused)
+    rng = np.random.default_rng(89)
+    states = [random_spec_state(rng)[0] for _ in range(3)]
+
+    def readings(s):
+        b = build_bundle(s, n_panels=64)
+        out = [check_assumption_A(s)]
+        for x in states:
+            out += [b.averaged.fbar(x).tobytes(), b.phi1.values_on_grid(x).tobytes(),
+                    b.phi2.values_on_grid(x).tobytes()]
+            out += [residual_bvp(phi, s.A, phi.b, s.T, x=x) for phi in (b.phi1, b.phi2)]
+        return out
+
+    assert readings(bare) == readings(spec)
 
 
 @pytest.mark.parametrize("entry", [1, 7])

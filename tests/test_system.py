@@ -36,7 +36,6 @@ def scalar_spec(**overrides):
         f2=lambda x, y, tau: np.full(np.shape(tau) + (1,), -x[0] + y[0]),
         g1=lambda x, y, tau: np.array([np.cos(tau)]).T,
         g2=lambda x, y, tau: np.full(np.shape(tau) + (1,), x[0] ** 2),
-        name="scalar-test",
     )
     kwargs.update(overrides)
     return OscillatorySystemSpec(**kwargs)
@@ -121,15 +120,15 @@ def test_assembled_field_rejects_bad_omega():
 # ---------------------------------------------------------------- phase terms
 
 
-def test_phase_terms_fall_back_to_the_fields_read_at_call_time():
+def test_grid_terms_fall_back_to_the_fields_read_at_call_time():
     # a spec without terms stacks its four fields, and a field reassigned
     # after the right-hand side was built is the one the next call uses
     spec = linear_benchmark().spec
     assert spec.terms is None
     x, y = np.array([0.8, -0.3]), np.array([0.1, 0.4])
     taus = np.linspace(0.0, 2.0 * np.pi, 9)
-    for phase in (0.7, taus):
-        F1, F2 = spec.phase_terms(x, y, phase)
+    for phase in (np.array([0.7]), taus):
+        F1, F2 = grid_terms(spec, x, y, phase)
         assert np.array_equal(F1, np.concatenate([spec.f1(x, y, phase), spec.g1(x, y, phase)], -1))
         assert np.array_equal(F2, np.concatenate([spec.f2(x, y, phase), spec.g2(x, y, phase)], -1))
     omega, t = 16.0, 0.3
@@ -158,7 +157,7 @@ def test_full_field_makes_one_terms_call_per_evaluation():
 
     def terms(x, y, tau, order_one=True):
         calls.append(tau)
-        return base.phase_terms(x, y, tau, order_one)
+        return grid_terms(base, x, y, tau, order_one)
 
     def unused(x, y, tau):
         raise AssertionError("a phase field was called beside terms")
