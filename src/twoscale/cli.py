@@ -23,7 +23,7 @@ import numpy as np
 from .averaging import build_bundle, residual_bvp, solve_periodic_bvp
 from .benchmarks import bvp_cosine_case, bvp_jordan_case, field_by_name, linear_benchmark
 from .errors import ConfigurationError, DivergenceError, TwoscaleError
-from .harness import probe_averaged_stability, probe_seeker_stability, sweep_convergence
+from .harness import _distinct, probe_averaged_stability, probe_seeker_stability, sweep_convergence
 from .seeker import (
     SeekerConfig,
     SeekerTrajectory,
@@ -81,7 +81,7 @@ def _at_least(read, low: int):
 
 
 def _panels(least: int):
-    """A reader of even panel counts >= least, the grid's or the stencil's."""
+    """A reader of even panel counts >= least, the grid's or the residual's."""
     def reader(key: str, v) -> int:
         n = _whole(key, v)
         if n < least or n % 2:
@@ -166,10 +166,7 @@ def _cases(key: str, v) -> list[str]:
     bad = sorted({str(name) for name in v} - set(_BVP_CASES))
     if bad:
         raise ConfigurationError(f"unknown bvp cases: {', '.join(bad)}")
-    for i, name in enumerate(v):
-        if name in v[:i]:
-            raise ConfigurationError(f"{key} must not repeat, got {name!r} twice")
-    return v
+    return _distinct(key, v)
 
 
 _SETTINGS = {
@@ -222,7 +219,7 @@ _SETTINGS = {
     },
     "bvp-check": {
         "cases": (["cosine-1d", "jordan-2d", "seeker-log"], _cases),
-        # residual_bvp's stencil needs 8 panels
+        # below 8 panels residual_bvp can miss a source folded under the Nyquist mode
         "panels": (512, _panels(8)),
         "tolerance": (1e-6, _at_least(_number, 0)),
         "n_states": (5, _at_least(_whole, 1)),
@@ -243,8 +240,8 @@ def _load_config(path: str | None, command: str) -> dict:
     merged = dict(DEFAULTS[command])
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as err:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigurationError(f"cannot read config {path}: {err}") from err
         try:
             user = json.loads(text)
@@ -367,7 +364,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
     if cfg["system"] == "seeker":
         fld = cfg["field"]
         spec, averaged = as_system_spec(fld), averaged_seeker_field(fld)
-        x0 = np.concatenate([cfg["p0"], embed(np.eye(3))])
+        x0 = initial_state(fld, cfg["p0"], np.eye(3))[:12]
     else:
         bench = linear_benchmark()
         spec, averaged, x0 = bench.spec, bench.averaged_field, bench.x0
@@ -504,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (TwoscaleError, MemoryError, KeyError, TypeError, ValueError, OSError) as err:
+    except (TwoscaleError, MemoryError, OSError) as err:
         # a bare MemoryError has no message; numpy's names the allocation
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_CONFIG

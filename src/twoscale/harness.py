@@ -19,9 +19,9 @@ from .seeker import (
     ScalarField,
     SeekerConfig,
     averaged_seeker_field,
+    initial_state,
     simulate_seeker,
 )
-from .so3 import embed
 from .system import OscillatorySystemSpec, assemble_full_field
 
 __all__ = [
@@ -326,10 +326,12 @@ class StabilityProbeReport:
 
 
 def _distinct(key: str, values: list) -> list:
-    """values, refused if one repeats: its runs would fly twice for one verdict."""
+    """values, refused if empty or if one repeats: it would run twice for one verdict."""
+    if not values:
+        raise ConfigurationError(f"{key} must be non-empty")
     for i, v in enumerate(values):
         if v in values[:i]:
-            raise ConfigurationError(f"{key} must not repeat, got {v} twice")
+            raise ConfigurationError(f"{key} must not repeat, got {v!r} twice")
     return values
 
 
@@ -337,8 +339,6 @@ def _shell_radii(deltas: Sequence[float]) -> list[float]:
     """The probe's start radii as floats, checked before any run.  A zero
     radius starts on the optimum and a negative one repeats a shell."""
     deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise ConfigurationError("deltas must be non-empty")
     for d in deltas:
         if not np.isfinite(d):
             raise ConfigurationError(f"deltas must be finite, got {d}")
@@ -347,14 +347,16 @@ def _shell_radii(deltas: Sequence[float]) -> list[float]:
     return _distinct("deltas", deltas)
 
 
-def _shell_starts(fld: ScalarField, delta: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The probes' starts on the shell of radius delta around the source:
-    one (position, frame) per shell direction, the heading aligned to
-    the local ascent direction."""
+def _shell_starts(fld: ScalarField, delta: float) -> list[tuple]:
+    """Per shell direction on the radius delta around the source: p0, the
+    frame R0 heading up the local gradient, and initial_state's packed
+    start, which refuses a non-finite c(p0) (whose grad may overflow)."""
     starts = []
     for d in shell_directions():
         p0 = fld.p_star + delta * d
-        starts.append((p0, aligned_frame(fld.grad(p0))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            R0 = aligned_frame(fld.grad(p0))
+        starts.append((p0, R0, initial_state(fld, p0, R0)))
     return starts
 
 
@@ -390,22 +392,20 @@ def probe_seeker_stability(
     """
     deltas = _shell_radii(deltas)
     omegas = _distinct("omegas", [float(w) for w in omegas])
-    if not omegas:
-        raise ConfigurationError("omegas must be non-empty")
     if entry_deadline is None:
         entry_deadline = horizon / 2.0
     if not 0.0 < entry_deadline <= horizon:
         raise ConfigurationError("entry_deadline must lie in (0, horizon]")
-    # every frequency is checked here, before the first flight
+    # every frequency and start is checked here, before the first flight
     configs = [SeekerConfig(omega=w, steps_per_fast_period=steps_per_fast_period) for w in omegas]
+    shells = [_shell_starts(fld, delta) for delta in deltas]
 
     runs: list[ProbeRun] = []
-    for delta in deltas:
-        starts = _shell_starts(fld, delta)
+    for delta, starts in zip(deltas, shells):
         for config in configs:
             for phase_index, frac in enumerate((0.0, 0.25, 0.5)):
                 t0 = frac * (2.0 * np.pi / config.omega)
-                for direction_index, (p0, R0) in enumerate(starts):
+                for direction_index, (p0, R0, _) in enumerate(starts):
                     try:
                         traj = simulate_seeker(config, fld, p0, R0, horizon, t0=t0)
                     except DivergenceError:
@@ -498,8 +498,8 @@ def probe_averaged_stability(
     field = averaged_seeker_field(fld)
     grid = TimeGrid.spanning(0.0, horizon, dt)
 
-    starts = [(delta, i, np.concatenate([p0, embed(R0)]))
-              for delta in deltas for i, (p0, R0) in enumerate(_shell_starts(fld, delta))]
+    starts = [(delta, i, s0[:12])
+              for delta in deltas for i, (_, _, s0) in enumerate(_shell_starts(fld, delta))]
     times, states = integrate_rk4(field, np.array([s0 for _, _, s0 in starts]), grid)
     positions = states[:, :, 0:3]
     dist = np.linalg.norm(positions - fld.p_star, axis=2)

@@ -244,8 +244,9 @@ def integrate_rk4(
     for the equal array.  post_step, when given, is applied to the state
     after each step (constraint projection hooks).  Raises
     DivergenceError at the first step with a non-finite entry anywhere
-    in the state, and also when post_step raises ManifoldError on a
-    finite state that has drifted too far to project back.
+    in the state or a math domain error (math.cos of an infinite stage), and
+    also when post_step raises ManifoldError on a finite state that has
+    drifted too far to project back.
     """
     floats = isinstance(x0, list)
     times = grid.times()
@@ -258,7 +259,12 @@ def integrate_rk4(
     out = np.empty((grid.n_steps + 1,) + np.shape(x))
     out[0] = x
     for k in range(grid.n_steps):
-        x = rk4_step(field, steps[k], x, grid.dt)
+        try:
+            x = rk4_step(field, steps[k], x, grid.dt)
+        except ValueError as err:
+            if str(err) != "math domain error":
+                raise
+            raise DivergenceError(k + 1, float(times[k + 1])) from err
         if not (all(map(math.isfinite, x)) if floats else np.isfinite(x).all()):
             raise DivergenceError(k + 1, float(times[k + 1]))
         if post_step is not None:

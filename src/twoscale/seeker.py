@@ -186,14 +186,14 @@ def initial_state(
         raise DimensionError(f"p0 must have shape (3,), got {p0.shape}")
     if not np.all(np.isfinite(p0)):
         raise ConfigurationError(f"p0 must be finite, got {p0.tolist()}")
-    R0 = np.asarray(R0, dtype=float)
-    res = manifold_residual(embed(R0))
-    if not res < 1e-6:
-        raise ManifoldError(f"R0 is not a rotation (residual {res:.3g})")
     with np.errstate(over="ignore", invalid="ignore"):
         c0 = float(fld.c(p0.tolist()))
     if not math.isfinite(c0):
         raise ConfigurationError(f"c(p0) must be finite, got {c0} at p0 = {p0.tolist()}")
+    R0 = np.asarray(R0, dtype=float)
+    res = manifold_residual(embed(R0))
+    if not res < 1e-6:
+        raise ManifoldError(f"R0 is not a rotation (residual {res:.3g})")
     if y0 is not None:
         y = np.asarray(y0, dtype=float)
         if y.shape != (2,):

@@ -149,6 +149,17 @@ class OscillatorySystemSpec:
         return jacobian_fd(self.phi0, x)
 
 
+def _phase_grid(T: float, n_panels: int) -> np.ndarray:
+    """The n_panels uniform phases k T / n_panels, k < n_panels: every phase grid."""
+    if n_panels < 2 or n_panels % 2 != 0:
+        raise ConfigurationError(f"n_panels must be even and >= 2, got {n_panels}")
+    if not (np.isfinite(T) and T > 0.0):
+        raise ConfigurationError(f"period T must be positive, got {T}")
+    if n_panels > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{n_panels} phases of 8 bytes exceed the address space")
+    return (T / n_panels) * np.arange(n_panels)
+
+
 def phase_values(vals, x, taus: np.ndarray, shape: tuple) -> np.ndarray:
     """What a phase callable returned at (x, taus), as floats, or
     DimensionError unless its shape is shape (the value at one phase)
@@ -257,7 +268,7 @@ def check_assumption_A(spec: OscillatorySystemSpec) -> AssumptionReport:
     hurwitz = abscissa < 0.0
 
     rng = np.random.default_rng(12345)
-    taus = (spec.T / 256) * np.arange(256)
+    taus = _phase_grid(spec.T, 256)
     means, gaps = [], []
     for _ in range(8):
         x = rng.uniform(-2.0, 2.0, spec.n)

@@ -1,9 +1,10 @@
-"""Closed-form oracles that no command runs.
+"""Oracles that no command runs.
 
 A planar system whose average is produced entirely by the oscillation
-bracket, and the exact periodic solutions of the two corrector cases in
-twoscale.benchmarks.  pytest puts tests/ on the import path, so a test
-reads them with ``from oracles import ...``.
+bracket, the exact periodic solutions of the two corrector cases in
+twoscale.benchmarks, and the fourth-order stencil residual that
+residual_bvp's spectral derivative replaced.  pytest puts tests/ on the
+import path, so a test reads them with ``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from twoscale.system import OscillatorySystemSpec
+from twoscale.averaging import CorrectorSolution, values_at
+from twoscale.errors import ConfigurationError
+from twoscale.system import OscillatorySystemSpec, phase_values
 
 
 @dataclass(frozen=True)
@@ -88,3 +91,31 @@ def bvp_exact(name: str) -> Callable:
         ])
 
     return {"cosine-1d": cosine, "jordan-2d": jordan}[name]
+
+
+def stencil_residual(phi, A: np.ndarray, b, T: float, x=None, n_panels: int | None = None) -> float:
+    """residual_bvp with its phase derivative taken by the fourth-order
+    periodic stencil, as it was before the spectral rule: the same reads,
+    the same periodicity gap, and a truncation error of order h^4 that
+    grows with the corrector's amplitude."""
+    A = np.asarray(A, dtype=float)
+    if n_panels is None:
+        n_panels = phi.n_panels if isinstance(phi, CorrectorSolution) else 256
+    if n_panels < 8 or n_panels % 2 != 0:
+        raise ConfigurationError(f"n_panels must be even and >= 8, got {n_panels}")
+    h = float(T) / n_panels
+
+    # one sweep over the grid and T itself: (T / N) * N need not equal T
+    taus = np.append(h * np.arange(n_panels), float(T))
+    V = phase_values(values_at(phi, x, taus), x, taus, (len(A),))
+    gap = float(np.max(np.abs(V[n_panels] - V[0])))
+    V, taus = V[:n_panels], taus[:n_panels]
+    B = phase_values(values_at(b, x, taus), x, taus, (len(A),))
+    dV = (
+        -np.roll(V, -2, axis=0)
+        + 8.0 * np.roll(V, -1, axis=0)
+        - 8.0 * np.roll(V, 1, axis=0)
+        + np.roll(V, 2, axis=0)
+    ) / (12.0 * h)
+    defect = float(np.max(np.abs(dV - V @ A.T - B)))
+    return defect + gap

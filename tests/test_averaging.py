@@ -34,7 +34,7 @@ from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
 from twoscale.system import OscillatorySystemSpec, assemble_full_field, grid_terms
 
-from oracles import bracket_benchmark, bvp_exact
+from oracles import bracket_benchmark, bvp_exact, stencil_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -267,6 +267,13 @@ def test_nearly_singular_hurwitz_layer_is_accepted():
     assert np.all(np.isfinite(phi.values_on_grid(None)))
 
 
+def test_a_layer_below_the_singular_value_floor_is_refused():
+    # the zero mode's singular value 5e-13 is under the 1e-12 floor, though
+    # its condition (one singular value) is perfect
+    with pytest.raises(ConfigurationError, match="numerically singular at mode k = 0"):
+        CorrectorSolution(np.array([[-5e-13]]), lambda x, tau: np.cos(tau)[..., None], TWO_PI, 16)
+
+
 def test_corrector_periodicity_and_large_phase():
     case = bvp_cosine_case()
     phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=128)
@@ -319,18 +326,33 @@ def test_residual_flags_wrong_matrix():
     assert res > 0.1
 
 
-def test_residual_exact_solution_is_stencil_limited():
-    # evaluating the exact corrector on a coarse phase grid leaves only
-    # the fourth-order stencil error, which is visible but modest
+def test_residual_reads_the_exact_solution_to_rounding():
+    # the spectral derivative is exact on a trig polynomial the grid
+    # resolves, so the exact corrector reads rounding at 8 panels as at
+    # 256, where the stencil oracle reads its own truncation error
     case = bvp_cosine_case()
 
     def exact_phi(x, taus):
         return bvp_exact(case.name)(taus).T
 
-    fine = residual_bvp(exact_phi, case.A, case.b, case.T, n_panels=256)
-    coarse = residual_bvp(exact_phi, case.A, case.b, case.T, n_panels=8)
-    assert fine < 1e-8
-    assert 1e-4 < coarse < 1.0
+    for n_panels in (8, 256):
+        assert residual_bvp(exact_phi, case.A, case.b, case.T, n_panels=n_panels) < 1e-13
+    assert stencil_residual(exact_phi, case.A, case.b, case.T, n_panels=256) < 1e-8
+    assert 1e-4 < stencil_residual(exact_phi, case.A, case.b, case.T, n_panels=8) < 1.0
+
+
+@pytest.mark.parametrize("case", [bvp_cosine_case(), bvp_jordan_case()], ids=lambda c: c.name)
+def test_stencil_oracle_converges_to_the_spectral_residual(case):
+    # the fourth-order stencil differs from the spectral residual by its
+    # truncation error alone: about 16 times less per doubling of the grid
+    gaps = []
+    for n_panels in (64, 128, 256, 512):
+        phi = solve_periodic_bvp(case.A, case.b, case.T, n_panels=n_panels)
+        spectral = residual_bvp(phi, case.A, case.b, case.T)
+        assert spectral < 1e-12
+        gaps.append(stencil_residual(phi, case.A, case.b, case.T) - spectral)
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert all(15.0 < r < 17.0 for r in ratios), ratios
 
 
 def test_residual_panel_validation():
@@ -352,12 +374,9 @@ def _two_point_residual(phi, A, b, T, x=None, n_panels=None):
     taus = h * np.arange(n_panels)
     V = values_at(phi, x, taus)
     B = values_at(b, x, taus)
-    dV = (
-        -np.roll(V, -2, axis=0)
-        + 8.0 * np.roll(V, -1, axis=0)
-        - 8.0 * np.roll(V, 1, axis=0)
-        + np.roll(V, 2, axis=0)
-    ) / (12.0 * h)
+    ik = (1j * (2.0 * np.pi / T)) * np.arange(n_panels // 2 + 1)
+    ik[-1] = 0.0
+    dV = np.fft.irfft(ik[:, None] * np.fft.rfft(V, axis=0), n=n_panels, axis=0)
     defect = float(np.max(np.abs(dV - V @ A.T - B)))
     gap = float(
         np.max(np.abs(values_at(phi, x, np.array([0.0])) - values_at(phi, x, np.array([T]))))

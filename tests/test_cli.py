@@ -5,16 +5,22 @@ subprocess test covers `python -m twoscale.cli`.  Exit codes: 0
 success, 1 invalid config, 2 divergence, 3 missed threshold.
 """
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from twoscale import cli
+from twoscale import cli, harness
 from twoscale.averaging import AveragedSystem
 from twoscale.benchmarks import linear_benchmark
 from twoscale.cli import DEFAULTS, _write_csv, _write_report, main
@@ -228,8 +234,8 @@ _WHOLE_KEYS = [
     # seed and panels are read before any case runs, each under its own
     # name: numpy would refuse a negative seed unnamed, after the other
     # cases, a bvp-check without seeker-log would never read its seed, and
-    # the corrector grid and the residual stencil name n_panels with two
-    # different lower bounds
+    # the corrector grid and the residual name n_panels with two different
+    # lower bounds
     *[pytest.param(command, bad, message, id=name) for name, command, bad, message in [
         ("bvp-check-seed-string-unread-case", "bvp-check", {"cases": ["cosine-1d"], "seed": "x"},
          "error: seed must be a whole number, got 'x'"),
@@ -300,6 +306,71 @@ def test_a_run_that_cannot_fit_in_memory_exits_1(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err == message + "\n"
 
 
+def test_a_non_utf8_config_exits_1_as_unreadable(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"field": "caf\u00e9"}'.encode("latin-1"))
+    assert main(["simulate", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("command", ["average-check", "bvp-check"])
+def test_a_phase_grid_beyond_the_address_space_exits_1(tmp_path, capsys, command):
+    # numpy refuses an arange this long with a ValueError, which main no
+    # longer catches; the grid constructor names it as memory instead
+    assert run_cmd(command, tmp_path, {"panels": 2**70}) == 1
+    assert capsys.readouterr().err == (
+        f"error: {2**70} phases of 8 bytes exceed the address space\n")
+
+
+_LADDER = [4.0 * math.pi * k for k in (1, 2, 4, 8)]
+
+
+@pytest.mark.parametrize("command,payload", [
+    pytest.param("sweep", {"p0": [30, 0, 0], "omegas": _LADDER, "t_f": 2,
+                           "steps_per_period": 8, "avg_steps": 50}, id="sweep"),
+    pytest.param("simulate", {"field": "quadratic", "p0": [30, 0, 0], "t_f": 5,
+                              "steps_per_fast_period": 2, "projection": False}, id="simulate"),
+])
+def test_a_blowup_inside_a_float_step_exits_2(tmp_path, capsys, command, payload):
+    # an infinite stage value reaches math.cos in the float right-hand side
+    # before the step ends; integrate_rk4 reports it as the step's divergence
+    assert run_cmd(command, tmp_path, payload) == 2
+    if command == "sweep":
+        # the rung that diverged is recorded, as run_compare promises
+        report = strict_json((tmp_path / "out" / "sweep_report.json").read_text())
+        assert "inf" in report["max_devs"] and report["pass"] is False
+    else:
+        assert capsys.readouterr().err.startswith("error: non-finite state at step ")
+
+
+@pytest.mark.parametrize("command,payload", [
+    pytest.param("stability-probe", {"field": "log", "deltas": [1e160], "horizon": 0.05},
+                 id="averaged-probe"),
+    pytest.param("stability-probe", {"system": "full", "field": "log", "deltas": [1e160],
+                                     "horizon": 0.05}, id="full-probe"),
+    pytest.param("stability-probe", {"field": "quadratic", "deltas": [2.0, 1e160],
+                                     "horizon": 0.05}, id="quadratic-probe"),
+    pytest.param("sweep", {"field": "log", "p0": [1e160, 0, 0], "omegas": _LADDER, "t_f": 2,
+                           "steps_per_period": 8, "avg_steps": 50}, id="sweep"),
+])
+def test_a_seeker_start_beyond_the_float_range_exits_1_before_any_run(
+        tmp_path, capsys, monkeypatch, command, payload):
+    # every seeker start goes through initial_state, which refuses it with
+    # no run flown and no numpy warning on the way
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("integrate_rk4", "simulate_seeker"):
+        monkeypatch.setattr(harness, name, no_run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cmd(command, tmp_path, payload) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: c(p0) must be finite, got -inf at p0 = [")
+    assert err.count("\n") == 1
+
+
 # a base config per command and system that keeps any run short
 _QUICK = [
     ("simulate", {"t_f": 0.05}),
@@ -312,9 +383,12 @@ _QUICK = [
 ]
 
 
+_SETTING_KEYS = [(command, base, key) for command, base in _QUICK for key in DEFAULTS[command]]
+
+
 @pytest.mark.parametrize("command,base,key", [
     pytest.param(command, base, key, id="-".join(filter(None, [command, base.get("system"), key])))
-    for command, base in _QUICK for key in DEFAULTS[command]
+    for command, base, key in _SETTING_KEYS
 ])
 def test_every_setting_is_read_before_any_work(tmp_path, capsys, command, base, key):
     # {} is never a valid setting, so every key, given or default, must be
@@ -325,6 +399,36 @@ def test_every_setting_is_read_before_any_work(tmp_path, capsys, command, base, 
     assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
+
+
+# values no reader may take on trust: wrong types, NaN, infinities, sizes
+# far beyond memory, bad shapes and names, and starts that overflow c or
+# diverge within a step
+_POOL = [
+    None, True, "", "x", "log", "full", "zero", [], {}, [1.0], [1.0, 2.0], [0.0, 0.0, 0.0],
+    [30.0, 0.0, 0.0], [1e160, 0.0, 0.0], [float("nan"), 0.0, 0.0], [1.0, 2.0, 3.0, 4.0],
+    [[1, 0, 0], [0, 1, 0], [0, 0, -1]], [["cosine-1d"]], 0, -1, 2, 3, 7, 8, 0.5, -0.0,
+    1e-300, 1e308, -1e308, float("nan"), float("inf"), -float("inf"), 2**70, -(2**70),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_refusal_is_a_twoscale_memory_or_os_error(data):
+    # main catches only TwoscaleError, MemoryError and OSError: any other
+    # exception a command raises on a bad setting escapes it and fails here.
+    # One setting of a quick base config takes a pool value, and at times
+    # a second setting of the same command another
+    command, base, key = data.draw(st.sampled_from(_SETTING_KEYS))
+    other = data.draw(st.sampled_from([None, *DEFAULTS[command]]))
+    payload = {**base, **{k: data.draw(st.sampled_from(_POOL)) for k in (key, other) if k}}
+    # a count of states this large is a long run, not a refusal
+    n_states = payload.get("n_states")
+    assume(not (isinstance(n_states, (int, float)) and not isinstance(n_states, bool)
+                and n_states > 8))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_cmd(command, Path(tmp), payload)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGED, cli.EXIT_CRITERION)
 
 
 def test_integer_keys_accept_whole_floats(tmp_path):
@@ -601,11 +705,16 @@ def test_bvp_check_exact_cases_pass(tmp_path):
 
 
 def test_bvp_check_coarse_panels_fail_the_gate(tmp_path):
-    payload = {"cases": ["cosine-1d"], "panels": 8}
+    # 8 phases resolve the exact cases' sources but not the seeker's b2:
+    # its phi2 is wrong there, and the residual says so
+    payload = {"cases": ["cosine-1d", "seeker-log"], "panels": 8, "n_states": 1}
     assert run_cmd("bvp-check", tmp_path, payload) == 3
     report = json.loads((tmp_path / "out" / "bvp_report.json").read_text())
     assert report["pass"] is False
-    assert report["max_residual"] > 1e-6
+    cosine, seeker = (entry["residuals"] for entry in report["cases"])
+    assert cosine[0] < 1e-12
+    assert seeker[0] < 1e-12 and seeker[1] > 1e-6
+    assert report["max_residual"] == seeker[1]
 
 
 def test_bvp_check_nan_phi2_residual_on_a_later_state_fails(tmp_path, monkeypatch):
@@ -667,17 +776,21 @@ def test_probe_full_records_verdicts_as_data(tmp_path):
     assert len(report["runs"]) == 24
 
 
-def test_probe_with_non_finite_values_writes_strict_json(tmp_path):
-    # at |p| = 1e160 the log field's c(p) overflows: every V_c step is NaN
-    # and every final distance infinite, written as strings
-    payload = {"field": "log", "deltas": [1e160], "horizon": 0.05}
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cmd("stability-probe", tmp_path, payload) == 3
+def test_probe_with_non_finite_values_writes_strict_json(tmp_path, monkeypatch):
+    # a field whose c is NaN at the source alone starts every run finite,
+    # but every height deficit c(p_star) - c(p) is NaN, written as a string
+    quadratic = builtin_fields()["quadratic"]
+
+    def c(p):
+        return np.where(np.any(np.asarray(p) != 0.0, axis=-1), quadratic.c(p), np.nan)
+
+    monkeypatch.setattr(cli, "field_by_name", lambda name: dataclasses.replace(quadratic, c=c))
+    payload = {"deltas": [2.0], "horizon": 0.05}
+    assert run_cmd("stability-probe", tmp_path, payload) == 3
     report = strict_json((tmp_path / "out" / "stability_report.json").read_text())
     assert report["all_entered"] is False
     assert report["max_vc_step_increase"] == "nan"
     assert [run["max_vc_step_increase"] for run in report["runs"]] == ["nan"] * 8
-    assert [run["final_dist"] for run in report["runs"]] == ["inf"] * 8
 
 
 # ------------------------------------------------------------------ plumbing

@@ -29,6 +29,7 @@ from twoscale.harness import (
 from twoscale.numkit import TimeGrid, integrate_rk4
 from twoscale.seeker import (
     SeekerConfig,
+    SeekerTrajectory,
     averaged_seeker_field,
     builtin_fields,
     lyapunov_value_and_rate,
@@ -283,6 +284,25 @@ def _per_rung_max_devs(spec, averaged, x0, y0, omegas, t_f, steps_per_period, av
     return devs
 
 
+@pytest.mark.parametrize("devs, decreasing", [
+    ([1.0, 0.5, 0.25, 0.125], True),
+    ([1.0, 0.5, 0.5, 0.25], False),
+    ([1.0, 0.5, 0.25, 0.5], False),
+])
+def test_sweep_decreasing_means_strictly(monkeypatch, devs, decreasing):
+    # stand-in rungs with the given deviations: a tie is not a decrease
+    remaining = list(devs)
+
+    def rung(spec, reference, x0, y0, omega, t_f, steps_per_period):
+        return RunRecord(omega=omega, t_f=t_f, times=np.array([0.0, t_f]),
+                         x_dev=np.full(2, remaining.pop(0)), z_norm=np.zeros(2))
+
+    monkeypatch.setattr(harness, "run_compare", rung)
+    report = sweep_convergence(*linear_system(), [8.0, 16.0, 32.0, 64.0], t_f=1.0,
+                               steps_per_period=16, avg_steps=4)
+    assert report.strictly_decreasing is decreasing
+
+
 @pytest.mark.parametrize("n_rungs", [4, 5])
 def test_sweep_integrates_its_average_once(n_rungs):
     spec, averaged, x0, y0 = linear_system()
@@ -394,15 +414,46 @@ def test_averaged_probe_quadratic_field_enters_and_descends():
 
 
 def test_averaged_probe_reports_a_nan_step():
-    # at |p| = 1e160 the log field's c(p) overflows to -inf while the state
-    # stays finite, so each run's step increase is NaN, and so is the
-    # report's: max(0.0, nan) would have read 0.0
-    fld = builtin_fields()["log"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = probe_averaged_stability(fld, deltas=[1e160], horizon=0.05,
-                                          entry_radius=0.1, dt=0.01)
+    # a field whose c is NaN at the source alone starts every run finite,
+    # but every height deficit c(p_star) - c(p) is NaN: so is each run's
+    # step increase, and so is the report's (max(0.0, nan) would read 0.0)
+    quadratic = builtin_fields()["quadratic"]
+
+    def c(p):
+        return np.where(np.any(np.asarray(p) != 0.0, axis=-1), quadratic.c(p), np.nan)
+
+    report = probe_averaged_stability(dataclasses.replace(quadratic, c=c), deltas=[2.0],
+                                      horizon=0.05, entry_radius=0.1, dt=0.01)
     assert all(np.isnan(run["max_vc_step_increase"]) for run in report.runs)
     assert np.isnan(report.max_vc_step_increase)
+
+
+def test_averaged_probe_all_entered_needs_every_run():
+    # the 0.05 shell starts inside the 0.1 ball; the 6 shell cannot reach it
+    # in 0.05 time units
+    report = probe_averaged_stability(builtin_fields()["quadratic"], deltas=[0.05, 6.0],
+                                      horizon=0.05, entry_radius=0.1, dt=0.01)
+    entered = [run["entry_time"] is not None for run in report.runs]
+    assert entered == [True] * 8 + [False] * 8
+    assert report.all_entered is False
+
+
+def test_averaged_probe_max_step_increase_reads_every_run(monkeypatch):
+    # a stand-in averaged field holds run 0 still and drives every other run
+    # outward, up the height deficit: the report's figure is theirs
+    def outward(fld):
+        def rhs(t, s):
+            out = np.zeros_like(s)
+            out[1:, 0:3] = s[1:, 0:3]
+            return out
+        return rhs
+
+    monkeypatch.setattr(harness, "averaged_seeker_field", outward)
+    report = probe_averaged_stability(builtin_fields()["quadratic"], deltas=[2.0],
+                                      horizon=0.05, entry_radius=0.1, dt=0.01)
+    steps = [run["max_vc_step_increase"] for run in report.runs]
+    assert steps[0] == 0.0 and min(steps[1:]) > 0.0
+    assert report.max_vc_step_increase == max(steps)
 
 
 def test_averaged_probe_batch_matches_runs_integrated_alone():
@@ -605,6 +656,47 @@ def test_seeker_probe_runs_match_flights_flown_alone():
                                float(np.max(z[tail])), entry, False)
     # four steps per dither period from radius 30 diverge on some starts
     assert 0 < diverged < len(report.runs)
+
+
+def _synthetic_flight(profile):
+    """A stand-in for simulate_seeker on the quadratic field: 21 samples
+    over the horizon, the vehicle dist(t) from the source on the first
+    axis and the filter z(t) from its reading, (dist, z) = profile(t)."""
+    def simulate(config, fld, p0, R0, t_f, t0=0.0):
+        t = np.linspace(0.0, t_f, 21)
+        dist, z = profile(t)
+        p = np.column_stack([dist, np.zeros((21, 2))])
+        y = (fld.c(p) + z / np.sqrt(2.0))[:, None] * np.ones(2)
+        states = np.column_stack([p, np.tile(embed(np.eye(3)), (21, 1)), y])
+        return SeekerTrajectory(t0 + t, states)
+    return simulate
+
+
+_OMEGA = 4.0 * np.pi
+
+
+@pytest.mark.parametrize("profile, contained, entered", [
+    # inside both tolerances throughout
+    (lambda t: (0.5 + 0 * t, 0 * t), True, True),
+    # inside the ball in time, but the filter error grows in the tail
+    (lambda t: (np.where(t < 0.5, 2.0, 0.5), np.where(t < 1.0, 0.0, 3.0)), False, False),
+    # inside the ball only after the deadline, though before twice it
+    (lambda t: (np.where(t < 1.5, 2.0, 0.5), 0 * t), False, False),
+    # inside the ball throughout, the filter error large at the start only
+    (lambda t: (0.5 + 0 * t, np.where(t < 0.5, 3.0, 0.0)), False, True),
+], ids=["both", "tail-z", "late", "early-z"])
+def test_seeker_probe_verdicts_read_every_tolerance(monkeypatch, profile, contained, entered):
+    # eps_x = eps_z = 1 and the deadline at 1 of a horizon of 2: containment
+    # needs the distance and filter error within tolerance over the whole
+    # run, entry needs the ball by the deadline and the filter within
+    # tolerance after it
+    monkeypatch.setattr(harness, "simulate_seeker", _synthetic_flight(profile))
+    report = probe_seeker_stability(builtin_fields()["quadratic"], eps_x=1.0, eps_z=1.0,
+                                    deltas=[2.0], omegas=[_OMEGA], horizon=2.0,
+                                    entry_deadline=1.0, steps_per_fast_period=100)
+    assert report.containment_omega == {2.0: _OMEGA if contained else None}
+    assert report.entry_omega == {2.0: _OMEGA if entered else None}
+    assert report.bounded_omega == {2.0: _OMEGA}
 
 
 def test_seeker_probe_validation():

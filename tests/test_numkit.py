@@ -550,6 +550,31 @@ def test_rk4_list_nan_entry_raises_divergence():
     assert abs(exc_info.value.time - 0.3) < 1e-12
 
 
+def test_rk4_math_domain_error_in_a_stage_is_divergence():
+    # k2 overflows to inf, so the third stage value is inf and math.cos
+    # refuses it before the step ends: the first step reports a divergence
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=5)
+
+    def field(t, x):
+        return [1e200 * x[0] + math.cos(x[0])]
+
+    with pytest.raises(DivergenceError) as exc_info:
+        integrate_rk4(field, [1.0], grid)
+    err = exc_info.value
+    assert (err.step, err.time) == (1, 0.1)
+    assert str(err) == "non-finite state at step 1 (t=0.1)"
+    assert isinstance(err.__cause__, ValueError)
+
+
+def test_rk4_other_value_errors_pass_through():
+    def field(t, x):
+        raise ValueError("a bug in the field")
+
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=5)
+    with pytest.raises(ValueError, match="a bug in the field"):
+        integrate_rk4(field, [1.0], grid)
+
+
 def test_rk4_list_post_step_manifold_error_matches_array():
     grid = TimeGrid(t0=0.0, dt=0.1, n_steps=10)
 

@@ -1299,6 +1299,34 @@ def test_a_spec_with_terms_never_calls_its_fields(name):
     assert readings(bare) == readings(spec)
 
 
+@pytest.mark.parametrize("n_panels", [16, 512])
+@pytest.mark.parametrize("name", TERM_FIELDS)
+def test_seeker_correctors_satisfy_their_bvps_to_rounding(name, n_panels):
+    # the residual differentiates each corrector by the solver's own
+    # spectral rule, so only b2's central differences stay above rounding,
+    # whatever the corrector's amplitude (a stencil's error grows with it)
+    spec = as_system_spec(term_field(name))
+    bundle = build_bundle(spec, n_panels=n_panels)
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        x = random_spec_state(rng)[0]
+        for phi in (bundle.phi1, bundle.phi2):
+            assert residual_bvp(phi, spec.A, phi.b, spec.T, x=x) < 1e-9
+
+
+@pytest.mark.parametrize("name", TERM_FIELDS)
+def test_seeker_second_corrector_fails_its_bvp_at_8_panels(name):
+    # b2 holds phase modes the 8-phase grid cannot resolve: they fold onto
+    # its Nyquist mode, where the spectral derivative is zero, and the
+    # residual reads the wrong corrector (from 10 panels on it is right)
+    spec = as_system_spec(term_field(name))
+    bundle = build_bundle(spec, n_panels=8)
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        x = random_spec_state(rng)[0]
+        assert residual_bvp(bundle.phi2, spec.A, bundle.phi2.b, spec.T, x=x) > 1e-3
+
+
 @pytest.mark.parametrize("entry", [1, 7])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_frame_entries_give_non_finite_averages(bad, entry):

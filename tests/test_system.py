@@ -299,6 +299,16 @@ def test_assumptions_flag_aperiodic_field():
     assert not report.ok
 
 
+def test_assumptions_flag_a_period_defect_of_5e_10():
+    # a drift of 5e-10 per period sits between the 1e-10 bound and 1e-9
+    drift = 5e-10 / (2.0 * np.pi)
+    spec = scalar_spec(f2=lambda x, y, tau: np.array([np.cos(tau) + drift * tau]).T)
+    report = check_assumption_A(spec)
+    assert not report.periodic
+    assert abs(report.max_period_defect - 5e-10) < 1e-12
+    assert report.zero_mean and not report.ok
+
+
 def test_assumptions_flag_a_defect_in_a_narrow_phase_window():
     # f2 is 1 higher on [3, 3.05) of the first period only: the 256-phase
     # grid has two phases there, while eight phases drawn from seed 12345
