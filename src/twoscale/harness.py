@@ -177,7 +177,7 @@ class SweepReport:
 
 def sweep_convergence(
     spec: OscillatorySystemSpec,
-    averaged: Callable[[float, np.ndarray], np.ndarray],
+    averaged: Callable[[float, list], list],
     x0: np.ndarray,
     y0: np.ndarray,
     omegas: Sequence[float],
@@ -190,7 +190,8 @@ def sweep_convergence(
     Every rung starts the full system from (x0, y0); the decomposition is
     frequency-free, so one spec serves the whole ladder, and so does one
     averaged path: averaged(t, x) is integrated once from x0 over t_f in
-    avg_steps RK4 steps, and every rung compares against that run.
+    avg_steps RK4 steps, and every rung compares against that run.  Both
+    step on floats: averaged takes and returns a list of n floats.
     Requires at least four strictly increasing frequencies so the slope
     fit means something.  A run whose layer fit is degenerate reports None
     for its rate; a diverging full run reports an infinite deviation.
@@ -213,7 +214,7 @@ def sweep_convergence(
         TimeGrid.spanning(0.0, t_f, (spec.T / w) / steps_per_period)
 
     avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
-    reference = integrate_rk4(averaged, np.asarray(x0, dtype=float), avg_grid)
+    reference = integrate_rk4(averaged, np.asarray(x0, dtype=float).tolist(), avg_grid)
     max_devs: list[float] = []
     layer_rates: list[float | None] = []
     layer_gammas: list[float | None] = []

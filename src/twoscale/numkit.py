@@ -244,9 +244,10 @@ def integrate_rk4(
     for the equal array.  post_step, when given, is applied to the state
     after each step (constraint projection hooks).  Raises
     DivergenceError at the first step with a non-finite entry anywhere
-    in the state or a math domain error (math.cos of an infinite stage), and
-    also when post_step raises ManifoldError on a finite state that has
-    drifted too far to project back.
+    in the state or a math domain error (mostly math.cos of a field value
+    that overflowed on a finite but huge stage, sometimes of an infinite
+    stage), and also when post_step raises ManifoldError on a finite state
+    that has drifted too far to project back.
     """
     floats = isinstance(x0, list)
     times = grid.times()

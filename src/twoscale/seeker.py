@@ -392,7 +392,9 @@ def simulate_seeker(
     return SeekerTrajectory(times=times[keep], states=states[keep])
 
 
-def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.ndarray]:
+def averaged_seeker_field(
+    fld: ScalarField,
+) -> Callable[[float, list | np.ndarray], list | np.ndarray]:
     """Averaged closed loop on (p, q): ascend along the surge axis,
     turn the surge axis toward the gradient at a quarter rate.
 
@@ -401,19 +403,32 @@ def averaged_seeker_field(fld: ScalarField) -> Callable[[float, np.ndarray], np.
     and dq3 = -(u3 / 4) q1, the world angular velocity (u2 q3 - u3 q2) / 4.
     The time argument is ignored (the average is autonomous).
 
-    The state is one (12,) vector (p, frame columns) or a (B, 12) block
-    of B such states, one per row; the result has the same shape.  Rows
+    The state is a list of 12 floats (p, frame columns), giving a list of
+    12 floats, as sweep steps it; or one (12,) vector or a (B, 12) block of
+    B such states, one per row, giving an array of the same shape.  Rows
     do not interact, and grad c is evaluated once for the whole block.
 
     The frame is one stack Q, Q[j, i] = component i of q_{j+1}, with the
     block axis last.  u is the left-to-right sum u_j = q_j[0] g[0] +
-    q_j[1] g[1] + q_j[2] g[2], the same bit for bit for a row and a
-    block, signed zeros included; (Q * g).sum(axis=1) is not, as it
-    flips the sign of zero outputs where grad c is -0.0.
+    q_j[1] g[1] + q_j[2] g[2], the same bit for bit for a list, a row and
+    a block, signed zeros included (the list reads grad c on a list, which
+    the built-in fields give with the array form's bits); (Q * g).sum(axis=1)
+    is not, as it flips the sign of zero outputs where grad c is -0.0.
     """
     grad = fld.grad
 
-    def rhs(t: float, s: np.ndarray) -> np.ndarray:
+    def rhs(t: float, s: list | np.ndarray) -> list | np.ndarray:
+        if isinstance(s, list):
+            # the frame columns are q1 = (a0, a1, a2), q2 = (b0, ...), q3 = (c0, ...)
+            p0, p1, p2, a0, a1, a2, b0, b1, b2, c0, c1, c2 = s
+            g0, g1, g2 = grad([p0, p1, p2])
+            u0 = a0 * g0 + a1 * g1 + a2 * g2
+            u1 = b0 * g0 + b1 * g1 + b2 * g2
+            u2 = c0 * g0 + c1 * g1 + c2 * g2
+            h1, h2 = 0.25 * u1, 0.25 * u2
+            return [u0 * a0, u0 * a1, u0 * a2,
+                    h1 * b0 + h2 * c0, h1 * b1 + h2 * c1, h1 * b2 + h2 * c2,
+                    -h1 * a0, -h1 * a1, -h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]
         s = np.asarray(s, dtype=float)
         if s.ndim not in (1, 2) or s.shape[-1] != 12:
             raise DimensionError(f"state must have shape (12,) or (B, 12), got {s.shape}")
@@ -587,7 +602,10 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
             d0, d1, d2 = ct * b0 + st * c0, ct * b1 + st * c1, ct * b2 + st * c2
             v0, v1, v2 = ct * c0 - st * b0, ct * c1 - st * b1, ct * c2 - st * b2
             u = g0 * d0 + g1 * d1 + g2 * d2
-            e0, e1, e2 = [h0 * d0 + h1 * d1 + h2 * d2 for h0, h1, h2 in hess(center)]
+            (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = hess(center)
+            e0 = h00 * d0 + h01 * d1 + h02 * d2
+            e1 = h10 * d0 + h11 * d1 + h12 * d2
+            e2 = h20 * d0 + h21 * d1 + h22 * d2
             hv = 0.5 * (d0 * e0 + d1 * e1 + d2 * e2)
             s2 = 2.0 * u * math.sin(2.0 * tau - val)
             gain = yb - ya

@@ -333,8 +333,9 @@ _LADDER = [4.0 * math.pi * k for k in (1, 2, 4, 8)]
                               "steps_per_fast_period": 2, "projection": False}, id="simulate"),
 ])
 def test_a_blowup_inside_a_float_step_exits_2(tmp_path, capsys, command, payload):
-    # an infinite stage value reaches math.cos in the float right-hand side
-    # before the step ends; integrate_rk4 reports it as the step's divergence
+    # a huge but finite stage state overflows c inside the float right-hand
+    # side, whose math.cos then raises before the step ends; integrate_rk4
+    # reports it as the step's divergence
     assert run_cmd(command, tmp_path, payload) == 2
     if command == "sweep":
         # the rung that diverged is recorded, as run_compare promises

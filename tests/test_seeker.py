@@ -683,6 +683,36 @@ def test_averaged_field_block_matches_rows():
 
 
 @st.composite
+def scattered_blocks(draw):
+    """(B, 12) blocks of B in {1, 8, 16} states, each entry +-0.0 or a
+    magnitude in [1e-3, 1e3] of either sign: no frame need be a rotation,
+    and a zero center makes the quadratic gradient -0.0."""
+    n_rows = draw(st.sampled_from([1, 8, 16]))
+    signed = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]),
+                       st.floats(min_value=1e-3, max_value=1e3))
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), signed, signed, signed)
+    entries = draw(st.lists(entry, min_size=12 * n_rows, max_size=12 * n_rows))
+    return np.array(entries).reshape(n_rows, 12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scattered_blocks())
+def test_averaged_field_list_form_matches_the_array_forms(block):
+    # the list form, which sweep steps, gives a list of 12 Python floats
+    # with the bits of the (12,) form and of the state's row of a block,
+    # signed zeros included, on both built-in fields and on one whose
+    # gradient is not radial
+    for name in TERM_FIELDS:
+        avg = averaged_seeker_field(term_field(name))
+        out = avg(0.0, block)
+        for s, row in zip(block, out):
+            got = avg(0.0, s.tolist())
+            assert type(got) is list and len(got) == 12
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == avg(0.0, s).tobytes() == row.tobytes(), name
+
+
+@st.composite
 def seeker_blocks(draw):
     """(B, 12) blocks of B in {1, 8, 16} states: positions in [-10, 10]^3
     and frames exp_so3 of rotation vectors in [-pi, pi]^3."""
@@ -1092,11 +1122,13 @@ def array_assembled_field(spec, omega):
 
 @pytest.mark.parametrize("name", TERM_FIELDS + ["linear"])
 def test_sweep_matches_the_array_reference_bit_for_bit(name, monkeypatch):
-    # every rung of a sweep steps its full run as a list through
-    # assemble_full_field; each must equal the array right-hand side the
-    # sweep used before, stepped as an array, and the report's deviations
-    # follow.  Quasi-steady and zero filter starts, the seeker also from a
-    # turned frame; the linear benchmark runs the generic assembly.
+    # a sweep steps its averaged reference and every rung's full run as
+    # lists.  The reference must equal the same averaged field stepped as an
+    # array; each rung, run through assemble_full_field, must equal the
+    # array right-hand side the sweep used before, stepped as an array; and
+    # the report's deviations follow.  Quasi-steady and zero filter starts,
+    # the seeker also from a turned frame; the linear benchmark runs the
+    # generic assembly.
     if name == "linear":
         bench = linear_benchmark()
         spec, averaged, starts = bench.spec, bench.averaged_field, [bench.x0]
@@ -1118,17 +1150,20 @@ def test_sweep_matches_the_array_reference_bit_for_bit(name, monkeypatch):
     monkeypatch.setattr(harness, "integrate_rk4", recording)
     omegas = [8.0 * np.pi * 2.0**k for k in range(4)]
     t_f, avg_steps = 1.0, 80
+    avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
     for x0 in starts:
-        avg_times, avg_states = integrate_rk4(
-            averaged, x0, TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
-        )
+        avg_times, avg_states = integrate_rk4(averaged, x0, avg_grid)
         for y0 in (spec.phi0(x0), np.zeros(spec.m)):
             runs.clear()
             report = sweep_convergence(spec, averaged, x0, y0, omegas, t_f,
                                        steps_per_period=16, avg_steps=avg_steps)
-            assert len(runs) == len(omegas)
+            (a0, grid, times, states), *full_runs = runs
+            assert a0 == x0.tolist() and grid == avg_grid
+            assert times.tobytes() == avg_times.tobytes()
+            assert states.tobytes() == avg_states.tobytes()
+            assert len(full_runs) == len(omegas)
             devs = []
-            for w, (v0, grid, times, states) in zip(omegas, runs):
+            for w, (v0, grid, times, states) in zip(omegas, full_runs):
                 assert v0 == np.concatenate([x0, y0]).tolist()
                 ref_times, ref_states = integrate_rk4(oracle(w), np.array(v0), grid)
                 assert times.tobytes() == ref_times.tobytes()
