@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -403,43 +404,32 @@ def averaged_seeker_field(
     and dq3 = -(u3 / 4) q1, the world angular velocity (u2 q3 - u3 q2) / 4.
     The time argument is ignored (the average is autonomous).
 
-    The state is a list of 12 floats (p, frame columns), giving a list of
-    12 floats, as sweep steps it; or one (12,) vector or a (B, 12) block of
-    B such states, one per row, giving an array of the same shape.  Rows
-    do not interact, and grad c is evaluated once for the whole block.
-
-    The frame is one stack Q, Q[j, i] = component i of q_{j+1}, with the
-    block axis last.  u is the left-to-right sum u_j = q_j[0] g[0] +
-    q_j[1] g[1] + q_j[2] g[2], the same bit for bit for a list, a row and
-    a block, signed zeros included (the list reads grad c on a list, which
-    the built-in fields give with the array form's bits); (Q * g).sum(axis=1)
-    is not, as it flips the sign of zero outputs where grad c is -0.0.
+    One float formula computes it on a list of 12 floats (p, frame
+    columns), reading grad c as a list of 3 floats, and gives a list of 12
+    floats, as sweep steps it.  One (12,) vector or a (B, 12) block of B
+    states, one per row, is mapped row by row through that formula and
+    gives an array of the same shape, so every row has the list's bits.
+    u is the left-to-right sum u_j = q_j[0] g[0] + q_j[1] g[1] + q_j[2] g[2].
     """
     grad = fld.grad
 
     def rhs(t: float, s: list | np.ndarray) -> list | np.ndarray:
-        if isinstance(s, list):
-            # the frame columns are q1 = (a0, a1, a2), q2 = (b0, ...), q3 = (c0, ...)
-            p0, p1, p2, a0, a1, a2, b0, b1, b2, c0, c1, c2 = s
-            g0, g1, g2 = grad([p0, p1, p2])
-            u0 = a0 * g0 + a1 * g1 + a2 * g2
-            u1 = b0 * g0 + b1 * g1 + b2 * g2
-            u2 = c0 * g0 + c1 * g1 + c2 * g2
-            h1, h2 = 0.25 * u1, 0.25 * u2
-            return [u0 * a0, u0 * a1, u0 * a2,
-                    h1 * b0 + h2 * c0, h1 * b1 + h2 * c1, h1 * b2 + h2 * c2,
-                    -h1 * a0, -h1 * a1, -h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]
-        s = np.asarray(s, dtype=float)
-        if s.ndim not in (1, 2) or s.shape[-1] != 12:
-            raise DimensionError(f"state must have shape (12,) or (B, 12), got {s.shape}")
-        x = s.T
-        Q = x[3:12].reshape((3, 3) + x.shape[1:])
-        Qg = Q * grad(s[..., 0:3]).T
-        u = Qg[:, 0] + Qg[:, 1] + Qg[:, 2]
-        a = 0.25 * u
-        return np.concatenate(
-            [u[0] * Q[0], a[1] * Q[1] + a[2] * Q[2], -a[1] * Q[0], -a[2] * Q[0]]
-        ).T
+        if not isinstance(s, list):
+            s = np.asarray(s, dtype=float)
+            if s.ndim not in (1, 2) or s.shape[-1] != 12:
+                raise DimensionError(f"state must have shape (12,) or (B, 12), got {s.shape}")
+            rows = map(rhs, repeat(t), s.reshape(-1, 12).tolist())
+            return np.fromiter(chain.from_iterable(rows), float, s.size).reshape(s.shape)
+        # the frame columns are q1 = (a0, a1, a2), q2 = (b0, ...), q3 = (c0, ...)
+        p0, p1, p2, a0, a1, a2, b0, b1, b2, c0, c1, c2 = s
+        g0, g1, g2 = grad([p0, p1, p2])
+        u0 = a0 * g0 + a1 * g1 + a2 * g2
+        u1 = b0 * g0 + b1 * g1 + b2 * g2
+        u2 = c0 * g0 + c1 * g1 + c2 * g2
+        h1, h2 = 0.25 * u1, 0.25 * u2
+        return [u0 * a0, u0 * a1, u0 * a2,
+                h1 * b0 + h2 * c0, h1 * b1 + h2 * c1, h1 * b2 + h2 * c2,
+                -h1 * a0, -h1 * a1, -h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]
 
     return rhs
 

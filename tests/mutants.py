@@ -74,11 +74,11 @@ MUTANTS = [
     ("avg-list-rate", "seeker.py",
      "h1, h2 = 0.25 * u1, 0.25 * u2",
      "h1, h2 = 0.2501 * u1, 0.2501 * u2",
-     "a sweep reference turned at the wrong rate"),
+     "an averaged vehicle turned at the wrong rate"),
     ("avg-list-dq2-sign", "seeker.py",
      "-h1 * a0, -h1 * a1, -h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]",
      "h1 * a0, h1 * a1, h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]",
-     "a sweep reference whose frame leaves SO(3)"),
+     "an averaged vehicle whose frame leaves SO(3)"),
 ]
 
 # mutants that change no output: a survivor among them is no gap in the gate

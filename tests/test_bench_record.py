@@ -1,9 +1,12 @@
-"""tools/bench_record.py, with the benchmark runs replaced by canned results:
-it writes one sorted-key file per label, never overwrites one, and writes
-nothing when a run is not correct."""
+"""tools/bench_record.py, with the benchmark runs and the tier-1 run replaced
+by canned results: it writes one sorted-key file per label, never overwrites
+one, writes nothing when a run is not correct, and records one tier-1 run."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,27 @@ from test_exports import defaulted_parameters
 ROOT = Path(__file__).resolve().parents[1]
 
 
+TIER1_STDOUT = "....F.\n\n1 failed, 5 passed in 3.21s\n"
+
+
 @pytest.fixture
-def recorder(tmp_path, monkeypatch):
+def tier1_calls(monkeypatch):
+    """The tier-1 subprocess, stubbed (run for real, a record test would run
+    the suite inside itself); every other subprocess runs."""
+    calls, real_run = [], subprocess.run
+
+    def run(args, **kwargs):
+        if "pytest" not in args:
+            return real_run(args, **kwargs)
+        calls.append((args, kwargs))
+        return subprocess.CompletedProcess(args, 1, stdout=TIER1_STDOUT, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
+
+
+@pytest.fixture
+def recorder(tmp_path, monkeypatch, tier1_calls):
     spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -61,3 +83,17 @@ def test_writes_nothing_when_a_run_is_not_correct(recorder, tmp_path, monkeypatc
     monkeypatch.setattr(recorder, "run_once", canned([True, False] + [True] * 10))
     assert recorder.main(["x", "--root", str(ROOT)]) == 1
     assert not (tmp_path / "bench").exists()
+
+
+def test_records_one_tier1_run_in_the_checkout(recorder, tier1_calls, tmp_path, monkeypatch):
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    monkeypatch.setattr(recorder, "run_once", canned([True] * (3 * len(workloads))))
+    assert recorder.main(["x", "--root", str(ROOT)]) == 0
+    tier1 = json.loads((tmp_path / "bench" / "BENCH_x.json").read_text())["tier1"]
+    [(args, kwargs)] = tier1_calls
+    assert args == [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert kwargs["cwd"] == ROOT
+    assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
+    assert tier1["args"] == args[1:]
+    assert (tier1["exit_code"], tier1["summary"]) == (1, "1 failed, 5 passed in 3.21s")
+    assert 0.0 <= tier1["wall_s"] < 60.0

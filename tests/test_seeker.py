@@ -682,6 +682,36 @@ def test_averaged_field_block_matches_rows():
             avg(0.0, block.reshape(-1))
 
 
+def test_averaged_field_maps_block_rows_through_the_list_form():
+    # one formula: an array state is mapped row by row through the list
+    # form, so grad c is read once per row as a list of 3 floats and never
+    # on an array, and the output keeps the input's shape
+    quadratic = builtin_fields()["quadratic"]
+    reads = []
+
+    def grad(p):
+        if type(p) is not list:
+            raise TypeError(f"grad read on a {type(p).__name__}")
+        reads.append(p)
+        return quadratic.grad(p)
+
+    avg = averaged_seeker_field(dataclasses.replace(quadratic, grad=grad))
+    rng = np.random.default_rng(33)
+    for n_rows in (1, 8, 16):
+        block = np.concatenate([rng.uniform(-4.0, 4.0, size=(n_rows, 3)),
+                                rng.uniform(-1.0, 1.0, size=(n_rows, 9))], axis=1)
+        reads.clear()
+        out = avg(0.0, block)
+        assert out.shape == (n_rows, 12)
+        assert reads == block[:, 0:3].tolist()
+        assert out.tobytes() == np.array([avg(0.0, s) for s in block.tolist()]).tobytes()
+    reads.clear()
+    assert avg(0.0, np.empty((0, 12))).shape == (0, 12)
+    assert reads == []
+    assert avg(0.0, block[0]).shape == (12,)
+    assert reads == [block[0, 0:3].tolist()]
+
+
 @st.composite
 def scattered_blocks(draw):
     """(B, 12) blocks of B in {1, 8, 16} states, each entry +-0.0 or a

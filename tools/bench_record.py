@@ -16,7 +16,9 @@ root.  The file, written with sorted keys, holds:
   failed-operation count;
 - the src/ line count and the defaulted-parameter count (every defaulted
   parameter of every callable the modules of tests/test_exports.py's
-  rule export).
+  rule export);
+- one run of the tier-1 suite in CHECKOUT, after the benchmark runs:
+  its wall time, exit code and pytest's summary line.
 
 The file is the trajectory, not the proof of a gain: a claim still comes
 from alternating parent/change pairs.  An existing file is never
@@ -33,11 +35,14 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 RUNS = 3
 RUN_ARGS = ["--seed", "1", "--seconds", "20", "--trace", "0"]
+# the tier-1 verify command of ROADMAP.md, run with this interpreter
+TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # the modules and rule of tests/test_exports.py's defaulted-parameter bound
 COUNT_DEFAULTS = """
 import importlib, inspect
@@ -71,6 +76,19 @@ def run_once(root: Path, workload: str) -> tuple[dict, dict]:
         sys.stderr.write(proc.stderr[-2000:])
         return {"correct": False, "failed": None, "metrics": {}}, meta
     return result, meta
+
+
+def time_tier1(root: Path) -> dict:
+    """Wall time, exit code and summary line (pytest's last line) of one
+    tier-1 run in root, with root/src first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_ARGS], cwd=root, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    wall_s = time.perf_counter() - start
+    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    return {"args": TIER1_ARGS, "exit_code": proc.returncode,
+            "summary": lines[-1].strip() if lines else "", "wall_s": wall_s}
 
 
 def git(root: Path, *args: str) -> str:
@@ -140,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": workloads,
         "src_lines": meta.get("src_lines"),
         "defaulted_parameters": int(defaulted),
+        "tier1": time_tier1(root),
     }
     out.parent.mkdir(exist_ok=True)
     with open(out, "x") as fh:
