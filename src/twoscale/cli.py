@@ -476,18 +476,26 @@ _COMMANDS = {
 }
 
 
+# the parser build_parser made, kept for the process
+_PARSER: list[argparse.ArgumentParser] = []
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twoscale",
-        description="Averaging toolkit for two-time-scale oscillatory systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} check")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--quiet", action="store_true", help="suppress summary lines")
-    return parser
+    """The command-line parser, built on the process's first call and
+    returned again after (parse_args keeps no state between calls)."""
+    if not _PARSER:
+        parser = argparse.ArgumentParser(
+            prog="twoscale",
+            description="Averaging toolkit for two-time-scale oscillatory systems.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name in _COMMANDS:
+            p = sub.add_parser(name, help=f"run the {name} check")
+            p.add_argument("--config", default=None, help="JSON config file")
+            p.add_argument("--out-dir", default=".", help="directory for output files")
+            p.add_argument("--quiet", action="store_true", help="suppress summary lines")
+        _PARSER.append(parser)
+    return _PARSER[0]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,7 +3,10 @@
 Deterministic, fixed-step routines only: matrix exponential, composite
 Simpson quadrature on a period (plus its cumulative form), central
 finite-difference Jacobians, and a classical RK4 integrator.  Everything
-is plain float64; no adaptivity, no hidden state.
+is plain float64, with no adaptivity.  The one state kept between calls
+is rk4_step's cache of list steppers, one compiled function per state
+length: it holds code, never numbers, so no call changes another's
+result.
 """
 
 from __future__ import annotations
@@ -201,6 +204,44 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     return np.ascontiguousarray(D.T).reshape((F.shape[1:] or (1,)) + (n,))
 
 
+# rk4_step's list stepper for states of {n} floats.  Every other
+# placeholder stands for n entries of its term in _LIST_TERMS, i = 0..n-1,
+# joined with commas: the array branch's products and sums in its order.
+_LIST_STEP = """\
+def step(field, t, x, dt):
+    [{x}] = x
+    h = 0.5 * dt
+    k = field(t, x)
+    if len(k) != {n}:
+        raise DimensionError(f"field returned {{len(k)}} entries for a state of {n}")
+    [{a}] = k
+    k = field(t + h, [{x_a}])
+    if len(k) != {n}:
+        raise DimensionError(f"field returned {{len(k)}} entries for a state of {n}")
+    [{b}] = k
+    k = field(t + h, [{x_b}])
+    if len(k) != {n}:
+        raise DimensionError(f"field returned {{len(k)}} entries for a state of {n}")
+    [{c}] = k
+    k = field(t + dt, [{x_c}])
+    if len(k) != {n}:
+        raise DimensionError(f"field returned {{len(k)}} entries for a state of {n}")
+    [{d}] = k
+    h6 = dt / 6.0
+    return [{result}]
+"""
+_LIST_TERMS = {
+    "x": "x{i}", "a": "a{i}", "b": "b{i}", "c": "c{i}", "d": "d{i}",
+    "x_a": "x{i} + h * a{i}",
+    "x_b": "x{i} + h * b{i}",
+    "x_c": "x{i} + dt * c{i}",
+    "result": "x{i} + h6 * ((a{i} + 2.0 * (b{i} + c{i})) + d{i})",
+}
+
+# rk4_step's list steppers by state length, each compiled on first use
+_LIST_STEPPERS: dict[int, Callable] = {}
+
+
 def rk4_step(
     field: Callable[[float, np.ndarray], np.ndarray],
     t: float,
@@ -210,18 +251,23 @@ def rk4_step(
     """One classical Runge-Kutta step of size dt.
 
     x is an array, or a list of floats that the field takes and returns
-    as lists; a list is stepped entry by entry through the same products
-    and sums in the same order, so both forms give the same bits.
+    as lists.  A list of n floats is stepped by straight-line code that
+    the first such step compiles from _LIST_STEP and n alone, kept for
+    the process: x and each stage unpacked into locals, with the array
+    branch's products and sums in the same order, so both forms give the
+    same bits.  A field that returns a list of another length raises
+    DimensionError.
     """
     if isinstance(x, list):
-        h = 0.5 * dt
-        k1 = field(t, x)
-        k2 = field(t + h, [a + h * b for a, b in zip(x, k1)])
-        k3 = field(t + h, [a + h * b for a, b in zip(x, k2)])
-        k4 = field(t + dt, [a + dt * b for a, b in zip(x, k3)])
-        h6 = dt / 6.0
-        return [a + h6 * ((b1 + 2.0 * (b2 + b3)) + b4)
-                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        n = len(x)
+        if n not in _LIST_STEPPERS:
+            source = _LIST_STEP.format(n=n, **{
+                key: ", ".join([term.format(i=i) for i in range(n)])
+                for key, term in _LIST_TERMS.items()})
+            namespace = {"DimensionError": DimensionError}
+            exec(compile(source, f"<rk4_step, list of {n}>", "exec"), namespace)
+            _LIST_STEPPERS[n] = namespace["step"]
+        return _LIST_STEPPERS[n](field, t, x, dt)
     k1 = field(t, x)
     k2 = field(t + 0.5 * dt, x + (0.5 * dt) * k1)
     k3 = field(t + 0.5 * dt, x + (0.5 * dt) * k2)

@@ -79,6 +79,15 @@ MUTANTS = [
      "-h1 * a0, -h1 * a1, -h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]",
      "h1 * a0, h1 * a1, h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]",
      "an averaged vehicle whose frame leaves SO(3)"),
+    # a + 2.0 * (b + c) + d would parse as the original's (a + 2.0 * (b + c)) + d
+    ("rk4-list-sum-order", "numkit.py",
+     '"result": "x{i} + h6 * ((a{i} + 2.0 * (b{i} + c{i})) + d{i})",',
+     '"result": "x{i} + h6 * (a{i} + (2.0 * (b{i} + c{i}) + d{i}))",',
+     "a list RK4 step whose last bits differ from the array step's"),
+    ("rk4-list-stage4-h", "numkit.py",
+     '"x_c": "x{i} + dt * c{i}",',
+     '"x_c": "x{i} + h * c{i}",',
+     "a list RK4 step whose fourth stage is taken half a step short"),
 ]
 
 # mutants that change no output: a survivor among them is no gap in the gate

@@ -2,9 +2,11 @@
 
 A planar system whose average is produced entirely by the oscillation
 bracket, the exact periodic solutions of the two corrector cases in
-twoscale.benchmarks, and the fourth-order stencil residual that
-residual_bvp's spectral derivative replaced.  pytest puts tests/ on the
-import path, so a test reads them with ``from oracles import ...``.
+twoscale.benchmarks, the fourth-order stencil residual that
+residual_bvp's spectral derivative replaced, and the comprehension RK4
+step that rk4_step's generated list steppers replaced.  pytest puts
+tests/ on the import path, so a test reads them with ``from oracles
+import ...``.
 """
 
 from __future__ import annotations
@@ -119,3 +121,17 @@ def stencil_residual(phi, A: np.ndarray, b, T: float, x=None, n_panels: int | No
     ) / (12.0 * h)
     defect = float(np.max(np.abs(dV - V @ A.T - B)))
     return defect + gap
+
+
+def comprehension_rk4_step(field: Callable, t: float, x: list, dt: float) -> list:
+    """rk4_step's list branch as four zip comprehensions, as it was before
+    the generated straight-line steppers: the array branch's products and
+    sums in its order, entry by entry, so a stepper must give its bits."""
+    h = 0.5 * dt
+    k1 = field(t, x)
+    k2 = field(t + h, [a + h * b for a, b in zip(x, k1)])
+    k3 = field(t + h, [a + h * b for a, b in zip(x, k2)])
+    k4 = field(t + dt, [a + dt * b for a, b in zip(x, k3)])
+    h6 = dt / 6.0
+    return [a + h6 * ((b1 + 2.0 * (b2 + b3)) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]

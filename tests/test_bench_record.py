@@ -1,12 +1,14 @@
-"""tools/bench_record.py, with the benchmark runs and the tier-1 run replaced
-by canned results: it writes one sorted-key file per label, never overwrites
-one, writes nothing when a run is not correct, and records one tier-1 run."""
+"""tools/bench_record.py, with the benchmark runs, the kernel timing and the
+tier-1 run replaced by canned results: it writes one sorted-key file per
+label, never overwrites one, writes nothing when a run is not correct, and
+records the kernel times and one tier-1 run."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import timeit
 from pathlib import Path
 
 import pytest
@@ -34,8 +36,28 @@ def tier1_calls(monkeypatch):
     return calls
 
 
+KERNEL_US = {"averaged": {"log": 5.5, "quadratic": 4.9}, "full": {"log": 14.5, "quadratic": 11.9},
+             "seeker_field": {"log": 7.4, "quadratic": 7.2}}
+
+
 @pytest.fixture
-def recorder(tmp_path, monkeypatch, tier1_calls):
+def kernel_calls(monkeypatch, tier1_calls):
+    """The kernel-timing subprocess, stubbed (run for real, it takes seconds);
+    every other subprocess goes on to tier1_calls' stand-in."""
+    calls, inner_run = [], subprocess.run
+
+    def run(args, **kwargs):
+        if "timeit" not in args[-1]:
+            return inner_run(args, **kwargs)
+        calls.append((args, kwargs))
+        return subprocess.CompletedProcess(args, 0, stdout=json.dumps(KERNEL_US) + "\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
+
+
+@pytest.fixture
+def recorder(tmp_path, monkeypatch, tier1_calls, kernel_calls):
     spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -97,3 +119,33 @@ def test_records_one_tier1_run_in_the_checkout(recorder, tier1_calls, tmp_path, 
     assert tier1["args"] == args[1:]
     assert (tier1["exit_code"], tier1["summary"]) == (1, "1 failed, 5 passed in 3.21s")
     assert 0.0 <= tier1["wall_s"] < 60.0
+
+
+def test_records_the_rk4_step_kernels_of_the_checkout(recorder, kernel_calls, tmp_path,
+                                                      monkeypatch):
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    monkeypatch.setattr(recorder, "run_once", canned([True] * (3 * len(workloads))))
+    assert recorder.main(["x", "--root", str(ROOT)]) == 0
+    record = json.loads((tmp_path / "bench" / "BENCH_x.json").read_text())
+    [(args, kwargs)] = kernel_calls
+    assert args == [sys.executable, "-c", recorder.KERNELS]
+    assert kwargs["cwd"] == ROOT and kwargs["check"] is True
+    assert kwargs["env"]["PYTHONPATH"] == str(ROOT / "src")
+    assert record["rk4_step_us"] == KERNEL_US
+
+
+def test_the_kernel_script_steps_each_field_on_a_list(recorder, monkeypatch, capsys):
+    # the script run in-process on this checkout, each timeit call replaced
+    # by one step that reads as 1 us a step
+    steps = []
+
+    def one_step(stmt, globals, number, repeat):
+        steps.append(eval(stmt, globals))
+        return [1e-6 * number] * repeat
+
+    monkeypatch.setattr(timeit, "repeat", one_step)
+    exec(recorder.KERNELS, {})
+    assert [(type(s), len(s)) for s in steps] == [(list, 14), (list, 14), (list, 12)] * 2
+    assert json.loads(capsys.readouterr().out) == {
+        kernel: {"log": pytest.approx(1.0), "quadratic": pytest.approx(1.0)}
+        for kernel in ("averaged", "full", "seeker_field")}

@@ -797,6 +797,17 @@ def test_probe_with_non_finite_values_writes_strict_json(tmp_path, monkeypatch):
 # ------------------------------------------------------------------ plumbing
 
 
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+    assert run_cmd("bvp-check", tmp_path, {"unknown": 1}) == cli.EXIT_CONFIG
+
+
 def test_quiet_flag_suppresses_summary(tmp_path, capsys):
     assert run_cmd("simulate", tmp_path, {"t_f": 0.0}, quiet=True) == 0
     assert capsys.readouterr().out == ""

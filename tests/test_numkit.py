@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import comprehension_rk4_step
 
+from twoscale import numkit
 from twoscale.errors import ConfigurationError, DimensionError, DivergenceError, ManifoldError
 from twoscale.numkit import (
     TimeGrid,
@@ -497,6 +501,74 @@ def test_rk4_list_state_matches_array_bit_for_bit():
     assert isinstance(step, list)
     array_step = rk4_step(_float_or_array_field, 0.3, np.array(x0), 0.002)
     assert np.array(step).tobytes() == array_step.tobytes()
+
+
+# coefficients and state entries; a few entries are then set to signed
+# zeros, a subnormal or values near overflow
+_coefficients = st.floats(min_value=-4.0, max_value=4.0)
+_extremes = st.sampled_from([0.0, -0.0, 5e-324, 1e154, -1e154, 1e307, -1.7976931348623157e308])
+
+
+def _outcome(step, field, t, x, dt):
+    """The step's entries as hex strings (signed zeros and NaNs told
+    apart), or the type and text of what it raised."""
+    try:
+        return [v.hex() for v in step(field, t, x, dt)]
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rk4_list_step_matches_the_comprehension_oracle_bit_for_bit(data):
+    # entry i of the field: p x[j] x[k] + q sin(x[m]) + r cos(t) for drawn
+    # indices and coefficients, so stages overflow to inf and sin refuses it
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    index = st.integers(min_value=0, max_value=n - 1)
+    terms = data.draw(st.lists(st.tuples(index, index, index, *[_coefficients] * 3),
+                               min_size=n, max_size=n))
+
+    def field(t, x):
+        return [p * x[j] * x[k] + q * math.sin(x[m]) + r * math.cos(t)
+                for j, k, m, p, q, r in terms]
+
+    x = data.draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=n, max_size=n))
+    for i, v in data.draw(st.lists(st.tuples(index, _extremes), max_size=3)):
+        x[i] = v
+    t = data.draw(st.floats(min_value=-1e3, max_value=1e3))
+    dt = data.draw(st.sampled_from([1e-3, 0.01, 0.5, 2.0]))
+    expected = _outcome(comprehension_rk4_step, field, t, x, dt)
+    assert _outcome(rk4_step, field, t, x, dt) == expected
+
+    # from an empty cache: the first step compiles the stepper, the second
+    # reuses it
+    made = []
+
+    class Steppers(dict):
+        def __setitem__(self, length, stepper):
+            made.append(length)
+            super().__setitem__(length, stepper)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numkit, "_LIST_STEPPERS", Steppers())
+        assert _outcome(rk4_step, field, t, x, dt) == expected
+        assert _outcome(rk4_step, field, t, x, dt) == expected
+    assert made == [n]
+
+
+@pytest.mark.parametrize("returned", [2, 4])
+@pytest.mark.parametrize("wrong_from", [0.0, 0.1])
+def test_rk4_list_field_of_another_length_is_a_dimension_error(returned, wrong_from):
+    # wrong from the first stage, or from the fourth stage of the first step
+    def field(t, x):
+        return [1.0] * (returned if t >= wrong_from else 3)
+
+    message = f"field returned {returned} entries for a state of 3"
+    with pytest.raises(DimensionError, match=message):
+        rk4_step(field, 0.0, [0.0, 0.0, 0.0], 0.1)
+    with pytest.raises(DimensionError, match=message) as exc_info:
+        integrate_rk4(field, [0.0, 0.0, 0.0], TimeGrid(t0=0.0, dt=0.1, n_steps=5))
+    assert not isinstance(exc_info.value, DivergenceError)
 
 
 def test_rk4_list_post_step_takes_and_returns_lists():

@@ -17,6 +17,10 @@ root.  The file, written with sorted keys, holds:
 - the src/ line count and the defaulted-parameter count (every defaulted
   parameter of every callable the modules of tests/test_exports.py's
   rule export);
+- the kernel time of one list-state RK4 step, best of 7 ``timeit``
+  rounds in CHECKOUT, in microseconds: seeker_field, the seeker model's
+  full and the averaged list form, each on the log and quadratic fields,
+  from the default simulate start;
 - one run of the tier-1 suite in CHECKOUT, after the benchmark runs:
   its wall time, exit code and pytest's summary line.
 
@@ -55,6 +59,28 @@ for name in ("numkit", "so3", "system", "averaging", "seeker", "harness", "bench
             n += sum(p.default is not inspect.Parameter.empty
                      for p in inspect.signature(obj).parameters.values())
 print(n)
+"""
+
+# one list-state RK4 step per field, from simulate's default start at its
+# default omega and step: best of 7 timeit rounds, in microseconds
+KERNEL_STEPS = 10000
+KERNELS = f"""
+import json, timeit
+import numpy as np
+from twoscale import numkit, seeker
+omega = 4.0 * np.pi
+config = seeker.SeekerConfig(omega=omega)
+out = {{}}
+for name, fld in sorted(seeker.builtin_fields().items()):
+    x = seeker.initial_state(fld, np.array([6.0, 2.0, -2.0]), np.eye(3)).tolist()
+    for kernel, field, state in [("seeker_field", seeker.seeker_field(config, fld), x),
+                                 ("full", seeker.as_system_spec(fld).full(omega), x),
+                                 ("averaged", seeker.averaged_seeker_field(fld), x[:12])]:
+        names = dict(rk4_step=numkit.rk4_step, field=field, state=state, dt=config.dt)
+        rounds = timeit.repeat("rk4_step(field, 0.0, state, dt)", globals=names,
+                               number={KERNEL_STEPS}, repeat=7)
+        out.setdefault(kernel, {{}})[name] = 1e6 * min(rounds) / {KERNEL_STEPS}
+print(json.dumps(out))
 """
 
 
@@ -140,10 +166,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: a run was not correct; nothing written", file=sys.stderr)
         return 1
 
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     defaulted = subprocess.run(
         [sys.executable, "-c", COUNT_DEFAULTS], cwd=root, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True,
+        env=env, check=True,
     ).stdout.strip()
+    kernels = subprocess.run(
+        [sys.executable, "-c", KERNELS], cwd=root, capture_output=True, text=True,
+        env=env, check=True,
+    ).stdout
     commit = git(root, "rev-parse", "HEAD") or None
     record = {
         "commit": commit,
@@ -158,6 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": workloads,
         "src_lines": meta.get("src_lines"),
         "defaulted_parameters": int(defaulted),
+        "rk4_step_us": json.loads(kernels),
         "tier1": time_tier1(root),
     }
     out.parent.mkdir(exist_ok=True)
