@@ -514,7 +514,7 @@ def _outcome(step, field, t, x, dt):
     apart), or the type and text of what it raised."""
     try:
         return [v.hex() for v in step(field, t, x, dt)]
-    except (ValueError, OverflowError) as err:
+    except ValueError as err:
         return type(err), str(err)
 
 
@@ -566,9 +566,8 @@ def test_rk4_list_field_of_another_length_is_a_dimension_error(returned, wrong_f
     message = f"field returned {returned} entries for a state of 3"
     with pytest.raises(DimensionError, match=message):
         rk4_step(field, 0.0, [0.0, 0.0, 0.0], 0.1)
-    with pytest.raises(DimensionError, match=message) as exc_info:
+    with pytest.raises(DimensionError, match=message):
         integrate_rk4(field, [0.0, 0.0, 0.0], TimeGrid(t0=0.0, dt=0.1, n_steps=5))
-    assert not isinstance(exc_info.value, DivergenceError)
 
 
 def test_rk4_list_post_step_takes_and_returns_lists():
