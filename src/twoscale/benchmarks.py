@@ -45,9 +45,9 @@ class LinearBenchmark:
     x0: np.ndarray
     y0: np.ndarray
 
-    def averaged_field(self, t: float, x: list | np.ndarray) -> list | np.ndarray:
-        """Mbar x, as a list of floats for a list x (sweep steps it so)."""
-        return (self.Mbar @ x).tolist() if isinstance(x, list) else self.Mbar @ x
+    def averaged_field(self, t: float, x: list) -> list:
+        """Mbar x as a list of floats, as integrate_rk4 steps it."""
+        return (self.Mbar @ x).tolist()
 
 
 def linear_benchmark() -> LinearBenchmark:

@@ -2,8 +2,8 @@
 boundary-layer fits, and practical-stability probes.
 
 Runs on the (frequency, initial condition) grid are independent of each
-other; they are executed in a fixed order (the averaged probe's starts
-as one block of states) so repeated invocations are bit-identical.
+other; they are executed one at a time in a fixed order so repeated
+invocations are bit-identical.
 """
 
 from __future__ import annotations
@@ -397,15 +397,18 @@ def probe_seeker_stability(
         entry_deadline = horizon / 2.0
     if not 0.0 < entry_deadline <= horizon:
         raise ConfigurationError("entry_deadline must lie in (0, horizon]")
-    # every frequency and start is checked here, before the first flight
+    # every frequency, start and flight grid is checked here, before the first flight
     configs = [SeekerConfig(omega=w, steps_per_fast_period=steps_per_fast_period) for w in omegas]
     shells = [_shell_starts(fld, delta) for delta in deltas]
+    offsets = [[frac * (2.0 * np.pi / c.omega) for frac in (0.0, 0.25, 0.5)] for c in configs]
+    for config, t0s in zip(configs, offsets):
+        for t0 in t0s:
+            TimeGrid.spanning(t0, horizon, config.dt)
 
     runs: list[ProbeRun] = []
     for delta, starts in zip(deltas, shells):
-        for config in configs:
-            for phase_index, frac in enumerate((0.0, 0.25, 0.5)):
-                t0 = frac * (2.0 * np.pi / config.omega)
+        for config, t0s in zip(configs, offsets):
+            for phase_index, t0 in enumerate(t0s):
                 for direction_index, (p0, R0, _) in enumerate(starts):
                     try:
                         traj = simulate_seeker(config, fld, p0, R0, horizon, t0=t0)
@@ -488,10 +491,9 @@ def probe_averaged_stability(
     single-step increase of the height deficit (which the averaged flow
     should never raise beyond integration noise; NaN if any run's is).
 
-    All starts are integrated together, as one block of states on one
-    time grid of horizon / dt steps, rounded (TimeGrid.spanning); the
-    runs do not interact.  A non-finite state in any run raises
-    DivergenceError for the whole probe.
+    Each start is integrated alone, in report order, on one time grid of
+    horizon / dt steps, rounded (TimeGrid.spanning).  The first run that
+    reaches a non-finite state raises DivergenceError for the probe.
     """
     deltas = _shell_radii(deltas)
     if not (np.isfinite(entry_radius) and entry_radius > 0.0):
@@ -501,10 +503,11 @@ def probe_averaged_stability(
 
     starts = [(delta, i, s0[:12])
               for delta in deltas for i, (_, _, s0) in enumerate(_shell_starts(fld, delta))]
-    times, states = integrate_rk4(field, np.array([s0 for _, _, s0 in starts]), grid)
+    times = grid.times()
+    states = np.stack([integrate_rk4(field, s0, grid)[1] for _, _, s0 in starts], axis=1)
     positions = states[:, :, 0:3]
     dist = np.linalg.norm(positions - fld.p_star, axis=2)
-    # the height deficit V_c = c(p_star) - c(p), with c taken on the block
+    # the height deficit V_c = c(p_star) - c(p), with c taken on every run at once
     vc = float(fld.c(fld.p_star)) - fld.c(positions.reshape(-1, 3)).reshape(dist.shape)
     max_inc = np.max(np.diff(vc, axis=0), axis=0)
     final_grads = fld.grad(positions[-1])

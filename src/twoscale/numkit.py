@@ -2,8 +2,9 @@
 
 Deterministic, fixed-step routines only: matrix exponential, composite
 Simpson quadrature on a period (plus its cumulative form), central
-finite-difference Jacobians, and a classical RK4 integrator.  Everything
-is plain float64, with no adaptivity.  The one state kept between calls
+finite-difference Jacobians, and a classical RK4 integrator that steps
+one state as a list of floats.  Everything is plain float64, with no
+adaptivity.  The one state kept between calls
 is rk4_step's cache of list steppers, one compiled function per state
 length: it holds code, never numbers, so no call changes another's
 result.
@@ -206,7 +207,7 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
 
 # rk4_step's list stepper for states of {n} floats.  Every other
 # placeholder stands for n entries of its term in _LIST_TERMS, i = 0..n-1,
-# joined with commas: the array branch's products and sums in its order.
+# joined with commas.
 _LIST_STEP = """\
 def step(field, t, x, dt):
     [{x}] = x
@@ -242,68 +243,52 @@ _LIST_TERMS = {
 _LIST_STEPPERS: dict[int, Callable] = {}
 
 
-def rk4_step(
-    field: Callable[[float, np.ndarray], np.ndarray],
-    t: float,
-    x: np.ndarray | list,
-    dt: float,
-) -> np.ndarray | list:
-    """One classical Runge-Kutta step of size dt.
+def rk4_step(field: Callable[[float, list], list], t: float, x: list, dt: float) -> list:
+    """One classical Runge-Kutta step of size dt of a list of floats.
 
-    x is an array, or a list of floats that the field takes and returns
-    as lists.  A list of n floats is stepped by straight-line code that
-    the first such step compiles from _LIST_STEP and n alone, kept for
-    the process: x and each stage unpacked into locals, with the array
-    branch's products and sums in the same order, so both forms give the
-    same bits.  A field that returns a list of another length raises
-    DimensionError.
+    The field takes and returns lists.  A list of n floats is stepped by
+    straight-line code that the first such step compiles from _LIST_STEP
+    and n alone, kept for the process: x and each stage unpacked into
+    locals, x + h6 * ((a + 2 (b + c)) + d) per entry.  A field that
+    returns a list of another length raises DimensionError.
     """
-    if isinstance(x, list):
-        n = len(x)
-        if n not in _LIST_STEPPERS:
-            source = _LIST_STEP.format(n=n, **{
-                key: ", ".join([term.format(i=i) for i in range(n)])
-                for key, term in _LIST_TERMS.items()})
-            namespace = {"DimensionError": DimensionError}
-            exec(compile(source, f"<rk4_step, list of {n}>", "exec"), namespace)
-            _LIST_STEPPERS[n] = namespace["step"]
-        return _LIST_STEPPERS[n](field, t, x, dt)
-    k1 = field(t, x)
-    k2 = field(t + 0.5 * dt, x + (0.5 * dt) * k1)
-    k3 = field(t + 0.5 * dt, x + (0.5 * dt) * k2)
-    k4 = field(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    n = len(x)
+    if n not in _LIST_STEPPERS:
+        source = _LIST_STEP.format(n=n, **{
+            key: ", ".join([term.format(i=i) for i in range(n)])
+            for key, term in _LIST_TERMS.items()})
+        namespace = {"DimensionError": DimensionError}
+        exec(compile(source, f"<rk4_step, list of {n}>", "exec"), namespace)
+        _LIST_STEPPERS[n] = namespace["step"]
+    return _LIST_STEPPERS[n](field, t, x, dt)
 
 
 def integrate_rk4(
-    field: Callable[[float, np.ndarray], np.ndarray],
-    x0: np.ndarray | list,
+    field: Callable[[float, list], list],
+    x0: list | np.ndarray,
     grid: TimeGrid,
-    post_step: Callable[[np.ndarray], np.ndarray] | None = None,
+    post_step: Callable[[list], list] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over the grid; returns (times, states).
 
-    x0 is a vector or a block such as (B, d) of independent runs;
-    states[k], of x0's shape, is the state at times[k].  A list x0 is
-    one vector of d floats, stepped as a list (rk4_step): the field and
-    post_step then take and return lists, and states is (n + 1, d) as
-    for the equal array.  post_step, when given, is applied to the state
-    after each step (constraint projection hooks).  Raises
-    DivergenceError at the first step with a non-finite entry anywhere
-    in the state or a math domain error (mostly math.cos of a field value
-    that overflowed on a finite but huge stage, sometimes of an infinite
-    stage), and also when post_step raises ManifoldError on a finite state
-    that has drifted too far to project back.
+    x0 is one state of d floats, a list or a (d,) array, read once as a
+    list and stepped as one (rk4_step): the field and post_step take and
+    return lists.  states[k], of shape (d,), is the state at times[k].
+    post_step, when given, is applied to the state after each step
+    (constraint projection hooks).  Raises DivergenceError at the first
+    step with a non-finite entry or a math domain error (mostly math.cos
+    of a field value that overflowed on a finite but huge stage,
+    sometimes of an infinite stage), and also when post_step raises
+    ManifoldError on a finite state that has drifted too far to project
+    back.
     """
-    floats = isinstance(x0, list)
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"x0 must be one state of floats, got shape {x.shape}")
+    x = x.tolist()
     times = grid.times()
-    if floats:
-        x = [float(v) for v in x0]
-        steps = times.tolist()
-    else:
-        x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-        steps = times
-    out = np.empty((grid.n_steps + 1,) + np.shape(x))
+    steps = times.tolist()
+    out = np.empty((grid.n_steps + 1, len(x)))
     out[0] = x
     for k in range(grid.n_steps):
         try:
@@ -312,7 +297,7 @@ def integrate_rk4(
             if str(err) != "math domain error":
                 raise
             raise DivergenceError(k + 1, float(times[k + 1])) from err
-        if not (all(map(math.isfinite, x)) if floats else np.isfinite(x).all()):
+        if not all(map(math.isfinite, x)):
             raise DivergenceError(k + 1, float(times[k + 1]))
         if post_step is not None:
             try:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -260,7 +259,7 @@ def seeker_field(
 
 def raw_kinematics_field(
     config: SeekerConfig, fld: ScalarField
-) -> Callable[[float, np.ndarray], np.ndarray]:
+) -> Callable[[float, list], list]:
     """Closed-loop right-hand side for the raw vehicle (p, R, y).
 
     The vehicle surges along its first body axis with the dithered
@@ -269,7 +268,8 @@ def raw_kinematics_field(
     axis.
 
     This is cross_check's oracle for seeker_field, so it keeps its own
-    formula and shares no helper with the rotating-frame right-hand side.
+    formula and shares no helper with the rotating-frame right-hand side:
+    it takes and returns a list of 14 floats, with numpy arithmetic inside.
     """
     w = config.omega
     sqw = float(np.sqrt(w))
@@ -277,7 +277,8 @@ def raw_kinematics_field(
     amp = 2.0 * sqw
     c = fld.c
 
-    def rhs(t: float, s: np.ndarray) -> np.ndarray:
+    def rhs(t: float, s: list) -> list:
+        s = np.array(s)
         p = s[0:3]
         r1 = s[3:6]
         r2 = s[6:9]
@@ -296,7 +297,7 @@ def raw_kinematics_field(
 
         dy0 = w * (y[1] - y[0])
         dy1 = w * (val - y[1])
-        return np.concatenate([dp, dr1, dr2, dr3, [dy0, dy1]])
+        return np.concatenate([dp, dr1, dr2, dr3, [dy0, dy1]]).tolist()
 
     return rhs
 
@@ -393,9 +394,7 @@ def simulate_seeker(
     return SeekerTrajectory(times=times[keep], states=states[keep])
 
 
-def averaged_seeker_field(
-    fld: ScalarField,
-) -> Callable[[float, list | np.ndarray], list | np.ndarray]:
+def averaged_seeker_field(fld: ScalarField) -> Callable[[float, list], list]:
     """Averaged closed loop on (p, q): ascend along the surge axis,
     turn the surge axis toward the gradient at a quarter rate.
 
@@ -404,22 +403,14 @@ def averaged_seeker_field(
     and dq3 = -(u3 / 4) q1, the world angular velocity (u2 q3 - u3 q2) / 4.
     The time argument is ignored (the average is autonomous).
 
-    One float formula computes it on a list of 12 floats (p, frame
+    One float formula computes it on a state of 12 floats (p, frame
     columns), reading grad c as a list of 3 floats, and gives a list of 12
-    floats, as sweep steps it.  One (12,) vector or a (B, 12) block of B
-    states, one per row, is mapped row by row through that formula and
-    gives an array of the same shape, so every row has the list's bits.
-    u is the left-to-right sum u_j = q_j[0] g[0] + q_j[1] g[1] + q_j[2] g[2].
+    floats, as integrate_rk4 steps it.  u is the left-to-right sum
+    u_j = q_j[0] g[0] + q_j[1] g[1] + q_j[2] g[2].
     """
     grad = fld.grad
 
-    def rhs(t: float, s: list | np.ndarray) -> list | np.ndarray:
-        if not isinstance(s, list):
-            s = np.asarray(s, dtype=float)
-            if s.ndim not in (1, 2) or s.shape[-1] != 12:
-                raise DimensionError(f"state must have shape (12,) or (B, 12), got {s.shape}")
-            rows = map(rhs, repeat(t), s.reshape(-1, 12).tolist())
-            return np.fromiter(chain.from_iterable(rows), float, s.size).reshape(s.shape)
+    def rhs(t: float, s: list) -> list:
         # the frame columns are q1 = (a0, a1, a2), q2 = (b0, ...), q3 = (c0, ...)
         p0, p1, p2, a0, a1, a2, b0, b1, b2, c0, c1, c2 = s
         g0, g1, g2 = grad([p0, p1, p2])

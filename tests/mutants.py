@@ -83,7 +83,7 @@ MUTANTS = [
     ("rk4-list-sum-order", "numkit.py",
      '"result": "x{i} + h6 * ((a{i} + 2.0 * (b{i} + c{i})) + d{i})",',
      '"result": "x{i} + h6 * (a{i} + (2.0 * (b{i} + c{i}) + d{i}))",',
-     "a list RK4 step whose last bits differ from the array step's"),
+     "a list RK4 step whose last bits differ from the numpy RK4's"),
     ("rk4-list-stage4-h", "numkit.py",
      '"x_c": "x{i} + dt * c{i}",',
      '"x_c": "x{i} + h * c{i}",',

@@ -3,10 +3,11 @@
 A planar system whose average is produced entirely by the oscillation
 bracket, the exact periodic solutions of the two corrector cases in
 twoscale.benchmarks, the fourth-order stencil residual that
-residual_bvp's spectral derivative replaced, and the comprehension RK4
-step that rk4_step's generated list steppers replaced.  pytest puts
-tests/ on the import path, so a test reads them with ``from oracles
-import ...``.
+residual_bvp's spectral derivative replaced, the comprehension RK4
+step that rk4_step's generated list steppers replaced, and the numpy
+RK4 that stepped array states before integrate_rk4 stepped only lists
+of floats.  pytest puts tests/ on the import path, so a test reads them
+with ``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from twoscale.averaging import CorrectorSolution, values_at
 from twoscale.errors import ConfigurationError
+from twoscale.numkit import TimeGrid
 from twoscale.system import OscillatorySystemSpec, phase_values
 
 
@@ -135,3 +137,32 @@ def comprehension_rk4_step(field: Callable, t: float, x: list, dt: float) -> lis
     h6 = dt / 6.0
     return [a + h6 * ((b1 + 2.0 * (b2 + b3)) + b4)
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
+def array_rk4_step(field: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
+    """rk4_step's array branch, as it was before every run stepped a list
+    of floats: the field takes and returns arrays, and a (B, d) block
+    steps B states at once."""
+    k1 = field(t, x)
+    k2 = field(t + 0.5 * dt, x + (0.5 * dt) * k1)
+    k3 = field(t + 0.5 * dt, x + (0.5 * dt) * k2)
+    k4 = field(t + dt, x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def array_integrate_rk4(
+    field: Callable, x0: np.ndarray, grid: TimeGrid, post_step: Callable | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """integrate_rk4's array path: array_rk4_step over the grid from a
+    copy of x0, post_step applied after each step, with no divergence
+    check; returns (times, states) as integrate_rk4 does."""
+    times = grid.times()
+    x = np.array(x0, dtype=float)
+    out = np.empty((grid.n_steps + 1,) + x.shape)
+    out[0] = x
+    for k in range(grid.n_steps):
+        x = array_rk4_step(field, times[k], x, grid.dt)
+        if post_step is not None:
+            x = post_step(x)
+        out[k + 1] = x
+    return times, out

@@ -1,7 +1,7 @@
-"""tools/bench_record.py, with the benchmark runs, the kernel timing and the
-tier-1 run replaced by canned results: it writes one sorted-key file per
-label, never overwrites one, writes nothing when a run is not correct, and
-records the kernel times and one tier-1 run."""
+"""tools/bench_record.py, with the benchmark runs, the kernel and probe
+timings and the tier-1 run replaced by canned results: it writes one
+sorted-key file per label, never overwrites one, writes nothing when a run
+is not correct, and records the kernel and probe times and one tier-1 run."""
 
 import importlib.util
 import json
@@ -56,8 +56,27 @@ def kernel_calls(monkeypatch, tier1_calls):
     return calls
 
 
+PROBE_MS = {"16_rows": 251.5, "8_rows": 30.2}
+
+
 @pytest.fixture
-def recorder(tmp_path, monkeypatch, tier1_calls, kernel_calls):
+def probe_calls(monkeypatch, kernel_calls):
+    """The averaged-probe timing subprocess, stubbed (run for real, it takes
+    seconds); every other subprocess goes on to kernel_calls' stand-in."""
+    calls, inner_run = [], subprocess.run
+
+    def run(args, **kwargs):
+        if "probe_averaged_stability" not in args[-1]:
+            return inner_run(args, **kwargs)
+        calls.append((args, kwargs))
+        return subprocess.CompletedProcess(args, 0, stdout=json.dumps(PROBE_MS) + "\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
+
+
+@pytest.fixture
+def recorder(tmp_path, monkeypatch, tier1_calls, kernel_calls, probe_calls):
     spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -149,3 +168,33 @@ def test_the_kernel_script_steps_each_field_on_a_list(recorder, monkeypatch, cap
     assert json.loads(capsys.readouterr().out) == {
         kernel: {"log": pytest.approx(1.0), "quadratic": pytest.approx(1.0)}
         for kernel in ("averaged", "full", "seeker_field")}
+
+
+def test_records_the_averaged_probe_times_of_the_checkout(recorder, probe_calls, tmp_path,
+                                                          monkeypatch):
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    monkeypatch.setattr(recorder, "run_once", canned([True] * (3 * len(workloads))))
+    assert recorder.main(["x", "--root", str(ROOT)]) == 0
+    record = json.loads((tmp_path / "bench" / "BENCH_x.json").read_text())
+    [(args, kwargs)] = probe_calls
+    assert args == [sys.executable, "-c", recorder.PROBES]
+    assert kwargs["cwd"] == ROOT and kwargs["check"] is True
+    assert kwargs["env"]["PYTHONPATH"] == str(ROOT / "src")
+    assert record["averaged_probe_ms"] == PROBE_MS
+
+
+def test_the_probe_script_flies_both_shapes(recorder, monkeypatch, capsys):
+    # the script run in-process on this checkout, each timeit call replaced
+    # by one probe that reads as 1 ms
+    reports = []
+
+    def one_call(stmt, globals, number, repeat):
+        reports.append(eval(stmt, globals))
+        return [1e-3 * number] * repeat
+
+    monkeypatch.setattr(timeit, "repeat", one_call)
+    exec(recorder.PROBES, {})
+    assert [(len(r.runs), r.deltas, r.horizon, r.entry_radius) for r in reports] == [
+        (8, [2.0], 5.0, 0.1), (16, [6.0, 2.0], 20.0, 1e-3)]
+    assert json.loads(capsys.readouterr().out) == {
+        "8_rows": pytest.approx(1.0), "16_rows": pytest.approx(1.0)}

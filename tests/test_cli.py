@@ -290,6 +290,25 @@ def test_bad_values_exit_1_with_named_error_line(tmp_path, capsys, command, bad,
     assert not (tmp_path / "out" / DEFAULTS[command]["output"]).exists()
 
 
+def test_full_probe_checks_every_flight_grid_before_any_flight(tmp_path, capsys, monkeypatch):
+    # at omega = 1 the step pi / 2 exceeds twice the 0.01 horizon, so those
+    # grids are refused, and before any flight: none at omega = 200 either
+    flights = []
+    fly = harness.simulate_seeker
+
+    def recorder(config, *args, **kwargs):
+        flights.append(config.omega)
+        return fly(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_seeker", recorder)
+    config = {"system": "full", "horizon": 0.01, "omegas": [200, 1],
+              "steps_per_fast_period": 2, "deltas": [1]}
+    assert run_cmd("stability-probe", tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert err == "error: span must be finite and exceed half a step of dt=1.5708, got 0.01\n"
+    assert flights == []
+
+
 @pytest.mark.parametrize("error, message", [
     (MemoryError("Unable to allocate 5.82 TiB for an array with shape (800000000001,)"),
      "error: Unable to allocate 5.82 TiB for an array with shape (800000000001,)"),

@@ -14,7 +14,7 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import comprehension_rk4_step
+from oracles import array_integrate_rk4, array_rk4_step, comprehension_rk4_step
 
 from twoscale import numkit
 from twoscale.errors import ConfigurationError, DimensionError, DivergenceError, ManifoldError
@@ -335,7 +335,7 @@ def test_rk4_zero_field_is_constant():
 
 def test_rk4_linear_decay():
     grid = TimeGrid(t0=0.0, dt=1e-3, n_steps=1000)
-    _, states = integrate_rk4(lambda t, x: -x, np.array([1.0]), grid)
+    _, states = integrate_rk4(lambda t, x: [-x[0]], [1.0], grid)
     assert abs(states[-1, 0] - np.exp(-1.0)) < 1e-8
 
 
@@ -385,9 +385,8 @@ def test_rk4_step_matches_integrator_single_step():
 def test_rk4_divergence_reports_step_and_time():
     # x' = x^2 from x(0)=1 blows up at t=1; overflow to non-finite raises
     grid = TimeGrid(t0=0.0, dt=0.1, n_steps=50)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as exc_info:
-            integrate_rk4(lambda t, x: x**2, np.array([1.0]), grid)
+    with pytest.raises(DivergenceError) as exc_info:
+        integrate_rk4(lambda t, x: [x[0] * x[0]], [1.0], grid)
     err = exc_info.value
     assert isinstance(err.step, int) and 1 <= err.step <= 50
     assert abs(err.time - 0.1 * err.step) < 1e-12
@@ -427,57 +426,20 @@ def test_rk4_post_step_manifold_error_is_divergence():
     assert "projection failed" in str(err)
 
 
-def _rowwise_field(t, x):
-    # arithmetic only, so each row of a block rounds as it does alone
-    return t * x[..., ::-1] - x * x * x
-
-
-def test_rk4_block_rows_match_rows_integrated_alone():
-    grid = TimeGrid(t0=0.1, dt=0.01, n_steps=300)
-    x0 = np.random.default_rng(5).uniform(-2.0, 2.0, size=(6, 3))
-    times, states = integrate_rk4(_rowwise_field, x0, grid)
-    assert states.shape == (301, 6, 3)
-    assert np.array_equal(states[0], x0)
-    for b in range(x0.shape[0]):
-        alone_times, alone = integrate_rk4(_rowwise_field, x0[b], grid)
-        assert np.array_equal(alone_times, times)
-        assert np.array_equal(states[:, b, :], alone)
-
-
-def test_rk4_post_step_receives_the_block():
-    grid = TimeGrid(t0=0.0, dt=0.05, n_steps=40)
-    x0 = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
-    seen = []
-
-    def renorm(s):
-        seen.append(s.shape)
-        return s / np.linalg.norm(s, axis=-1, keepdims=True)
-
-    def field(t, s):
-        return np.stack([s[..., 1], -s[..., 0]], axis=-1)
-
-    _, states = integrate_rk4(field, x0, grid, post_step=renorm)
-    assert seen == [(3, 2)] * 40
-    for b in range(3):
-        _, alone = integrate_rk4(field, x0[b], grid, post_step=renorm)
-        assert np.array_equal(states[:, b, :], alone)
-
-
-def test_rk4_nan_in_one_row_raises_for_the_block():
-    # row 1 turns NaN in the step that ends at t = 0.3; the other rows stay finite
-    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=10)
+def test_rk4_refuses_a_block_of_states():
+    # one state of d floats per run: a (B, d) block or a scalar is refused
+    # before any step
+    calls = []
 
     def field(t, x):
-        out = -x
-        if t > 0.25:
-            out = out.copy()
-            out[1] = np.nan
-        return out
+        calls.append(t)
+        return [-v for v in x]
 
-    with pytest.raises(DivergenceError) as exc_info:
-        integrate_rk4(field, np.ones((3, 2)), grid)
-    assert exc_info.value.step == 3
-    assert abs(exc_info.value.time - 0.3) < 1e-12
+    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=10)
+    for x0 in (np.ones((3, 2)), [[1.0, 0.0]], 1.0):
+        with pytest.raises(DimensionError, match="x0 must be one state of floats"):
+            integrate_rk4(field, x0, grid)
+    assert calls == []
 
 
 def _float_or_array_field(t, x):
@@ -489,17 +451,18 @@ def _float_or_array_field(t, x):
 
 
 def test_rk4_list_state_matches_array_bit_for_bit():
-    # the chaotic field amplifies any rounding difference over 2,000 steps
+    # the chaotic field amplifies any rounding difference over 2,000 steps;
+    # the reference is the numpy RK4 on arrays
     grid = TimeGrid(t0=0.3, dt=0.002, n_steps=2000)
     x0 = [1.0, -2.0, 20.0]
     times, states = integrate_rk4(_float_or_array_field, x0, grid)
-    a_times, a_states = integrate_rk4(_float_or_array_field, np.array(x0), grid)
+    a_times, a_states = array_integrate_rk4(_float_or_array_field, np.array(x0), grid)
     assert states.shape == (2001, 3) and states.dtype == np.float64
     assert times.tobytes() == a_times.tobytes()
     assert states.tobytes() == a_states.tobytes()
     step = rk4_step(_float_or_array_field, 0.3, x0, 0.002)
     assert isinstance(step, list)
-    array_step = rk4_step(_float_or_array_field, 0.3, np.array(x0), 0.002)
+    array_step = array_rk4_step(_float_or_array_field, 0.3, np.array(x0), 0.002)
     assert np.array(step).tobytes() == array_step.tobytes()
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import array_integrate_rk4
 
 from twoscale import harness
 from twoscale.averaging import build_bundle, residual_bvp
@@ -539,7 +540,7 @@ def test_simulate_matches_the_array_flight_bit_for_bit(name, projection, stride,
     traj = simulate_seeker(cfg, fld, P_REF, R0, t_f=1.0, y0=y0, stride=stride, t0=t0)
     grid = TimeGrid.spanning(t0, 1.0, cfg.dt)
     post = array_project_state if projection else None
-    times, states = integrate_rk4(
+    times, states = array_integrate_rk4(
         array_seeker_field(cfg, fld), initial_state(fld, P_REF, R0, y0=y0), grid, post_step=post
     )
     keep = sorted(set(range(0, grid.n_steps + 1, stride)) | {grid.n_steps})
@@ -647,13 +648,14 @@ def cross_product_averaged_field(fld):
 
 
 def test_averaged_field_block_matches_rows():
-    # a (B, 12) block is B independent states: each output row is the
-    # single-state value, and both equal the per-column reference byte
-    # for byte.  Rows at the source make grad c a signed zero on the
-    # quadratic field (-0.0), where a sum that starts from +0.0 would flip
-    # the sign of zero outputs; array_equal cannot see that, tobytes can.
-    # The world-frame cross-product form agrees to rounding: measured at
-    # 1.35 eps |grad c| on these states, bounded at 2 eps |grad c|.
+    # the per-column reference on a (B, 12) block of B independent states
+    # gives, row by row, the list form's value byte for byte, and the list
+    # form reads grad c once per state, as a list of 3 floats.  Rows at the
+    # source make grad c a signed zero on the quadratic field (-0.0), where
+    # a sum that starts from +0.0 would flip the sign of zero outputs;
+    # array_equal cannot see that, tobytes can.  The world-frame
+    # cross-product form agrees to rounding: measured at 1.35 eps |grad c|
+    # on these states, bounded at 2 eps |grad c|.
     rng = np.random.default_rng(3)
     eps = np.finfo(float).eps
 
@@ -662,54 +664,26 @@ def test_averaged_field_block_matches_rows():
         return np.concatenate([p, embed(exp_so3(rng.uniform(-np.pi, np.pi, size=3)))])
 
     for name, fld in builtin_fields().items():
-        avg = averaged_seeker_field(fld)
+        reads = []
+
+        def grad(p, grad=fld.grad):
+            reads.append(p)
+            return grad(p)
+
+        avg = averaged_seeker_field(dataclasses.replace(fld, grad=grad))
         ref = reference_averaged_field(fld)
         world = cross_product_averaged_field(fld)
         for n_rows in (1, 8, 16):
             for _ in range(25):
                 block = np.array([state(k) for k in rng.integers(0, 3, size=n_rows)])
-                out = avg(0.0, block)
-                assert out.shape == block.shape
+                reads.clear()
+                out = np.array([avg(0.0, s) for s in block.tolist()])
+                assert all(type(p) is list for p in reads)
+                assert reads == block[:, 0:3].tolist()
                 assert out.tobytes() == ref(0.0, block).tobytes(), name
                 gap = np.abs(out - world(0.0, block))
                 g_norm = np.linalg.norm(fld.grad(block[:, 0:3]), axis=1)
                 assert np.all(gap <= 2.0 * eps * g_norm[:, None]), name
-                for row, s in zip(out, block):
-                    single = avg(0.0, s)
-                    assert single.shape == (12,)
-                    assert single.tobytes() == row.tobytes() == ref(0.0, s).tobytes(), name
-        with pytest.raises(DimensionError):
-            avg(0.0, block.reshape(-1))
-
-
-def test_averaged_field_maps_block_rows_through_the_list_form():
-    # one formula: an array state is mapped row by row through the list
-    # form, so grad c is read once per row as a list of 3 floats and never
-    # on an array, and the output keeps the input's shape
-    quadratic = builtin_fields()["quadratic"]
-    reads = []
-
-    def grad(p):
-        if type(p) is not list:
-            raise TypeError(f"grad read on a {type(p).__name__}")
-        reads.append(p)
-        return quadratic.grad(p)
-
-    avg = averaged_seeker_field(dataclasses.replace(quadratic, grad=grad))
-    rng = np.random.default_rng(33)
-    for n_rows in (1, 8, 16):
-        block = np.concatenate([rng.uniform(-4.0, 4.0, size=(n_rows, 3)),
-                                rng.uniform(-1.0, 1.0, size=(n_rows, 9))], axis=1)
-        reads.clear()
-        out = avg(0.0, block)
-        assert out.shape == (n_rows, 12)
-        assert reads == block[:, 0:3].tolist()
-        assert out.tobytes() == np.array([avg(0.0, s) for s in block.tolist()]).tobytes()
-    reads.clear()
-    assert avg(0.0, np.empty((0, 12))).shape == (0, 12)
-    assert reads == []
-    assert avg(0.0, block[0]).shape == (12,)
-    assert reads == [block[0, 0:3].tolist()]
 
 
 @st.composite
@@ -728,18 +702,17 @@ def scattered_blocks(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(scattered_blocks())
 def test_averaged_field_list_form_matches_the_array_forms(block):
-    # the list form, which sweep steps, gives a list of 12 Python floats
-    # with the bits of the (12,) form and of the state's row of a block,
-    # signed zeros included, on both built-in fields and on one whose
-    # gradient is not radial
+    # the list form, which integrate_rk4 steps, gives a list of 12 Python
+    # floats with the bits of the same formula on a (12,) array, which it
+    # unpacks into numpy scalars, signed zeros included, on both built-in
+    # fields and on one whose gradient is not radial
     for name in TERM_FIELDS:
         avg = averaged_seeker_field(term_field(name))
-        out = avg(0.0, block)
-        for s, row in zip(block, out):
+        for s in block:
             got = avg(0.0, s.tolist())
             assert type(got) is list and len(got) == 12
             assert all(type(v) is float for v in got)
-            assert np.array(got).tobytes() == avg(0.0, s).tobytes() == row.tobytes(), name
+            assert np.array(got).tobytes() == np.array(avg(0.0, s)).tobytes(), name
 
 
 @st.composite
@@ -766,8 +739,9 @@ def test_averaged_field_is_tangent_and_descends(block):
     # subnormals covers gradients small enough to round there.
     eps, floor = np.finfo(float).eps, 16 * np.finfo(float).smallest_subnormal
     for fld in builtin_fields().values():
-        out = averaged_seeker_field(fld)(0.0, block)
-        for s, ds in zip(block, out):
+        avg = averaged_seeker_field(fld)
+        for s in block:
+            ds = np.array(avg(0.0, s.tolist()))
             g = fld.grad(s[0:3])
             g_norm = math.hypot(*g)  # np.linalg.norm underflows below 1e-154
             Q, dQ = s[3:12].reshape(3, 3).T, ds[3:12].reshape(3, 3).T
@@ -1153,9 +1127,10 @@ def array_assembled_field(spec, omega):
 @pytest.mark.parametrize("name", TERM_FIELDS + ["linear"])
 def test_sweep_matches_the_array_reference_bit_for_bit(name, monkeypatch):
     # a sweep steps its averaged reference and every rung's full run as
-    # lists.  The reference must equal the same averaged field stepped as an
-    # array; each rung, run through assemble_full_field, must equal the
-    # array right-hand side the sweep used before, stepped as an array; and
+    # lists.  The reference must equal the same averaged field stepped by
+    # the numpy RK4 on arrays; each rung, run through assemble_full_field,
+    # must equal the array right-hand side the sweep used before, stepped
+    # by the numpy RK4 too; and
     # the report's deviations follow.  Quasi-steady and zero filter starts,
     # the seeker also from a turned frame; the linear benchmark runs the
     # generic assembly.
@@ -1182,7 +1157,8 @@ def test_sweep_matches_the_array_reference_bit_for_bit(name, monkeypatch):
     t_f, avg_steps = 1.0, 80
     avg_grid = TimeGrid(t0=0.0, dt=t_f / avg_steps, n_steps=avg_steps)
     for x0 in starts:
-        avg_times, avg_states = integrate_rk4(averaged, x0, avg_grid)
+        avg_times, avg_states = array_integrate_rk4(
+            lambda t, x: np.array(averaged(t, x)), x0, avg_grid)
         for y0 in (spec.phi0(x0), np.zeros(spec.m)):
             runs.clear()
             report = sweep_convergence(spec, averaged, x0, y0, omegas, t_f,
@@ -1195,7 +1171,7 @@ def test_sweep_matches_the_array_reference_bit_for_bit(name, monkeypatch):
             devs = []
             for w, (v0, grid, times, states) in zip(omegas, full_runs):
                 assert v0 == np.concatenate([x0, y0]).tolist()
-                ref_times, ref_states = integrate_rk4(oracle(w), np.array(v0), grid)
+                ref_times, ref_states = array_integrate_rk4(oracle(w), np.array(v0), grid)
                 assert times.tobytes() == ref_times.tobytes()
                 assert states.tobytes() == ref_states.tobytes()
                 x_avg = np.column_stack([np.interp(times, avg_times, avg_states[:, j])

@@ -21,6 +21,11 @@ root.  The file, written with sorted keys, holds:
   rounds in CHECKOUT, in microseconds: seeker_field, the seeker model's
   full and the averaged list form, each on the log and quadratic fields,
   from the default simulate start;
+- the wall time of the averaged probe (harness.probe_averaged_stability)
+  on the quadratic field, best of 5 in-process calls in CHECKOUT, in
+  milliseconds, at two shapes: 8 rows (deltas [2], horizon 5, entry
+  radius 0.1: one ensemble operation) and 16 rows (deltas [6, 2],
+  horizon 20, entry radius 1e-3: criterion 6's starts), both at dt 0.01;
 - one run of the tier-1 suite in CHECKOUT, after the benchmark runs:
   its wall time, exit code and pytest's summary line.
 
@@ -80,6 +85,22 @@ for name, fld in sorted(seeker.builtin_fields().items()):
         rounds = timeit.repeat("rk4_step(field, 0.0, state, dt)", globals=names,
                                number={KERNEL_STEPS}, repeat=7)
         out.setdefault(kernel, {{}})[name] = 1e6 * min(rounds) / {KERNEL_STEPS}
+print(json.dumps(out))
+"""
+
+# the averaged probe at ensemble's shape and at criterion 6's (whose
+# horizon is 200): best of 5 timeit rounds of one call each, in milliseconds
+PROBES = """
+import json, timeit
+from twoscale import harness, seeker
+fld = seeker.builtin_fields()["quadratic"]
+out = {}
+for rows, deltas, horizon, radius in [(8, [2.0], 5.0, 0.1), (16, [6.0, 2.0], 20.0, 1e-3)]:
+    names = dict(probe=harness.probe_averaged_stability, fld=fld, deltas=deltas,
+                 horizon=horizon, radius=radius)
+    rounds = timeit.repeat("probe(fld, deltas, horizon, radius, 0.01)", globals=names,
+                           number=1, repeat=5)
+    out[f"{rows}_rows"] = 1e3 * min(rounds)
 print(json.dumps(out))
 """
 
@@ -167,14 +188,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    defaulted = subprocess.run(
-        [sys.executable, "-c", COUNT_DEFAULTS], cwd=root, capture_output=True, text=True,
-        env=env, check=True,
-    ).stdout.strip()
-    kernels = subprocess.run(
-        [sys.executable, "-c", KERNELS], cwd=root, capture_output=True, text=True,
-        env=env, check=True,
-    ).stdout
+
+    def run_script(source: str) -> str:
+        """The stdout of `python -c source` in root, importing root's src/."""
+        return subprocess.run([sys.executable, "-c", source], cwd=root, capture_output=True,
+                              text=True, env=env, check=True).stdout
+
+    defaulted = run_script(COUNT_DEFAULTS).strip()
+    kernels = run_script(KERNELS)
+    probes = run_script(PROBES)
     commit = git(root, "rev-parse", "HEAD") or None
     record = {
         "commit": commit,
@@ -190,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         "src_lines": meta.get("src_lines"),
         "defaulted_parameters": int(defaulted),
         "rk4_step_us": json.loads(kernels),
+        "averaged_probe_ms": json.loads(probes),
         "tier1": time_tier1(root),
     }
     out.parent.mkdir(exist_ok=True)
