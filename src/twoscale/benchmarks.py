@@ -8,6 +8,7 @@ themselves are test oracles, in tests/oracles.py).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +39,11 @@ class LinearBenchmark:
     Mbar = M0 + N/2; the oscillatory part has zero mean, and there is no
     sqrt-scale slow field, so the deviation from the average shrinks like
     1/omega.
+
+    The spec's full is float code over (x0, x1, y0, y1) with the fields'
+    assembly's sums in its order, each row of a 2x2 product summed onto
+    +0.0 as numpy's is: the same bits, signed zeros included (a BLAS that
+    fuses -0.5 x0 into its sum rounds it otherwise at a subnormal x0).
     """
 
     spec: OscillatorySystemSpec
@@ -68,6 +74,25 @@ def linear_benchmark() -> LinearBenchmark:
         ct = np.cos(tau)
         return np.array([a[0] + ct * b[0] + e[0], a[1] + ct * b[1] + e[1]]).T
 
+    (m00, m01), (m10, m11), (p00, p01), (p10, p11) = M0.tolist() + M1.tolist()
+    (n00, n01), (n10, n11), (l00, l01), (l10, l11) = N.tolist() + _LAYER_A.tolist()
+
+    def full(omega: float) -> Callable[[float, list], list]:
+        sqrt_w = float(np.sqrt(omega))
+
+        def rhs(t: float, s: list) -> list:
+            x0, x1, y0, y1 = s
+            ct = math.cos(omega * t)
+            z0, z1 = y0 - 0.5 * x0, y1 - 0.5 * x1
+            a0, a1 = (0.0 + m00 * x0) + m01 * x1, (0.0 + m10 * x0) + m11 * x1
+            b0, b1 = (0.0 + p00 * x0) + p01 * x1, (0.0 + p10 * x0) + p11 * x1
+            e0, e1 = (0.0 + n00 * y0) + n01 * y1, (0.0 + n10 * y0) + n11 * y1
+            return [sqrt_w * 0.0 + ((a0 + ct * b0) + e0), sqrt_w * 0.0 + ((a1 + ct * b1) + e1),
+                    (sqrt_w * 0.0 + omega * ((0.0 + l00 * z0) + l01 * z1)) + 0.0,
+                    (sqrt_w * 0.0 + omega * ((0.0 + l10 * z0) + l11 * z1)) + 0.0]
+
+        return rhs
+
     spec = OscillatorySystemSpec(
         n=2,
         m=2,
@@ -78,6 +103,7 @@ def linear_benchmark() -> LinearBenchmark:
         f2=f2,
         g1=zero2,
         g2=zero2,
+        full=full,
     )
     x0 = np.array([1.0, 0.5])
     return LinearBenchmark(spec=spec, Mbar=M0 + 0.5 * N, x0=x0, y0=phi0(x0))

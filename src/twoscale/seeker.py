@@ -495,7 +495,7 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     split as straight-line float code over the 14 state floats.  c, grad
     and the Hessian read the center as a list of 3 floats (the built-in
     fields give it the array form's bits), and every entry is the same
-    products and sums in the same order as terms and the generic assembly,
+    products and sums in the same order as terms and the fields' assembly,
     sqrt(w) f1 + f2 and (sqrt(w) g1 + w A (y - phi0)) + g2, F2's zeros and
     the products with B's zero entry included, so the two agree bit for
     bit.  The layer term w A z is w (0.0 + (z1 - z0)) and w (0.0 - z1):

@@ -13,8 +13,8 @@ field is evaluated on a vector of phases, and the callables a slow-state
 finite difference reads also on a block of states.  grid_terms is the one
 reader of the four fields (or of terms, which replaces them), and
 phase_values the one shape check on what any phase callable returns.  A
-spec may supply this right-hand side whole (OscillatorySystemSpec.full),
-and a spec with O(1/sqrt(w)) remainder terms must.
+flown spec supplies this right-hand side whole (OscillatorySystemSpec.full);
+a spec of fields alone is averaged, not flown.
 """
 
 from __future__ import annotations
@@ -88,11 +88,10 @@ class OscillatorySystemSpec:
 
     full is optional: full(omega) -> rhs, the whole right-hand side at
     frequency omega, mapping (t, packed state as a list of n + m floats)
-    to the packed derivative as such a list.  assemble_full_field returns
-    it as it is when present.  It is the only way to add terms beyond the
-    four fields, such as O(1/sqrt(w)) remainders; without those, its
-    values must equal the fields' assembly.  A spec also supplies it when
-    one float closure over the packed state beats the assembly.
+    to the packed derivative as such a list; a spec without it cannot be
+    flown.  Its values must equal the four fields' assembly,
+    sqrt(w) f1 + f2 and (sqrt(w) g1 + w A (y - phi0)) + g2, unless it adds
+    terms beyond them, such as O(1/sqrt(w)) remainders.
     """
 
     n: int
@@ -190,36 +189,15 @@ def grid_terms(spec: OscillatorySystemSpec, x, y, taus: np.ndarray, order_one: b
 def assemble_full_field(
     spec: OscillatorySystemSpec, omega: float
 ) -> Callable[[float, list], list]:
-    """Right-hand side of the full system at frequency omega.
-
-    The returned callable maps (t, packed state as a list of n + m floats)
-    to the packed derivative as such a list, with the fast phase
-    tau = omega * t.  It is spec.full(omega) when the spec supplies full,
-    else the fields' assembly below: one shape-checked grid_terms read on
-    the one-phase grid [tau], on arrays inside its list boundary.
-    """
+    """Right-hand side of the full system at frequency omega, spec.full(omega):
+    (t, packed state as a list of n + m floats) -> the packed derivative
+    as such a list, at the fast phase tau = omega * t.  A spec without
+    full is refused (ConfigurationError)."""
     if not (np.isfinite(omega) and omega > 0.0):
         raise ConfigurationError(f"omega must be positive, got {omega}")
-    if spec.full is not None:
-        return spec.full(omega)
-    n = spec.n
-    sqrt_w = float(np.sqrt(omega))
-    A = spec.A
-    phi0 = spec.phi0
-
-    def field(t: float, s: list) -> list:
-        v = np.array(s)
-        x = v[:n]
-        y = v[n:]
-        F1, F2 = grid_terms(spec, x, y, np.array([omega * t]))
-        # the same sums in the same order as sqrt(w) f1 + f2 and
-        # (w A (y - phi0) + sqrt(w) g1) + g2, so every entry rounds alike
-        out = sqrt_w * F1[0]
-        out[n:] += omega * (A @ (y - phi0(x)))
-        out += F2[0]
-        return out.tolist()
-
-    return field
+    if spec.full is None:
+        raise ConfigurationError("the spec has no full right-hand side to fly")
+    return spec.full(omega)
 
 
 def frozen_layer_field(

@@ -6,12 +6,15 @@ twoscale.benchmarks, the fourth-order stencil residual that
 residual_bvp's spectral derivative replaced, the comprehension RK4
 step that rk4_step's generated list steppers replaced, and the numpy
 RK4 that stepped array states before integrate_rk4 stepped only lists
-of floats.  pytest puts tests/ on the import path, so a test reads them
-with ``from oracles import ...``.
+of floats, and the generic assembly of a full right-hand side from a
+spec's fields, which assemble_full_field made before every flown spec
+supplied full.  pytest puts tests/ on the import path, so a test reads
+them with ``from oracles import ...``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +23,7 @@ import numpy as np
 from twoscale.averaging import CorrectorSolution, values_at
 from twoscale.errors import ConfigurationError
 from twoscale.numkit import TimeGrid
-from twoscale.system import OscillatorySystemSpec, phase_values
+from twoscale.system import OscillatorySystemSpec, grid_terms, phase_values
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,36 @@ def bracket_benchmark() -> BracketBenchmark:
         return np.array([ds(x[1]), 0.0])
 
     return BracketBenchmark(spec=spec, fbar_exact=fbar_exact)
+
+
+def assembled_field(spec: OscillatorySystemSpec, omega: float) -> Callable:
+    """The full right-hand side assembled from the spec's fields: one
+    grid_terms read on the one-phase grid [omega t], then
+    sqrt(w) F1 + (0, w A (y - phi0(x))) + F2, on arrays.  It maps a packed
+    state (a list or an array) to the derivative as a list, and reads the
+    spec at each call, so a field reassigned later is the one used."""
+    n = spec.n
+    sqrt_w = float(np.sqrt(omega))
+
+    def field(t: float, s) -> list:
+        v = np.array(s, dtype=float)
+        x, y = v[:n], v[n:]
+        F1, F2 = grid_terms(spec, x, y, np.array([omega * t]))
+        # the same sums in the same order as sqrt(w) f1 + f2 and
+        # (w A (y - phi0) + sqrt(w) g1) + g2, so every entry rounds alike
+        out = sqrt_w * F1[0]
+        out[n:] += omega * (spec.A @ (y - spec.phi0(x)))
+        out += F2[0]
+        return out.tolist()
+
+    return field
+
+
+def assembled(spec: OscillatorySystemSpec) -> OscillatorySystemSpec:
+    """spec with full set to its fields' assembly (assembled_field), so a
+    fields-only spec can be flown; returns the same spec."""
+    spec.full = functools.partial(assembled_field, spec)
+    return spec
 
 
 def bvp_exact(name: str) -> Callable:

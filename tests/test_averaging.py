@@ -34,7 +34,7 @@ from twoscale.seeker import as_system_spec, builtin_fields
 from twoscale.so3 import embed, exp_so3
 from twoscale.system import OscillatorySystemSpec, assemble_full_field, grid_terms
 
-from oracles import bracket_benchmark, bvp_exact, stencil_residual
+from oracles import assembled, bracket_benchmark, bvp_exact, stencil_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -569,7 +569,7 @@ def test_second_corrector_makes_the_corrected_manifold_invariant_to_third_order(
     # needs the tilt term -Dphi0 D_y f1 phi1: a run started on
     # y = phi0 + eps phi1 + eps^2 phi2 (eps = omega^-1/2) then stays within
     # O(eps^3) of it, and the distance shrinks 8x per 4x in omega
-    spec = scalar_spec(f1=lambda x, y, tau: (np.sin(tau) * y[..., 0:1])[..., None])
+    spec = assembled(scalar_spec(f1=lambda x, y, tau: (np.sin(tau) * y[..., 0:1])[..., None]))
     bundle = build_bundle(spec, n_panels=64)
 
     def manifold(x, tau, eps):

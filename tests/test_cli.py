@@ -660,6 +660,22 @@ def test_sweep_linear_system_passes(tmp_path):
     assert report["layer_rates"] == [None] * 4
 
 
+def test_linear_sweep_follows_the_inverse_frequency_law(tmp_path):
+    # the linear benchmark has no sqrt(w)-scale field, so its deviation
+    # from the closed-form average falls like 1/omega.  On seven rungs from
+    # 2 pi to 128 pi (the default ladder has five) the fitted slope read
+    # -0.9855 when this bound was set; a fit off by 0.03 fails
+    payload = {
+        "system": "linear",
+        "omegas": [2.0 * np.pi * 2.0**k for k in range(7)],
+        "steps_per_period": 100,
+    }
+    assert run_cmd("sweep", tmp_path, payload) == 0
+    report = json.loads((tmp_path / "out" / "sweep_report.json").read_text())
+    assert report["strictly_decreasing"] is True
+    assert abs(report["slope"] + 1.0) < 0.03, report["slope"]
+
+
 @pytest.mark.parametrize("mode", ["quasi-steady", "zero"])
 @pytest.mark.parametrize("system", ["seeker", "linear"])
 def test_sweep_passes_its_system_directly(tmp_path, monkeypatch, system, mode):

@@ -38,9 +38,12 @@ from twoscale.seeker import (
 from twoscale.so3 import embed, manifold_residual
 from twoscale.system import OscillatorySystemSpec, assemble_full_field
 
+from oracles import assembled
+
 
 def zero_spec():
-    return OscillatorySystemSpec(
+    """Zero fields, flown through their assembly (oracles.assembled)."""
+    return assembled(OscillatorySystemSpec(
         n=1,
         m=1,
         T=2.0 * np.pi,
@@ -50,14 +53,14 @@ def zero_spec():
         f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
-    )
+    ))
 
 
 def layer_spec(A=None):
     """No slow dynamics at all: only the fast layer contraction."""
     A = np.array([[-1.0]]) if A is None else A
     m = A.shape[0]
-    return OscillatorySystemSpec(
+    return assembled(OscillatorySystemSpec(
         n=1,
         m=m,
         T=2.0 * np.pi,
@@ -67,7 +70,7 @@ def layer_spec(A=None):
         f2=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
         g1=lambda x, y, tau: np.zeros(np.shape(tau) + (m,)),
         g2=lambda x, y, tau: np.zeros(np.shape(tau) + (m,)),
-    )
+    ))
 
 
 def zero_avg(t, x):

@@ -27,6 +27,10 @@ _TEST_ONLY = "test-only API pinned by perfbench/tracer.py; ROADMAP lists it for 
 _HELPER = "serves only a test-only API pinned by perfbench/tracer.py"
 _CROSS_CHECK = "acceptance criterion 7's oracle: the raw-kinematics representation"
 _ASSUMPTION = "the standing-assumption check, which only tests run so far"
+_LINEAR_FIELDS = (
+    "the linear benchmark's phase fields, which its full replaces in flight: the fbar-vs-Mbar "
+    "oracle reads them, and the standing-assumption check will read them in a command"
+)
 
 _UNREACHED = {
     "averaging.CorrectorSolution.__call__": "the README's bundle.phi1(x, 0.0)",
@@ -54,6 +58,8 @@ _UNREACHED = {
     "so3.extract": _CROSS_CHECK,
     "system.check_assumption_A": _ASSUMPTION,
     "system.AssumptionReport.ok": _ASSUMPTION,
+    "benchmarks.linear_benchmark.<locals>.f2": _LINEAR_FIELDS,
+    "benchmarks.linear_benchmark.<locals>.zero2": _LINEAR_FIELDS,
     "averaging._dy_jacobian.<locals>.<lambda>":
         "the finite-difference D_y F1 for specs without df1_dy and dg1_dy; "
         "both command specs supply them",

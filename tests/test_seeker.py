@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import array_integrate_rk4
+from oracles import array_integrate_rk4, assembled_field
 
 from twoscale import harness
 from twoscale.averaging import build_bundle, residual_bvp
@@ -977,7 +977,34 @@ def test_terms_match_reference_fields_bit_for_bit(name):
         assert F1.shape == (257, 14)
 
 
-@pytest.mark.parametrize("name", TERM_FIELDS)
+def linear_full_matches_the_assembly():
+    """The linear benchmark's full against its fields' generic assembly
+    (oracles.assembled_field), bit for bit: random states over twelve
+    decades, the same x on y = phi0(x), where the layer term is +0.0, and
+    every state of signed zeros, ones, extremes and subnormals, at three
+    frequencies.  A subnormal x0 is left out: there -0.5 x0 rounds, and a
+    BLAS product may fuse it into its sum."""
+    spec = linear_benchmark().spec
+    rng = np.random.default_rng(67)
+    omegas = [8.0 * np.pi, 64.0 * np.pi, float(rng.uniform(1.0, 300.0))]
+    fields = [(assemble_full_field(spec, w), assembled_field(spec, w)) for w in omegas]
+    for k in range(2000):
+        got, want = fields[k % len(fields)]
+        x = rng.standard_normal(2) * 10.0 ** rng.integers(-6, 6, 2)
+        t = float(rng.uniform(0.0, 5.0))
+        for y in (rng.standard_normal(2), spec.phi0(x)):
+            v = np.concatenate([x, y]).tolist()
+            assert same_bits(got(t, v), want(t, v))
+    edges = [0.0, 1.0, 1e308, 0.7]
+    edges = [e * sign for e in edges for sign in (1.0, -1.0)]
+    tiny = [5e-324, -5e-324, 1e-310, -1e-310]
+    for (got, want), w in zip(fields, omegas):
+        for v in itertools.product(edges, edges + tiny, edges + tiny, edges + tiny):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert same_bits(got(0.5 / w, list(v)), want(0.5 / w, list(v)))
+
+
+@pytest.mark.parametrize("name", TERM_FIELDS + ["linear"])
 def test_full_field_matches_reference_assembly(name):
     # 2000 random states, frequencies and times: the one-call right-hand
     # side equals the four-call assembly of the reference fields bit for bit.
@@ -986,7 +1013,11 @@ def test_full_field_matches_reference_assembly(name):
     # with ya < c(p), and p = 0 (where the quadratic gradient is -0.0, and
     # y pairs of signed zeros and subnormals); each also with a zero frame,
     # where the dither axis vanishes and the sign of a zero layer entry
-    # reaches the output.
+    # reaches the output.  The linear benchmark is pinned likewise against
+    # its fields' assembly.
+    if name == "linear":
+        linear_full_matches_the_assembly()
+        return
     fld = term_field(name)
     spec = as_system_spec(fld)
     ref = reference_phase_fields(fld)
@@ -1108,22 +1139,6 @@ def array_full_field(spec, fld, omega):
     return rhs
 
 
-def array_assembled_field(spec, omega):
-    """assemble_full_field's generic assembly as it was on arrays."""
-    n = spec.n
-    sqrt_w = float(np.sqrt(omega))
-
-    def field(t, v):
-        x, y = v[:n], v[n:]
-        F1, F2 = (F[0] for F in grid_terms(spec, x, y, np.array([omega * t])))
-        out = sqrt_w * F1
-        out[n:] += omega * (spec.A @ (y - spec.phi0(x)))
-        out += F2
-        return out
-
-    return field
-
-
 @pytest.mark.parametrize("name", TERM_FIELDS + ["linear"])
 def test_sweep_matches_the_array_reference_bit_for_bit(name, monkeypatch):
     # a sweep steps its averaged reference and every rung's full run as
@@ -1132,12 +1147,15 @@ def test_sweep_matches_the_array_reference_bit_for_bit(name, monkeypatch):
     # must equal the array right-hand side the sweep used before, stepped
     # by the numpy RK4 too; and
     # the report's deviations follow.  Quasi-steady and zero filter starts,
-    # the seeker also from a turned frame; the linear benchmark runs the
-    # generic assembly.
+    # the seeker also from a turned frame; the linear benchmark's rungs
+    # equal its fields' generic assembly, as arrays.
     if name == "linear":
         bench = linear_benchmark()
         spec, averaged, starts = bench.spec, bench.averaged_field, [bench.x0]
-        oracle = functools.partial(array_assembled_field, spec)
+
+        def oracle(w):
+            field = assembled_field(spec, w)
+            return lambda t, v: np.array(field(t, v))
     else:
         fld = term_field(name)
         spec, averaged = as_system_spec(fld), averaged_seeker_field(fld)

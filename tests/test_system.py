@@ -11,6 +11,7 @@ import pytest
 from twoscale.averaging import build_b
 from twoscale.benchmarks import linear_benchmark
 from twoscale.errors import ConfigurationError, DimensionError
+from twoscale.harness import run_compare
 from twoscale.numkit import TimeGrid, integrate_rk4
 from twoscale.system import (
     OscillatorySystemSpec,
@@ -22,6 +23,8 @@ from twoscale.system import (
     grid_terms,
     to_shifted,
 )
+
+from oracles import assembled, assembled_field
 
 
 def scalar_spec(**overrides):
@@ -82,7 +85,8 @@ def test_phi0_jacobian_analytic_and_fd_agree():
 
 
 def test_assembled_field_matches_hand_arithmetic():
-    spec = scalar_spec()
+    # the fields' generic assembly (oracles), which pins every spec's full
+    spec = assembled(scalar_spec())
     omega = 4.0
     field = assemble_full_field(spec, omega)
     t, x, y = 0.3, 0.7, -0.2
@@ -97,10 +101,10 @@ def test_assembled_field_matches_hand_arithmetic():
 def test_assembled_field_sqrt_scale_doubles_with_4x_frequency():
     # at t = 0 the phase is 0 for every omega, so the sqrt(omega)-scale
     # contribution is isolated by subtracting the order-one part
-    spec = scalar_spec(
+    spec = assembled(scalar_spec(
         f1=lambda x, y, tau: np.ones(np.shape(tau) + (1,)),  # frozen phase dependence
         g1=lambda x, y, tau: np.zeros(np.shape(tau) + (1,)),
-    )
+    ))
     x, y = 0.4, 0.2
     v = [x, y]
     f2_part = -x + y
@@ -117,13 +121,26 @@ def test_assembled_field_rejects_bad_omega():
         assemble_full_field(spec, -2.0)
 
 
+def test_a_spec_without_full_cannot_be_flown():
+    # a fields-only spec averages, but assemble_full_field and run_compare
+    # refuse to fly it, before any step
+    spec = scalar_spec()
+    assert spec.full is None
+    with pytest.raises(ConfigurationError, match="no full right-hand side"):
+        assemble_full_field(spec, 9.0)
+    reference = (np.array([0.0, 1.0]), np.zeros((2, 1)))
+    with pytest.raises(ConfigurationError, match="no full right-hand side"):
+        run_compare(spec, reference, np.zeros(1), np.zeros(1), 9.0, t_f=1.0,
+                    steps_per_period=16)
+
+
 # ---------------------------------------------------------------- phase terms
 
 
 def test_grid_terms_fall_back_to_the_fields_read_at_call_time():
     # a spec without terms stacks its four fields, and a field reassigned
-    # after the right-hand side was built is the one the next call uses
-    spec = linear_benchmark().spec
+    # after the fields' assembly was built is the one its next call uses
+    spec = assembled(linear_benchmark().spec)
     assert spec.terms is None
     x, y = np.array([0.8, -0.3]), np.array([0.1, 0.4])
     taus = np.linspace(0.0, 2.0 * np.pi, 9)
@@ -151,22 +168,31 @@ def test_grid_terms_fall_back_to_the_fields_read_at_call_time():
     assert F2 is None and F1.shape == (9, 4)
 
 
-def test_full_field_makes_one_terms_call_per_evaluation():
+def test_grid_terms_makes_one_terms_call_per_read():
+    # with terms, each read is one terms call with order_one passed on, and
+    # gives the bits of the same read of the fields
     base = scalar_spec()
     calls = []
 
     def terms(x, y, tau, order_one=True):
-        calls.append(tau)
+        calls.append(order_one)
         return grid_terms(base, x, y, tau, order_one)
 
     def unused(x, y, tau):
         raise AssertionError("a phase field was called beside terms")
 
     spec = scalar_spec(terms=terms, f1=unused, f2=unused, g1=unused, g2=unused)
-    v = [0.7, -0.2]
-    got = assemble_full_field(spec, 9.0)(0.2, v)
-    assert len(calls) == 1
-    assert np.array_equal(got, assemble_full_field(base, 9.0)(0.2, v))
+    x, y, taus = np.array([0.7]), np.array([-0.2]), np.linspace(0.0, 1.0, 5)
+    for order_one in (True, False):
+        got = grid_terms(spec, x, y, taus, order_one)
+        want = grid_terms(base, x, y, taus, order_one)
+        assert calls == [order_one]
+        calls.clear()
+        assert np.array_equal(got[0], want[0])
+        if order_one:
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1] is None
 
 
 def test_full_field_returns_the_specs_own_right_hand_side():
@@ -211,18 +237,21 @@ def test_phase_terms_with_wrong_shape_raise_dimension_error():
             check_assumption_A(spec)
         with pytest.raises(DimensionError):
             build_b(spec, 1).values_at(x, taus)
-    # order-one fields that drop the phase axis: grid_terms refuses them,
-    # and so must the generic full right-hand side, which would otherwise
-    # broadcast f2's scalar over g2 and return [-0.5, 0.85]
+    # order-one fields that drop the phase axis: grid_terms refuses them on
+    # the one-phase grid too, where stacking would broadcast f2's scalar
+    # over g2 and give the fields' assembly [-0.5, 0.85]
     def zero(x, y, tau):
         return np.zeros(np.shape(tau) + (1,))
 
     flat = scalar_spec(f1=zero, g1=zero, f2=lambda x, y, tau: -x + y, g2=lambda x, y, tau: x**2)
-    rhs = assemble_full_field(flat, 9.0)
+    x, y, tau = np.array([0.7]), np.array([0.2]), np.array([0.9])
     with pytest.raises(DimensionError):
-        rhs(0.1, [0.7, 0.2])
-    conforming = assemble_full_field(scalar_spec(f1=zero, g1=zero), 9.0)
-    assert conforming(0.1, [0.7, 0.2]) == pytest.approx([-0.5, 1.84])
+        grid_terms(flat, x, y, tau)
+    with pytest.raises(DimensionError):
+        assembled_field(flat, 9.0)(0.1, [0.7, 0.2])
+    conforming = scalar_spec(f1=zero, g1=zero)
+    assert grid_terms(conforming, x, y, tau)[1].tolist() == [pytest.approx([-0.5, 0.49])]
+    assert assembled_field(conforming, 9.0)(0.1, [0.7, 0.2]) == pytest.approx([-0.5, 1.84])
 
 
 # --------------------------------------------------------- frozen_layer_field
