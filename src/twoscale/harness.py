@@ -193,14 +193,15 @@ def sweep_convergence(
     avg_steps RK4 steps, and every rung compares against that run.  Both
     step on floats: averaged takes and returns a list of n floats.
     Requires at least four strictly increasing frequencies so the slope
-    fit means something.  A run whose layer fit is degenerate reports None
+    fit means something, and a spec with full; every setting is checked
+    before any run.  A run whose layer fit is degenerate reports None
     for its rate; a diverging full run reports an infinite deviation.
     """
     omegas = [float(w) for w in omegas]
-    # checked before any run, so a bad setting costs no averaged or full run
+    # checked before any run, so a bad setting costs no averaged or full run;
+    # building each rung's field refuses a bad omega and a spec without full
     for w in omegas:
-        if not (np.isfinite(w) and w > 0.0):
-            raise ConfigurationError(f"frequencies must be positive and finite, got {w}")
+        assemble_full_field(spec, w)
     if len(omegas) < 4:
         raise ConfigurationError(f"need at least 4 frequencies, got {len(omegas)}")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
@@ -508,9 +509,9 @@ def probe_averaged_stability(
     positions = states[:, :, 0:3]
     dist = np.linalg.norm(positions - fld.p_star, axis=2)
     # the height deficit V_c = c(p_star) - c(p), with c taken on every run at once
-    vc = float(fld.c(fld.p_star)) - fld.c(positions.reshape(-1, 3)).reshape(dist.shape)
+    vc = float(fld.c(fld.p_star)) - fld.c(np.moveaxis(positions, -1, 0))
     max_inc = np.max(np.diff(vc, axis=0), axis=0)
-    final_grads = fld.grad(positions[-1])
+    final_grads = np.transpose(fld.grad(positions[-1].T))
 
     runs = [{
         "delta": delta,

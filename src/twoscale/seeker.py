@@ -55,56 +55,53 @@ _E1 = np.array([1.0, 0.0, 0.0])
 class ScalarField:
     """Sensed scalar field with its critical point and derivatives.
 
-    c, grad and hess (required) take a point as a list of 3 floats, giving
-    a float, a list of 3 floats and 3 lists of 3 floats.  c and grad also
-    take a (3,) array or a (B, 3) block, one point per row, giving arrays;
-    the built-in fields give each row of every form the list's bits (see
-    _sum_sq).  simulate and sweep read the list form at every step.
+    A point is its three coordinates, read as p0, p1, p2 = p: a list of 3
+    floats, a (3,) array, or a (3, ...) array whose coordinate arrays hold
+    one entry per point.  c, grad and hess (required) give a value, 3
+    components and 3 rows of 3 components of that form: floats on a list
+    (simulate and sweep read this form at every step), arrays of the
+    coordinates' shape on a (3, ...) array.  The built-in fields are one
+    float formula each, so every point of every form has the list's bits.
     """
 
     name: str
     c: Callable[[list | np.ndarray], float | np.ndarray]
-    grad: Callable[[list | np.ndarray], list | np.ndarray]
+    grad: Callable[[list | np.ndarray], list]
     p_star: np.ndarray
-    hess: Callable[[list], list]
-
-
-def _sum_sq(p):
-    """p0*p0 + p1*p1 + p2*p2 added left to right, of a list of 3 floats or per
-    row of an array: numpy fuses no multiply and add, so each row has the list's bits."""
-    if isinstance(p, list):
-        p0, p1, p2 = p
-        return p0 * p0 + p1 * p1 + p2 * p2
-    q = (p * p).T
-    return q[0] + q[1] + q[2]
+    hess: Callable[[list | np.ndarray], list]
 
 
 def builtin_fields() -> dict[str, ScalarField]:
     """The two reference fields used across the test problems."""
 
     def log_c(p):
-        h = 0.5 * _sum_sq(p)
+        p0, p1, p2 = p
+        h = 0.5 * (p0 * p0 + p1 * p1 + p2 * p2)
         if isinstance(h, float):
             return -math.log1p(h)
-        return -np.fromiter(map(math.log1p, h.tolist()), float, len(h))
+        # math.log1p per entry: np.log1p is not promised the same bits
+        return -np.fromiter(map(math.log1p, h.ravel().tolist()), float, h.size).reshape(h.shape)
 
     def log_grad(p):
-        d = 1.0 + 0.5 * _sum_sq(p)
-        return [-p[0] / d, -p[1] / d, -p[2] / d] if isinstance(p, list) else -p / d[..., None]
+        p0, p1, p2 = p
+        d = 1.0 + 0.5 * (p0 * p0 + p1 * p1 + p2 * p2)
+        return [-p0 / d, -p1 / d, -p2 / d]
 
     def log_hess(p):
         p0, p1, p2 = p
-        s = 1.0 + 0.5 * _sum_sq(p)
+        s = 1.0 + 0.5 * (p0 * p0 + p1 * p1 + p2 * p2)
         ss, d, z = s * s, -1.0 / s, -0.0 / s
         return [[d + p0 * p0 / ss, z + p0 * p1 / ss, z + p0 * p2 / ss],
                 [z + p1 * p0 / ss, d + p1 * p1 / ss, z + p1 * p2 / ss],
                 [z + p2 * p0 / ss, z + p2 * p1 / ss, d + p2 * p2 / ss]]
 
     def quad_c(p):
-        return -0.5 * _sum_sq(p)
+        p0, p1, p2 = p
+        return -0.5 * (p0 * p0 + p1 * p1 + p2 * p2)
 
     def quad_grad(p):
-        return [-p[0], -p[1], -p[2]] if isinstance(p, list) else -p
+        p0, p1, p2 = p
+        return [-p0, -p1, -p2]
 
     def quad_hess(p):
         return [[-1.0, -0.0, -0.0], [-0.0, -1.0, -0.0], [-0.0, -0.0, -1.0]]
@@ -220,7 +217,7 @@ def seeker_field(
     The body is the float arithmetic of _dither_axis and _frame_turn
     written out entry by entry, with the same products and sums in the
     same order.  The reading is c on the sensor position as a list of 3
-    floats, which the built-in fields compute with the array form's bits.
+    floats.
     """
     w = config.omega
     sqw = float(np.sqrt(w))
@@ -345,7 +342,7 @@ class SeekerTrajectory:
     states: np.ndarray
 
     def center_values(self, fld: ScalarField) -> np.ndarray:
-        return fld.c(self.states[:, 0:3])
+        return fld.c(self.states[:, 0:3].T)
 
     def frame_residuals(self) -> np.ndarray:
         return manifold_residual(self.states[:, 3:12])
@@ -459,11 +456,11 @@ def _frame_turn(q: list, ct, st) -> list:
 
 
 def _columns(v, tau) -> list:
-    """The k components of v, (k,) at a state or (B, k) on a block, each
+    """The k components of v, (k,) at a state or (k, B) on a block, each
     shaped to broadcast in front of the phases tau: () or (B,), with a
     trailing 1 when tau is a vector."""
     v = np.asarray(v, dtype=float)
-    return list(v.T.reshape(v.shape[-1:] + v.shape[:-1] + (1,) * np.ndim(tau)))
+    return list(v.reshape(v.shape + (1,) * np.ndim(tau)))
 
 
 def _stack(rows: list) -> np.ndarray:
@@ -493,21 +490,21 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     of its columns that grid_terms never calls; full(omega), which
     assemble_full_field returns, is the full right-hand side of the same
     split as straight-line float code over the 14 state floats.  c, grad
-    and the Hessian read the center as a list of 3 floats (the built-in
-    fields give it the array form's bits), and every entry is the same
-    products and sums in the same order as terms and the fields' assembly,
-    sqrt(w) f1 + f2 and (sqrt(w) g1 + w A (y - phi0)) + g2, F2's zeros and
-    the products with B's zero entry included, so the two agree bit for
-    bit.  The layer term w A z is w (0.0 + (z1 - z0)) and w (0.0 - z1):
+    and the Hessian read the center as a list of 3 floats, and every
+    entry is the same products and sums in the same order as terms and
+    the fields' assembly, sqrt(w) f1 + f2 and (sqrt(w) g1 + w A (y - phi0))
+    + g2, F2's zeros and the products with B's zero entry included, so the
+    two agree bit for bit.  The layer term w A z is w (0.0 + (z1 - z0)) and w (0.0 - z1):
     numpy's 2x2 product sums each row onto +0.0, so these give its bits,
     signed zeros included, where -z0 + z1 and 0 z0 - z1 do not.
 
     phi0, dphi0 and terms' F1 take a state or a block of states (the
-    spec's block contract) through one formula: each state's scalars are
-    arrays that broadcast in front of the phase axes (_columns), and a
-    block call reads c and grad once for all its rows, whose bits are the
-    one-state call's (the built-in fields' c and grad are equal per row on
-    a block).
+    spec's block contract) through one formula: each reads the (B, k)
+    columns of a block as its (k, B) transpose, so the field gets the
+    centers as a (3, B) coordinate view and reads c and grad once for all
+    of them (the built-in fields' values at each center have that point's
+    bits), and each state's scalars are arrays that broadcast in front of
+    the phase axes (_columns).
 
     On y = phi0(x), where every averaging grid reads f1, the gain is +0.0
     and f1's frame rows are +0.0, the turn unformed.  +0.0 (w x q_j) would
@@ -521,11 +518,11 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
     fb0, fb1 = FILTER_B.tolist()
 
     def phi0(x: np.ndarray) -> np.ndarray:
-        val = c(x[..., 0:3])
+        val = c(x[..., 0:3].T)
         return np.stack([val, val], axis=-1)
 
     def dphi0(x: np.ndarray) -> np.ndarray:
-        g = np.asarray(grad(x[..., 0:3]), dtype=float)
+        g = np.transpose(grad(x[..., 0:3].T))
         out = np.zeros(np.shape(x)[:-1] + (2, 12))
         out[..., 0, 0:3] = g
         out[..., 1, 0:3] = g
@@ -549,10 +546,10 @@ def as_system_spec(fld: ScalarField) -> OscillatorySystemSpec:
         y = phi0(x), where F1's frame rows are +0.0 as F2's are.  All four
         fields share c(p), grad, the trig values and the dither axis."""
         tau = np.asarray(tau, dtype=float)
-        p, q = x[..., 0:3], _columns(x[..., 3:12], tau)
-        ya, yb = _columns(y, tau)
+        p, q = x[..., 0:3].T, _columns(x[..., 3:12].T, tau)
+        ya, yb = _columns(y.T, tau)
         g = _columns(grad(p), tau)
-        (val,) = _columns(np.expand_dims(c(p), -1), tau)
+        (val,) = _columns([c(p)], tau)
         ct, st, s1 = np.cos(tau), np.sin(tau), 2.0 * np.cos(2.0 * tau - val)
         d = _dither_axis(q, ct, st)
         u = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]

@@ -194,7 +194,7 @@ def assemble_full_field(
     as such a list, at the fast phase tau = omega * t.  A spec without
     full is refused (ConfigurationError)."""
     if not (np.isfinite(omega) and omega > 0.0):
-        raise ConfigurationError(f"omega must be positive, got {omega}")
+        raise ConfigurationError(f"omega must be positive and finite, got {omega}")
     if spec.full is None:
         raise ConfigurationError("the spec has no full right-hand side to fly")
     return spec.full(omega)

@@ -79,6 +79,20 @@ MUTANTS = [
      "-h1 * a0, -h1 * a1, -h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]",
      "h1 * a0, h1 * a1, h1 * a2, -h2 * a0, -h2 * a1, -h2 * a2]",
      "an averaged vehicle whose frame leaves SO(3)"),
+    # a (B, 3) block unpacks as three coordinate arrays only at B = 3 (at
+    # B = 2 for the filter pair), where it reads the rows as coordinates
+    ("center-values-rows", "seeker.py",
+     "return fld.c(self.states[:, 0:3].T)",
+     "return fld.c(self.states[:, 0:3])",
+     "a 3-row run's center values read across its rows"),
+    ("phi0-rows", "seeker.py",
+     "val = c(x[..., 0:3].T)",
+     "val = c(x[..., 0:3])",
+     "a 3-state block's quasi-steady filter read across its rows"),
+    ("terms-filter-rows", "seeker.py",
+     "ya, yb = _columns(y.T, tau)",
+     "ya, yb = _columns(y, tau)",
+     "a 2-state block's filter gain read across its rows"),
     # a + 2.0 * (b + c) + d would parse as the original's (a + 2.0 * (b + c)) + d
     ("rk4-list-sum-order", "numkit.py",
      '"result": "x{i} + h6 * ((a{i} + 2.0 * (b{i} + c{i})) + d{i})",',

@@ -1,7 +1,8 @@
-"""tools/bench_record.py, with the benchmark runs, the kernel and probe
-timings and the tier-1 run replaced by canned results: it writes one
-sorted-key file per label, never overwrites one, writes nothing when a run
-is not correct, and records the kernel and probe times and one tier-1 run."""
+"""tools/bench_record.py, with the benchmark runs, the kernel, probe and
+host-reference timings and the tier-1 run replaced by canned results: it
+writes one sorted-key file per label, never overwrites one, writes nothing
+when a run is not correct, and records the kernel and probe times, the
+host's reference time around the runs and one tier-1 run."""
 
 import importlib.util
 import json
@@ -76,10 +77,31 @@ def probe_calls(monkeypatch, kernel_calls):
 
 
 @pytest.fixture
-def recorder(tmp_path, monkeypatch, tier1_calls, kernel_calls, probe_calls):
+def host_calls(monkeypatch, probe_calls):
+    """The host-reference subprocess, stubbed: it reads 0.0213 s, then
+    0.0247 s; every other subprocess goes on to probe_calls' stand-in."""
+    calls, inner_run, readings = [], subprocess.run, iter([0.0213, 0.0247])
+
+    def run(args, **kwargs):
+        if "reference_seconds" not in args[-1]:
+            return inner_run(args, **kwargs)
+        calls.append((args, kwargs))
+        return subprocess.CompletedProcess(args, 0, stdout=f"{next(readings)}\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
+
+
+def load_recorder():
     spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def recorder(tmp_path, monkeypatch, tier1_calls, kernel_calls, probe_calls, host_calls):
+    module = load_recorder()
     monkeypatch.setattr(module, "HERE", tmp_path)
     return module
 
@@ -198,3 +220,41 @@ def test_the_probe_script_flies_both_shapes(recorder, monkeypatch, capsys):
         (8, [2.0], 5.0, 0.1), (16, [6.0, 2.0], 20.0, 1e-3)]
     assert json.loads(capsys.readouterr().out) == {
         "8_rows": pytest.approx(1.0), "16_rows": pytest.approx(1.0)}
+
+
+def test_records_the_host_reference_around_the_runs(recorder, host_calls, tmp_path,
+                                                   monkeypatch):
+    # one reading before the first run and one after the last, stored as
+    # read: the runs' metrics are not rescaled by them
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    events, run_once = [], canned([True] * (3 * len(workloads)))
+
+    def logged(root, workload):
+        events.append(len(host_calls))
+        return run_once(root, workload)
+
+    monkeypatch.setattr(recorder, "run_once", logged)
+    assert recorder.main(["x", "--root", str(ROOT)]) == 0
+    record = json.loads((tmp_path / "bench" / "BENCH_x.json").read_text())
+    assert events == [1] * (3 * len(workloads))
+    assert len(host_calls) == 2
+    for args, kwargs in host_calls:
+        assert args == [sys.executable, "-c", recorder.HOST_REFERENCE]
+        assert kwargs["cwd"] == ROOT and kwargs["check"] is True
+    assert record["host_reference_s"] == {"before": 0.0213, "after": 0.0247}
+    assert record["workloads"][workloads[0]]["metrics"]["wall_s"]["values"] == [0.0, 1.0, 2.0]
+
+
+def test_the_host_script_reads_the_calibration_kernel_without_writing(tmp_path):
+    # run for real, no subprocess stubbed (7 kernel calls, well under a
+    # second), in a copy of perfbench/calibration.py: it prints one
+    # positive time and leaves no bytecode beside the module
+    recorder = load_recorder()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "calibration.py").write_bytes(
+        (ROOT / "perfbench" / "calibration.py").read_bytes())
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run([sys.executable, "-c", recorder.HOST_REFERENCE], cwd=tmp_path,
+                          capture_output=True, text=True, check=True, env=env)
+    assert 0.0 < json.loads(proc.stdout) < 10.0
+    assert sorted(p.name for p in (tmp_path / "perfbench").iterdir()) == ["calibration.py"]

@@ -48,7 +48,10 @@ def rows_equal_single_calls(call, xs, ys):
     return block
 
 
-@pytest.mark.parametrize("B", [1, 8, 24])
+# at B = 2, 3 and 9 a (B, k) block of the filter pair, the centers or the
+# frames would also unpack as k coordinate arrays: a reader that skips its
+# transpose shows there only as rows unequal to their single-state calls
+@pytest.mark.parametrize("B", [1, 2, 3, 8, 9, 24])
 @pytest.mark.parametrize("name", ["log", "quadratic"])
 def test_seeker_spec_block_rows_equal_single_state_calls(name, B):
     fld = builtin_fields()[name]

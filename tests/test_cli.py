@@ -818,7 +818,7 @@ def test_probe_with_non_finite_values_writes_strict_json(tmp_path, monkeypatch):
     quadratic = builtin_fields()["quadratic"]
 
     def c(p):
-        return np.where(np.any(np.asarray(p) != 0.0, axis=-1), quadratic.c(p), np.nan)
+        return np.where(np.any(np.asarray(p) != 0.0, axis=0), quadratic.c(p), np.nan)
 
     monkeypatch.setattr(cli, "field_by_name", lambda name: dataclasses.replace(quadratic, c=c))
     payload = {"deltas": [2.0], "horizon": 0.05}

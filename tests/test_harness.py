@@ -252,6 +252,23 @@ def test_sweep_rejects_bad_frequencies_before_any_run(monkeypatch):
                           steps_per_period=400, avg_steps=4000)
 
 
+def test_sweep_refuses_a_spec_without_full_before_any_run():
+    # the averaged reference is integrated only once every rung's full
+    # field is built, so a fields-only spec costs no averaged step
+    spec, averaged, x0, y0 = linear_system()
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return averaged(t, x)
+
+    with pytest.raises(ConfigurationError, match="no full right-hand side"):
+        sweep_convergence(dataclasses.replace(spec, full=None), counted, x0, y0,
+                          [8.0, 16.0, 32.0, 64.0], t_f=1.0, steps_per_period=400,
+                          avg_steps=4000)
+    assert calls == []
+
+
 def test_sweep_checks_its_step_count_before_any_run(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before steps_per_period was checked")
@@ -423,12 +440,33 @@ def test_averaged_probe_reports_a_nan_step():
     quadratic = builtin_fields()["quadratic"]
 
     def c(p):
-        return np.where(np.any(np.asarray(p) != 0.0, axis=-1), quadratic.c(p), np.nan)
+        return np.where(np.any(np.asarray(p) != 0.0, axis=0), quadratic.c(p), np.nan)
 
     report = probe_averaged_stability(dataclasses.replace(quadratic, c=c), deltas=[2.0],
                                       horizon=0.05, entry_radius=0.1, dt=0.01)
     assert all(np.isnan(run["max_vc_step_increase"]) for run in report.runs)
     assert np.isnan(report.max_vc_step_increase)
+
+
+@pytest.mark.parametrize("name", ["log", "quadratic"])
+def test_averaged_probe_of_three_samples_reads_each_position_as_a_point(name):
+    # two steps give 3 samples per run: the probe's (3, K, B) coordinate
+    # view of its positions must read each sample and each final position
+    # as the per-point list calls do, bit for bit
+    fld = builtin_fields()[name]
+    dt = 0.01
+    report = probe_averaged_stability(fld, deltas=[2.0], horizon=2 * dt, entry_radius=0.1, dt=dt)
+    field = averaged_seeker_field(fld)
+    grid = TimeGrid(t0=0.0, dt=dt, n_steps=2)
+    for run, d in zip(report.runs, shell_directions()):
+        p0 = fld.p_star + 2.0 * d
+        s0 = np.concatenate([p0, embed(aligned_frame(fld.grad(p0)))])
+        states = integrate_rk4(field, s0, grid)[1]
+        assert states.shape == (3, 12)
+        vc = [fld.c(fld.p_star) - fld.c(s[0:3].tolist()) for s in states]
+        assert run["max_vc_step_increase"] == max(vc[1] - vc[0], vc[2] - vc[1])
+        final_grad = np.array(fld.grad(states[-1, 0:3].tolist()))
+        assert run["final_grad_norm"] == float(np.linalg.norm(final_grad))
 
 
 def test_averaged_probe_all_entered_needs_every_run():
@@ -512,7 +550,7 @@ def test_averaged_flow_steers_misaligned_headings_without_raising_vc(name):
     field = averaged_seeker_field(fld)
     states = np.stack([integrate_rk4(field, start, grid)[1] for start in s0], axis=1)
     positions = states[:, :, 0:3]
-    vc = float(fld.c(fld.p_star)) - fld.c(positions.reshape(-1, 3)).reshape(positions.shape[:2])
+    vc = float(fld.c(fld.p_star)) - fld.c(np.moveaxis(positions, -1, 0))
     max_step = np.max(np.diff(vc, axis=0), axis=0).reshape(len(angles), 16)
     moved = np.max(np.abs(states[-1, :, 3:12] - s0[:, 3:12]), axis=1).reshape(len(angles), 16)
     # measured: aligned frames move by exactly 0.0; turned ones by 0.557
@@ -671,7 +709,7 @@ def _synthetic_flight(profile):
         t = np.linspace(0.0, t_f, 21)
         dist, z = profile(t)
         p = np.column_stack([dist, np.zeros((21, 2))])
-        y = (fld.c(p) + z / np.sqrt(2.0))[:, None] * np.ones(2)
+        y = (fld.c(p.T) + z / np.sqrt(2.0))[:, None] * np.ones(2)
         states = np.column_stack([p, np.tile(embed(np.eye(3)), (21, 1)), y])
         return SeekerTrajectory(t0 + t, states)
     return simulate

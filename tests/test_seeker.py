@@ -55,17 +55,6 @@ def sum_sq(p):
     return p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
 
 
-def listed(read):
-    """An array form of c, grad or hess that also takes a list of 3
-    floats, as the loops read it: the list as a (3,) array, the result
-    handed back as Python floats."""
-    def call(p):
-        if isinstance(p, list):
-            return np.asarray(read(np.array(p))).tolist()
-        return read(p)
-    return call
-
-
 def flat_field():
     """Zero field: the loop reduces to pure roll plus dither surge."""
     return ScalarField(
@@ -97,7 +86,8 @@ def test_quadratic_field_reference_values():
     assert np.array_equal(fld.hess(p.tolist()), -np.eye(3))
     # the quadratic-growth bound is sharp: c(p*) - c(p) = |grad|^2 / 2
     deficit = fld.c(fld.p_star) - fld.c(p)
-    assert abs(deficit - 0.5 * float(fld.grad(p) @ fld.grad(p))) < 1e-14
+    g = np.array(fld.grad(p))
+    assert abs(deficit - 0.5 * float(g @ g)) < 1e-14
 
 
 def test_quadratic_hessian_is_a_fresh_negative_identity_per_call():
@@ -134,9 +124,10 @@ def test_field_derivatives_match_finite_differences():
     for fld in builtin_fields().values():
         for _ in range(10):
             p = rng.uniform(-10.0, 10.0, 3)
-            g_fd = jacobian_fd(fld.c, p)[0]
-            assert np.max(np.abs(fld.grad(p) - g_fd)) < 1e-6
-            H_fd = jacobian_fd(fld.grad, p)
+            # jacobian_fd passes a (6, 3) block: the fields read it coordinate-first
+            g_fd = jacobian_fd(lambda P: fld.c(P.T), p)[0]
+            assert np.max(np.abs(np.array(fld.grad(p)) - g_fd)) < 1e-6
+            H_fd = jacobian_fd(lambda P: np.array(fld.grad(P.T)).T, p)
             assert np.max(np.abs(np.array(fld.hess(p.tolist())) - H_fd)) < 1e-6
 
 
@@ -156,10 +147,11 @@ def bits(*values):
 
 @pytest.mark.parametrize("name", ["log", "quadratic"])
 def test_field_blocks_match_point_calls_bit_for_bit(name):
-    # a list of 3 floats, a (3,) point and a row of a (B, 3) block give the
-    # float formula's bits, for c and grad, and hess takes the list and
-    # gives 3 lists of 3 floats; also at signed zeros and where |p|^2
-    # overflows, whose inf and NaN values must agree as well
+    # a list of 3 floats, a (3,) point and a column of a (3, B) block give
+    # the float formula's bits, for c, grad and hess, and so does a (3, 2, B/2)
+    # block reshaped; on the list they give floats and lists of floats; also
+    # at signed zeros and where |p|^2 overflows, whose inf and NaN values
+    # must agree as well
     fld = builtin_fields()[name]
     rng = np.random.default_rng(41)
     dirs = rng.normal(size=(2000, 3))
@@ -170,9 +162,13 @@ def test_field_blocks_match_point_calls_bit_for_bit(name):
              [1e200, 0.0, -0.0], [1e155, -1e155, 1e155], [-1e308, 1e308, 1.0]]
     P = np.vstack([P, edges])
     with np.errstate(over="ignore", invalid="ignore"):
-        c_block = fld.c(P)
-        g_block = fld.grad(P)
+        c_block = fld.c(P.T)
+        g_block = np.array(fld.grad(P.T)).T
+        H_block = np.broadcast_to(np.array(fld.hess(P.T)).T, (len(P), 3, 3))
         assert c_block.shape == (len(P),) and g_block.shape == (len(P), 3)
+        folded = P.T.reshape(3, 2, -1)
+        assert bits(fld.c(folded)) == bits(c_block.reshape(2, -1))
+        assert bits(fld.grad(folded)) == bits(g_block.T.reshape(3, 2, -1))
         point_c, point_grad = POINT_FORMULAS[name]
         for b, p in enumerate(P):
             row = p.tolist()
@@ -180,13 +176,13 @@ def test_field_blocks_match_point_calls_bit_for_bit(name):
             assert isinstance(c, float) and isinstance(c_list, float)
             assert bits(c) == bits(c_list) == bits(c_block[b]) == bits(point_c(row)), row
             g, g_list = fld.grad(p), fld.grad(row)
-            assert g.shape == (3,)
             assert isinstance(g_list, list) and all(type(v) is float for v in g_list)
-            assert g.tobytes() == bits(*g_list) == g_block[b].tobytes() == bits(*point_grad(row))
-            H_list = fld.hess(row)
+            assert bits(*g) == bits(*g_list) == g_block[b].tobytes() == bits(*point_grad(row))
+            H, H_list = fld.hess(p), fld.hess(row)
             assert len(H_list) == 3
             assert all(isinstance(r, list) and len(r) == 3 for r in H_list), row
             assert all(type(v) is float for r in H_list for v in r), row
+            assert bits(H) == bits(H_list) == H_block[b].T.tobytes(), row
     overflow = P[-3:]
     assert np.all(np.isinf(c_block[-3:]))
     if name == "log":
@@ -569,6 +565,19 @@ def test_trajectory_observables():
     assert np.max(np.abs(lv + cv)) < 1e-14
 
 
+@pytest.mark.parametrize("name", ["log", "quadratic"])
+def test_center_values_of_a_three_row_run_read_each_row_as_a_point(name):
+    # center_values passes the (3, K) coordinate view; at K = 3 a (K, 3)
+    # block would unpack too, reading the rows as coordinates
+    fld = builtin_fields()[name]
+    cfg = SeekerConfig(omega=4.0 * np.pi, steps_per_fast_period=20)
+    traj = simulate_seeker(cfg, fld, P_REF, np.eye(3), t_f=2.0 * cfg.dt)
+    assert traj.states.shape == (3, 14)
+    want = [fld.c(row[0:3].tolist()) for row in traj.states]
+    assert traj.center_values(fld).tobytes() == bits(*want)
+    assert traj.lyapunov_values(fld).tobytes() == bits(*[fld.c(fld.p_star) - v for v in want])
+
+
 # ------------------------------------------------------------- averaged loop
 
 
@@ -620,8 +629,8 @@ def reference_averaged_field(fld):
 
     def rhs(t, s):
         x = s.T
-        q1, q2, q3 = x[3:6], x[6:9], x[9:12]
-        g = grad(s[..., 0:3]).T
+        p, q1, q2, q3 = x[0:3], x[3:6], x[6:9], x[9:12]
+        g = np.array(grad(p))
         u1, u2, u3 = _dot3(q1, g), _dot3(q2, g), _dot3(q3, g)
         a2, a3 = 0.25 * u2, 0.25 * u3
         return np.concatenate([u1 * q1, a2 * q2 + a3 * q3, -a2 * q1, -a3 * q1]).T
@@ -636,8 +645,8 @@ def cross_product_averaged_field(fld):
 
     def rhs(t, s):
         x = s.T
-        q1, q2, q3 = x[3:6], x[6:9], x[9:12]
-        g = grad(s[..., 0:3]).T
+        p, q1, q2, q3 = x[0:3], x[3:6], x[6:9], x[9:12]
+        g = np.array(grad(p))
         u1, u2, u3 = _dot3(q1, g), _dot3(q2, g), _dot3(q3, g)
         wbar = 0.25 * (u2 * q3 - u3 * q2)
         return np.concatenate(
@@ -682,7 +691,7 @@ def test_averaged_field_block_matches_rows():
                 assert reads == block[:, 0:3].tolist()
                 assert out.tobytes() == ref(0.0, block).tobytes(), name
                 gap = np.abs(out - world(0.0, block))
-                g_norm = np.linalg.norm(fld.grad(block[:, 0:3]), axis=1)
+                g_norm = np.linalg.norm(np.array(fld.grad(block[:, 0:3].T)), axis=0)
                 assert np.all(gap <= 2.0 * eps * g_norm[:, None]), name
 
 
@@ -866,20 +875,21 @@ def _ref_filter_drive(u):
 
 def reference_phase_fields(fld):
     """The seeker decomposition as four separate phase fields, each one
-    recomputing the center value, gradient, Hessian and trig values with
-    numpy (np.cos/np.sin also at a scalar phase): the oracle for terms."""
+    recomputing the center value, gradient and Hessian (read on the center
+    as a list of 3 floats) and the trig values with numpy (np.cos/np.sin
+    also at a scalar phase): the oracle for terms."""
     c, grad = fld.c, fld.grad
 
     def f1(x, y, tau):
         q = x[3:12].tolist()
         ya, yb = y.tolist()
         gain = yb - ya
-        s = 2.0 * np.cos(2.0 * tau - float(c(x[0:3])))
+        s = 2.0 * np.cos(2.0 * tau - float(c(x[0:3].tolist())))
         turn = _ref_frame_turn(q, np.cos(tau), np.sin(tau))
         return np.array([s * q[0], s * q[1], s * q[2]] + [gain * r for r in turn]).T
 
     def f2(x, y, tau):
-        p = x[0:3]
+        p = x[0:3].tolist()
         q = x[3:12].tolist()
         g = np.asarray(grad(p), dtype=float).tolist()
         d = _ref_dither_axis(q, np.cos(tau), np.sin(tau))
@@ -888,7 +898,7 @@ def reference_phase_fields(fld):
         return np.array([s * q[0], s * q[1], s * q[2]] + [zero] * 9).T
 
     def g1(x, y, tau):
-        g = np.asarray(grad(x[0:3]), dtype=float).tolist()
+        g = np.asarray(grad(x[0:3].tolist()), dtype=float).tolist()
         d = _ref_dither_axis(x[3:12].tolist(), np.cos(tau), np.sin(tau))
         return _ref_filter_drive(g[0] * d[0] + g[1] * d[1] + g[2] * d[2])
 
@@ -922,15 +932,19 @@ def reference_full_field(spec, fields, omega):
 def anisotropic_field():
     """c = -1/2 p^T K p with K = diag(1, 2, 4): its Hessian is not -I, so
     the d.H.d term of g2 depends on the dither direction.  c and grad take
-    a point or a block of points, as the built-in fields do."""
-    k = np.array([1.0, 2.0, 4.0])
-    return ScalarField(
-        name="anisotropic",
-        c=listed(lambda p: -0.5 * np.vecdot(p, k * p)),
-        grad=listed(lambda p: -k * p),
-        hess=listed(lambda p: -np.diag(k)),
-        p_star=np.zeros(3),
-    )
+    a point's three coordinates, as the built-in fields do."""
+    def c(p):
+        p0, p1, p2 = p
+        return -0.5 * (p0 * p0 + p1 * (2.0 * p1) + p2 * (4.0 * p2))
+
+    def grad(p):
+        p0, p1, p2 = p
+        return [-p0, -2.0 * p1, -4.0 * p2]
+
+    def hess(p):
+        return [[-1.0, -0.0, -0.0], [-0.0, -2.0, -0.0], [-0.0, -0.0, -4.0]]
+
+    return ScalarField(name="anisotropic", c=c, grad=grad, hess=hess, p_star=np.zeros(3))
 
 
 TERM_FIELDS = ["log", "quadratic", "anisotropic"]
@@ -953,6 +967,27 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and (
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
     )
+
+
+@pytest.mark.parametrize("name", TERM_FIELDS)
+def test_three_state_blocks_read_the_field_at_each_center(name):
+    # phi0, dphi0 and terms pass the field a (3, B) coordinate view; at
+    # B = 3 a (B, 3) block would unpack too, reading rows as coordinates.
+    # Each state's values must be those of per-point list calls
+    fld = term_field(name)
+    spec = as_system_spec(fld)
+    f1, _, g1, _ = reference_phase_fields(fld)
+    rng = np.random.default_rng(59)
+    xs, ys = (np.array(v) for v in zip(*(random_spec_state(rng) for _ in range(3))))
+    taus = (2.0 * np.pi / 16) * np.arange(16) + 0.3
+    phi0, dphi0 = spec.phi0(xs), spec.dphi0(xs)
+    F1 = spec.terms(xs, ys, taus, False)[0]
+    for b, (x, y) in enumerate(zip(xs, ys)):
+        center = x[0:3].tolist()
+        val, grad = fld.c(center), fld.grad(center)
+        assert same_bits(phi0[b], [val, val])
+        assert same_bits(dphi0[b], [grad + [0.0] * 9] * 2)
+        assert same_bits(F1[b], np.concatenate([f1(x, y, taus), g1(x, y, taus)], axis=-1))
 
 
 @pytest.mark.parametrize("name", TERM_FIELDS)
@@ -1047,8 +1082,8 @@ def test_full_field_matches_reference_assembly(name):
     # makes F1 and F2 add only -0.0 to the filter rows: those rows then are
     # the layer term w A y itself, checked here over pairs of signed zeros,
     # subnormals, extremes and random values.
-    zero = ScalarField(name="zero", c=lambda p: 0.0, grad=listed(lambda p: np.full(3, -0.0)),
-                       hess=listed(lambda p: -np.eye(3)), p_star=np.zeros(3))
+    zero = ScalarField(name="zero", c=lambda p: 0.0, grad=lambda p: [-0.0, -0.0, -0.0],
+                       hess=lambda p: (-np.eye(3)).tolist(), p_star=np.zeros(3))
     zero_spec = as_system_spec(zero)
     zero_ref = reference_phase_fields(zero)
     edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 1e308]

@@ -27,7 +27,11 @@ root.  The file, written with sorted keys, holds:
   radius 0.1: one ensemble operation) and 16 rows (deltas [6, 2],
   horizon 20, entry radius 1e-3: criterion 6's starts), both at dt 0.01;
 - one run of the tier-1 suite in CHECKOUT, after the benchmark runs:
-  its wall time, exit code and pytest's summary line.
+  its wall time, exit code and pytest's summary line;
+- the host's speed before and after the benchmark runs: the time of
+  CHECKOUT's perfbench/calibration.py reference kernel, best of 7 calls,
+  in seconds (``host_reference_s``).  It tells a slow host from slow
+  code when two points are compared; no metric is rescaled by it.
 
 The file is the trajectory, not the proof of a gain: a claim still comes
 from alternating parent/change pairs.  An existing file is never
@@ -104,6 +108,16 @@ for rows, deltas, horizon, radius in [(8, [2.0], 5.0, 0.1), (16, [6.0, 2.0], 20.
 print(json.dumps(out))
 """
 
+# the calibration kernel, imported from the checkout's perfbench/ without
+# writing bytecode there: best of 7 calls, in seconds
+HOST_REFERENCE = """
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "perfbench")
+import calibration
+print(json.dumps(min(calibration.reference_seconds() for _ in range(7))))
+"""
+
 
 def run_once(root: Path, workload: str) -> tuple[dict, dict]:
     """The final JSON line of one run and its '# metadata' line; a run that
@@ -164,7 +178,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     bench = json.loads((root / "BENCHMARK.json").read_text())
     names = [m["name"] for m in bench["end_to_end"]]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
 
+    def run_script(source: str) -> str:
+        """The stdout of `python -c source` in root, importing root's src/."""
+        return subprocess.run([sys.executable, "-c", source], cwd=root, capture_output=True,
+                              text=True, env=env, check=True).stdout
+
+    host_before = json.loads(run_script(HOST_REFERENCE))
     workloads, meta, correct = {}, {}, True
     for wl in (w["name"] for w in bench["workloads"]):
         runs = []
@@ -186,13 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     if not correct:
         print("error: a run was not correct; nothing written", file=sys.stderr)
         return 1
-
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-
-    def run_script(source: str) -> str:
-        """The stdout of `python -c source` in root, importing root's src/."""
-        return subprocess.run([sys.executable, "-c", source], cwd=root, capture_output=True,
-                              text=True, env=env, check=True).stdout
+    host_after = json.loads(run_script(HOST_REFERENCE))
 
     defaulted = run_script(COUNT_DEFAULTS).strip()
     kernels = run_script(KERNELS)
@@ -209,6 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": meta.get("numpy"),
         "run": {"runs_per_workload": RUNS, "args": RUN_ARGS},
         "workloads": workloads,
+        "host_reference_s": {"before": host_before, "after": host_after},
         "src_lines": meta.get("src_lines"),
         "defaulted_parameters": int(defaulted),
         "rk4_step_us": json.loads(kernels),
